@@ -43,7 +43,13 @@ from .estimators import (
     estimate_scalar_lyapunov,
     estimate_sigma1,
 )
-from .graphs import from_matrix, has_spanning_tree, is_scrambling_graph, union
+from .graphs import (
+    from_matrix,
+    has_spanning_tree,
+    is_scrambling_graph,
+    union,
+    window_has_spanning_tree,
+)
 from .jsr import DEFAULT_MAX_LEN, DEFAULT_TOL, gripenberg
 from .linalg import is_stochastic, project, projection_basis
 
@@ -283,13 +289,7 @@ def cmd_check(args) -> int:
 
     found = None
     for T in range(1, args.t_max + 1):
-        if all(
-            has_spanning_tree(
-                union([from_matrix(source.at(t0 + k)) for k in range(T)])
-            )
-            is not None
-            for t0 in t0s
-        ):
+        if all(window_has_spanning_tree(source, t0, T) for t0 in t0s):
             found = T
             break
     report_T = found if found is not None else args.t_max

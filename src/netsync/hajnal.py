@@ -30,23 +30,29 @@ def _rows(L) -> np.ndarray:
     return L
 
 
-def diam(L, kind: str = "inf") -> float:
+def diam(L, kind: str = "inf"):
     """Max over row pairs of the norm of the row difference.
 
     For a column vector this is the spread max_i x_i - min_i x_i, the
-    state diameter.
+    state diameter.  A stacked block of shape (m, K, n) holds K matrices
+    L[:, k, :] and gives the array of their K diameters.
     """
-    L = _rows(L)
+    L = np.asarray(L, dtype=float)
+    if L.ndim == 3:
+        return _stacked_diam(L, kind)
+    return float(_stacked_diam(_rows(L)[:, None, :], kind)[0])
+
+
+def _stacked_diam(L: np.ndarray, kind: str) -> np.ndarray:
     if L.shape[0] < 2:
-        return 0.0
+        return np.zeros(L.shape[1])
     if kind == "inf":
-        # max_{i,j} max_k |L_ik - L_jk| decomposes columnwise
-        return float(np.max(L.max(axis=0) - L.min(axis=0)))
-    if kind == "one":
-        return float(pdist(L, metric="cityblock").max())
-    if kind == "two":
-        return float(pdist(L, metric="euclidean").max())
-    raise InvalidParamsError(f"unknown norm kind {kind!r}")
+        # max_{i,j} max_c |L_ic - L_jc| decomposes columnwise
+        return (L.max(axis=0) - L.min(axis=0)).max(axis=1)
+    metric = {"one": "cityblock", "two": "euclidean"}.get(kind)
+    if metric is None:
+        raise InvalidParamsError(f"unknown norm kind {kind!r}")
+    return np.array([pdist(L[:, k], metric=metric).max() for k in range(L.shape[1])])
 
 
 def diam_matrix(L, kind: str = "inf") -> DiamValue:

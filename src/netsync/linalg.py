@@ -113,42 +113,23 @@ def project(L, basis: ProjectionBasis) -> np.ndarray:
     return basis.P @ L @ basis.Pplus
 
 
+_NORM_ORD = {"inf": np.inf, "one": 1, "two": 2}
+
+
+def norm_ord(kind: str):
+    """numpy `ord` of the induced matrix norm named kind."""
+    try:
+        return _NORM_ORD[kind]
+    except KeyError:
+        raise UnknownParameterError(f"unknown norm kind {kind!r}") from None
+
+
 def matrix_norm(M, kind: str = "inf") -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
-    if kind == "inf":
-        return float(np.max(np.abs(M).sum(axis=1))) if M.size else 0.0
-    if kind == "one":
-        return float(np.max(np.abs(M).sum(axis=0))) if M.size else 0.0
-    if kind == "two":
-        return _two_norm_power(M)
-    raise UnknownParameterError(f"unknown norm kind {kind!r}")
-
-
-def _two_norm_power(M: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 50_000) -> float:
-    """Largest singular value by power iteration on M^T M."""
-    if M.size == 0:
-        return 0.0
-    B = M.T @ M
-    n = B.shape[0]
-    # deterministic start with a small tilt so we are not orthogonal
-    # to the dominant eigenvector by symmetry
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(v @ (B @ v))
-        if abs(new - lam) <= rel_tol * max(abs(new), 1e-30):
-            lam = new
-            break
-        lam = new
-    return float(np.sqrt(max(lam, 0.0)))
+    order = norm_ord(kind)
+    return float(np.linalg.norm(M, order)) if M.size else 0.0
 
 
 def spectral_radius(M) -> float:

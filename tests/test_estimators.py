@@ -1,16 +1,25 @@
 """Oracle tests for the finite-horizon spectral estimators.
 
 Reference values come from closed forms (symmetric 2x2 coupling, exact
-eigensolves) or from numpy eigendecompositions computed in the test.
+eigensolves), from numpy eigendecompositions computed in the test, or
+from the reference implementations below, which propagate through the
+projected matrices Ghat = P G Pplus, one window at a time.
 """
 
+import math
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netsync.errors import InvalidParamsError, OrbitDivergedError, SingularMatrixError
+from netsync.errors import (
+    DimensionMismatchError,
+    DimensionTooSmallError,
+    InvalidParamsError,
+    OrbitDivergedError,
+    SingularMatrixError,
+)
 from netsync.estimators import (
     NEG_INF,
     default_t0_samples,
@@ -21,8 +30,9 @@ from netsync.estimators import (
     is_neg_inf,
     lyapunov_spectrum_qr,
 )
-from netsync.linalg import make_stochastic, projection_basis
-from netsync.sources import FiniteSetIIDSource, PeriodicSource, StaticSource
+from netsync.hajnal import diam
+from netsync.linalg import make_stochastic, matrix_norm, projection_basis
+from netsync.sources import FiniteSetIIDSource, MatrixSource, PeriodicSource, StaticSource
 
 SYM2 = np.array([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1 and 0.5
 RANK1 = np.tile([0.3, 0.7], (2, 1))
@@ -126,7 +136,7 @@ def test_projection_jsr_basis_independent():
         vals.append(
             estimate_projection_jsr(src, basis=basis, horizon=300, t0_samples=[0, 40]).value
         )
-    assert abs(vals[0] - vals[1]) <= 1e-6
+    assert vals[0] == vals[1]
 
 
 # ------------------------------------------------------------- sigma1
@@ -294,3 +304,198 @@ def test_diam_and_jsr_agree_on_random_static(seed):
     d = estimate_hajnal_diameter(src, horizon=400, t0_samples=[0])
     r = estimate_projection_jsr(src, horizon=400, t0_samples=[0])
     assert abs(d.value - r.value) <= 0.02
+
+
+# ------------------------------------------------------------- reference
+# The estimators propagate in node space.  These references form
+# Ghat = P G Pplus at every step and walk each window on its own; in exact
+# arithmetic both give the same numbers.
+
+
+def ref_window_curve(source, basis, M0, size, horizon, t0_samples, renorm_every=8):
+    """Per-window propagation M <- Ghat M of the projected product from
+    M0; size(M) is the window's size at step t."""
+    best = np.zeros(horizon)
+    for t0 in t0_samples:
+        M = M0.copy()
+        logscale = 0.0
+        for t in range(1, horizon + 1):
+            M = basis.P @ source.at(t0 + t - 1) @ basis.Pplus @ M
+            if renorm_every and t % renorm_every == 0:
+                s = float(np.max(np.abs(M)))
+                if s == 0.0:
+                    break
+                M /= s
+                logscale += math.log(s)
+            d = size(M)
+            if d > 0.0:
+                best[t - 1] = max(best[t - 1], math.exp((math.log(d) + logscale) / t))
+    return best.tolist()
+
+
+def ref_hajnal_diameter(source, horizon, t0_samples, kind="inf"):
+    m = source.m
+    basis = projection_basis(m, "difference")
+
+    def size(D):
+        # rows of B relative to row 0 are prefix sums of D = P B
+        return diam(np.vstack([np.zeros(m), np.cumsum(D, axis=0)]), kind)
+
+    return ref_window_curve(source, basis, basis.P, size, horizon, t0_samples)
+
+
+def ref_projection_jsr(source, basis, horizon, t0_samples, kind="inf"):
+    m = source.m
+    canon = projection_basis(m, "difference")
+    S = basis.P @ canon.Pplus
+    Sinv = canon.P @ basis.Pplus
+
+    def size(M):
+        return matrix_norm(Sinv @ M @ S, kind)
+
+    return ref_window_curve(source, basis, np.eye(m - 1), size, horizon, t0_samples)
+
+
+def ref_sigma1(source, basis, horizon, renorm_every=8, n_vectors=8, seed=0):
+    """(value, trace) from probes propagated as V <- Ghat V."""
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((n_vectors, source.m - 1)).T.copy()
+    V /= np.linalg.norm(V, axis=0, keepdims=True)
+    logs = np.zeros(n_vectors)
+    trace = []
+    for t in range(1, horizon + 1):
+        V = basis.P @ source.at(t - 1) @ basis.Pplus @ V
+        if t % renorm_every == 0:
+            norms = np.linalg.norm(V, axis=0)
+            logs += np.log(norms)
+            V /= norms
+            trace.append(float(logs.max()) / t)
+    if horizon % renorm_every:
+        return float((logs + np.log(np.linalg.norm(V, axis=0))).max()) / horizon, trace
+    return float(logs.max()) / horizon, trace
+
+
+def random_finite_source(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 8))
+    mats = [make_stochastic(rng.random((m, m)) + 0.1) for _ in range(int(rng.integers(2, 5)))]
+    return FiniteSetIIDSource(mats, seed=seed)
+
+
+ORACLE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["inf", "one", "two"])
+def test_diameter_matches_projected_reference(seed, kind):
+    src = random_finite_source(seed)
+    t0s = default_t0_samples(120)
+    est = estimate_hajnal_diameter(src, horizon=120, kind=kind)
+    ref = ref_hajnal_diameter(src, 120, t0s, kind)
+    np.testing.assert_allclose(est.curve, ref, rtol=ORACLE_RTOL, atol=0)
+    assert est.value == est.curve[-1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["inf", "one", "two"])
+@pytest.mark.parametrize("basis_kind", ["difference", "orthonormal"])
+def test_projection_jsr_matches_projected_reference(seed, kind, basis_kind):
+    src = random_finite_source(seed)
+    basis = projection_basis(src.m, basis_kind)
+    t0s = [0, 7, 30, 31]
+    est = estimate_projection_jsr(src, basis=basis, horizon=120, t0_samples=t0s, kind=kind)
+    ref = ref_projection_jsr(src, basis, 120, t0s, kind)
+    np.testing.assert_allclose(est.curve, ref, rtol=ORACLE_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("basis_kind", ["difference", "orthonormal"])
+@pytest.mark.parametrize("horizon", [800, 803])
+def test_sigma1_matches_projected_reference(seed, basis_kind, horizon):
+    src = random_finite_source(seed)
+    basis = projection_basis(src.m, basis_kind)
+    est = estimate_sigma1(src, basis=basis, horizon=horizon, seed=seed)
+    value, trace = ref_sigma1(src, basis, horizon, seed=seed)
+    assert est.value == pytest.approx(value, rel=ORACLE_RTOL, abs=0)
+    np.testing.assert_allclose(est.trace, trace, rtol=ORACLE_RTOL, atol=0)
+
+
+def test_window_walk_skips_uncovered_times():
+    # windows far apart: times between them are never requested
+    seen = set()
+    shared = random_finite_source(4)
+
+    class Recording(MatrixSource):
+        m = shared.m
+
+        def at(self, t):
+            seen.add(t)
+            return shared.at(t)
+
+    t0s = [500, 0, 40, 500]
+    est = estimate_hajnal_diameter(Recording(), horizon=30, t0_samples=t0s)
+    assert seen == set(range(0, 30)) | set(range(40, 70)) | set(range(500, 530))
+    np.testing.assert_allclose(
+        est.curve, ref_hajnal_diameter(shared, 30, t0s), rtol=ORACLE_RTOL, atol=0
+    )
+    assert est.t0_samples == t0s
+
+
+def test_window_estimators_reject_single_node():
+    src = StaticSource([[1.0]])
+    with pytest.raises(DimensionTooSmallError):
+        estimate_hajnal_diameter(src, horizon=10)
+    with pytest.raises(DimensionTooSmallError):
+        estimate_projection_jsr(src, horizon=10)
+
+
+def test_basis_must_match_source_dimension():
+    src = random_finite_source(4)
+    basis = projection_basis(src.m + 1)
+    with pytest.raises(DimensionMismatchError):
+        estimate_sigma1(src, basis=basis, horizon=16)
+    with pytest.raises(DimensionMismatchError):
+        estimate_projection_jsr(src, basis=basis, horizon=16)
+
+
+# ------------------------------------------------------------- invariance
+
+
+def test_estimates_do_not_depend_on_array_allocation():
+    # a source that hands out a fresh copy per call must give the same
+    # numbers as one that hands out shared arrays: no cache may key on
+    # array identity
+    rng = np.random.default_rng(7)
+    shared = FiniteSetIIDSource([make_stochastic(rng.random((4, 4)) + 0.05) for _ in range(2)], seed=7)
+
+    class FreshCopies(MatrixSource):
+        m = 4
+
+        def at(self, t):
+            return shared.at(t).copy()
+
+    fresh = FreshCopies()
+    assert estimate_sigma1(fresh, horizon=2000).value == estimate_sigma1(shared, horizon=2000).value
+    assert (
+        estimate_hajnal_diameter(fresh, horizon=200).value
+        == estimate_hajnal_diameter(shared, horizon=200).value
+    )
+    assert (
+        estimate_projection_jsr(fresh, horizon=200).value
+        == estimate_projection_jsr(shared, horizon=200).value
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_diameter_rate_invariant_under_relabelling(seed, data):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 7))
+    mats = [make_stochastic(rng.random((m, m)) + 0.05) for _ in range(2)]
+    perm = data.draw(st.permutations(range(m)))
+    Pi = np.eye(m)[list(perm)]
+    a = estimate_hajnal_diameter(FiniteSetIIDSource(mats, seed=seed), horizon=200)
+    b = estimate_hajnal_diameter(
+        FiniteSetIIDSource([Pi @ G @ Pi.T for G in mats], seed=seed), horizon=200
+    )
+    np.testing.assert_allclose(b.curve, a.curve, rtol=1e-10, atol=0)

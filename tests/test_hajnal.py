@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netsync.errors import DimensionMismatchError
-from netsync.hajnal import diam_matrix, eta, hajnal_bound_check, is_scrambling
+from netsync.errors import DimensionMismatchError, InvalidParamsError
+from netsync.hajnal import diam, diam_matrix, eta, hajnal_bound_check, is_scrambling
 from netsync.linalg import make_stochastic
 
 ETA_EXAMPLE = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -57,6 +57,17 @@ def test_diam_inf_matches_pairwise_bruteforce(seed, m):
         for j in range(i + 1, m):
             want = max(want, np.max(np.abs(L[i] - L[j])))
     assert diam_matrix(L, "inf").value == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["inf", "one", "two"])
+def test_diam_stacked_block_matches_each_window(kind):
+    # (m, K, n) holds K matrices side by side; each gets its own value
+    Y = np.random.default_rng(3).normal(size=(5, 4, 3))
+    got = diam(Y, kind)
+    assert got.shape == (4,)
+    assert got.tolist() == [diam(Y[:, k], kind) for k in range(4)]
+    with pytest.raises(InvalidParamsError):
+        diam(Y, "frobenius")
 
 
 # ---------------------------------------------------------------- eta
