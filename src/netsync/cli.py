@@ -43,13 +43,7 @@ from .estimators import (
     estimate_scalar_lyapunov,
     estimate_sigma1,
 )
-from .graphs import (
-    from_matrix,
-    has_spanning_tree,
-    is_scrambling_graph,
-    union,
-    window_has_spanning_tree,
-)
+from .graphs import Digraph, from_matrix, has_spanning_tree, is_scrambling_graph
 from .jsr import DEFAULT_MAX_LEN, DEFAULT_TOL, gripenberg
 from .linalg import is_stochastic, project, projection_basis
 
@@ -278,6 +272,22 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _edge_first_lengths(source, t0: int, t_max: int):
+    """For the windows [t0, t0+T), T = 1..t_max, read in time order: per
+    edge, the first T whose union holds it (t_max + 1 if none), and the
+    first T whose union has a spanning tree (None if none).  Unions only
+    grow with T, so the union at any T is first <= T."""
+    m = source.m
+    first = np.full((m, m), t_max + 1, dtype=np.min_scalar_type(t_max + 1))
+    tree_T = None
+    for T in range(1, t_max + 1):
+        adj = from_matrix(source.at(t0 + T - 1)).adj
+        first[adj & (first > T)] = T
+        if tree_T is None and has_spanning_tree(Digraph(m, first <= T)) is not None:
+            tree_T = T
+    return first, tree_T
+
+
 def cmd_check(args) -> int:
     raw, cfg = _load_config(args)
     h = config_hash(cfg)
@@ -287,15 +297,19 @@ def cmd_check(args) -> int:
     source = build_source(cfg)
     t0s = cfg.estimator.t0_samples or default_t0_samples(cfg.estimator.horizon)
 
-    found = None
-    for T in range(1, args.t_max + 1):
-        if all(window_has_spanning_tree(source, t0, T) for t0 in t0s):
-            found = T
-            break
+    # window starts in ascending order, so a driven source replays only
+    # where windows overlap
+    per_start = {
+        t0: _edge_first_lengths(source, t0, args.t_max) for t0 in sorted(set(t0s))
+    }
+    tree_Ts = [per_start[t0][1] for t0 in t0s]
+    # having a spanning tree is monotone in T, so the smallest T at
+    # which every sampled window has one is the largest first T
+    found = None if None in tree_Ts else max(tree_Ts)
     report_T = found if found is not None else args.t_max
     windows = []
     for t0 in t0s:
-        g = union([from_matrix(source.at(t0 + k)) for k in range(report_T)])
+        g = Digraph(source.m, per_start[t0][0] <= report_T)
         windows.append(
             {
                 "t0": t0,

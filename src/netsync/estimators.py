@@ -5,9 +5,9 @@ Every transverse estimator works in node space and never forms the
 projected matrix Ghat = P G Pplus: a block X is advanced as X <- G X
 and centred, X -= X[0].  Since P G = Ghat P and P annihilates
 consensus rows, P X follows the projected dynamics exactly, at
-O(m^2 n) per step instead of O(m^3).  The two window estimators share
-one walk over absolute time that advances every sampled window with a
-single matmul per step.
+O(m^2 n) per step (O(nnz n) for a sparse G) instead of O(m^3).  The
+two window estimators share one walk over absolute time that advances
+every sampled window with a single matmul per step.
 
 The sup over window starts is sampled on a fixed grid; the limsup in t
 is reported as the final-horizon value together with a convergence flag
@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .hajnal import diam
-from .linalg import ProjectionBasis, norm_ord, projection_basis
+from .linalg import ProjectionBasis, as_dense, norm_ord, projection_basis
 
 # sentinel for "every probe direction was annihilated"; never used in
 # arithmetic, always tested via is_neg_inf
@@ -325,16 +325,17 @@ def _matrix_fn(source) -> Callable[[int], np.ndarray]:
 
 def lyapunov_spectrum_qr(source, horizon: int) -> List[float]:
     """All Lyapunov exponents of a square-matrix sequence, descending,
-    via QR reorthonormalization of a full frame."""
+    via QR reorthonormalization of a full frame.  Sparse matrices are
+    densified, since the frame is dense."""
     if horizon < 1:
         raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
     fn = _matrix_fn(source)
-    A0 = np.asarray(fn(0), dtype=float)
+    A0 = as_dense(fn(0))
     m = A0.shape[0]
     Q = np.eye(m)
     logs = np.zeros(m)
     for t in range(horizon):
-        A = A0 if t == 0 else np.asarray(fn(t), dtype=float)
+        A = A0 if t == 0 else as_dense(fn(t))
         Q, R = np.linalg.qr(A @ Q)
         d = np.abs(np.diag(R))
         if np.any(d < 1e-300):

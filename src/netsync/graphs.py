@@ -3,6 +3,7 @@
 Orientation convention: the matrix entry G[i, j] > 0 means vertex j
 influences vertex i, drawn as the edge j -> i.  Internally adj[i, j]
 mirrors the matrix layout, so row i lists the in-neighbors of i.
+Matrices may be dense or scipy.sparse; adjacency is always dense.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .hajnal import is_scrambling
-from .linalg import is_stochastic
+from .linalg import as_dense, is_stochastic
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +65,7 @@ class Digraph:
 
 
 def from_matrix(G, threshold: float = 0.0) -> Digraph:
-    G = np.asarray(G, dtype=float)
+    G = as_dense(G)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise InvalidParamsError(f"need a square matrix, got shape {G.shape}")
     if threshold < 0:
@@ -161,7 +162,7 @@ def scrambling_product_check(matrices: Sequence[np.ndarray]) -> bool:
     stochastic matrices, each with positive diagonal and a spanning
     tree, form the left product G(m-2)...G(1)G(0) and report whether it
     is scrambling (it always is when the preconditions hold)."""
-    matrices = [np.asarray(G, dtype=float) for G in matrices]
+    matrices = [as_dense(G) for G in matrices]
     if not matrices:
         raise EmptyListError("need at least one matrix")
     m = matrices[0].shape[0]

@@ -1,14 +1,16 @@
 """Dense matrix kernel: row normalization, skew projection, norms.
 
 Everything operates on plain numpy float arrays.  A "stochastic matrix"
-is an ndarray validated by is_stochastic (nonnegative, unit row sums
-within 1e-12); a projection basis is a small frozen dataclass pairing P
-with a precomputed right inverse.
+is an ndarray or a scipy.sparse matrix validated by is_stochastic
+(nonnegative, unit row sums within 1e-12); dense-only readers take it
+through as_dense.  A projection basis is a small frozen dataclass
+pairing P with a precomputed right inverse.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import issparse
 
 from .errors import (
     DimensionMismatchError,
@@ -33,13 +35,26 @@ def _as_matrix(A) -> np.ndarray:
     return A
 
 
+def as_dense(G) -> np.ndarray:
+    """G as a float ndarray; a scipy.sparse matrix is densified."""
+    return np.asarray(G.toarray() if issparse(G) else G, dtype=float)
+
+
 def is_stochastic(G, tol: float = ROW_SUM_TOL) -> bool:
-    G = np.asarray(G, dtype=float)
+    """Square, finite, entries >= -tol and row sums within tol of 1.
+
+    A scipy.sparse matrix is checked on its stored entries, in O(nnz).
+    """
+    if issparse(G):
+        entries = G.data
+    else:
+        G = entries = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         return False
-    if not np.all(np.isfinite(G)) or np.min(G) < -tol:
+    if entries.size and (not np.all(np.isfinite(entries)) or np.min(entries) < -tol):
         return False
-    return bool(np.max(np.abs(G.sum(axis=1) - 1.0)) <= tol)
+    sums = np.asarray(G.sum(axis=1)).ravel()
+    return bool(np.max(np.abs(sums - 1.0)) <= tol)
 
 
 def make_stochastic(raw) -> np.ndarray:

@@ -8,10 +8,15 @@ Two mechanisms over a scale-free substrate:
   driven negative reverses its orientation with the overflow magnitude.
 
 Both expose .m and .step() -> row stochastic matrix, the interface
-DrivenSource wraps.
+DrivenSource wraps.  Blinking emits a scipy.sparse CSR array built in
+O(nnz) from the base edge list; blurring couples every pair, so it
+emits a dense ndarray.  DrivenSource replays a process from a deep copy
+taken at construction, so a process must be deep-copyable and its
+emissions determined by its state.
 """
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import InvalidParamsError
 
@@ -73,6 +78,11 @@ class BlinkingProcess:
     down vertex holds its state and nobody listens to it. A vertex that
     fails is already absent from the emission of the same step, and
     stays down for exactly t_rec emissions.
+
+    The emission is a CSR array: the edges of base + I, listed once in
+    row-major order, are filtered to those whose endpoints are both up
+    (diagonal entries always stay), and each kept entry of row i is
+    1 / deg(i), the same value as the dense row normalization.
     """
 
     def __init__(self, base, p, t_rec, seed):
@@ -84,6 +94,8 @@ class BlinkingProcess:
         self.p = float(p)
         self.t_rec = int(t_rec)
         self.m = self.base.shape[0]
+        self._rows, self._cols = np.nonzero(self.base + np.eye(self.m))
+        self._loop = self._rows == self._cols
         self._timers = np.zeros(self.m, dtype=int)
         self._rng = np.random.default_rng(seed)
 
@@ -102,12 +114,14 @@ class BlinkingProcess:
         up = self._timers == 0
         fails = up & (self._rng.random(self.m) < self.p)
         self._timers[fails] = self.t_rec
-        down = self._timers > 0
-        A = self.base.copy()
-        A[down, :] = 0.0
-        A[:, down] = 0.0
-        np.fill_diagonal(A, 1.0)
-        return A / A.sum(axis=1, keepdims=True)
+        up &= ~fails
+        keep = self._loop | (up[self._rows] & up[self._cols])
+        rows = self._rows[keep]
+        deg = np.bincount(rows, minlength=self.m)
+        indptr = np.concatenate(([0], np.cumsum(deg)))
+        return csr_array(
+            (1.0 / deg[rows], self._cols[keep], indptr), shape=(self.m, self.m)
+        )
 
 
 class BlurringProcess:

@@ -1,14 +1,21 @@
 """Seeded producers of stochastic matrix sequences {G(t)}.
 
 Static, periodic, and iid-over-a-finite-set variants are random access;
-the driven variant wraps a stateful topology process and caches what it
-emits so repeated queries are consistent.
+the driven variant wraps a stateful topology process and holds only its
+last emission: a query for an earlier time replays the process from a
+deep copy taken at construction, so repeated queries are consistent and
+memory does not grow with the horizon.
+
+A matrix is a float ndarray or, when a process emits scipy.sparse, a
+CSR array; either is validated as row stochastic and frozen.
 """
 
+import copy
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 from .errors import (
     EmptySetError,
@@ -18,13 +25,21 @@ from .errors import (
 from .linalg import is_stochastic
 
 RENORM_EVERY = 64
+_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
-def _validated(G, what: str = "matrix") -> np.ndarray:
-    G = np.array(G, dtype=float)
+def _validated(G, what: str = "matrix"):
+    """A frozen copy of G, checked row stochastic; scipy.sparse input
+    becomes a canonical CSR array, checked on its stored entries."""
+    if issparse(G):
+        G = csr_array(G, dtype=float, copy=True)
+        G.sum_duplicates()
+        frozen = G.data
+    else:
+        G = frozen = np.array(G, dtype=float)
     if not is_stochastic(G):
         raise InvalidParamsError(f"{what} is not row stochastic")
-    G.flags.writeable = False
+    frozen.flags.writeable = False
     return G
 
 
@@ -76,7 +91,9 @@ class FiniteSetIIDSource(MatrixSource):
     """Independent draws from a finite matrix set, one per time step.
 
     Uses a counter-based generator keyed on (seed, t) so at(t) is O(1)
-    and random access never replays history.
+    and random access never replays history.  The generator object is
+    reused across calls, so, like a driven source, a source is not to be
+    shared between threads.
     """
 
     def __init__(self, matrices: Sequence, weights: Optional[Sequence[float]] = None, seed: int = 0):
@@ -106,11 +123,23 @@ class FiniteSetIIDSource(MatrixSource):
         self.seed = int(seed)
         if not 0 <= self.seed < 2**63:
             raise InvalidParamsError("seed must fit in a nonnegative 63-bit integer")
+        self._bits = np.random.Philox(key=[self.seed, 0])
 
     def index_at(self, t: int) -> int:
         t = _check_time(t)
-        bg = np.random.Philox(key=[self.seed, t])
-        u = np.random.Generator(bg).random()
+        # reset to the state of a fresh Philox(key=[seed, t]), which is
+        # cheaper than constructing one, then draw the 53-bit uniform that
+        # Generator.random() would
+        key = np.array([self.seed, t], dtype=np.uint64)
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": key},
+            "buffer": _ZERO4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        u = (self._bits.random_raw() >> 11) * 2.0**-53
         return int(min(np.searchsorted(self._cum, u, side="right"), len(self.matrices) - 1))
 
     def at(self, t: int) -> np.ndarray:
@@ -120,26 +149,39 @@ class FiniteSetIIDSource(MatrixSource):
 class DrivenSource(MatrixSource):
     """Wraps a stateful process exposing .m and .step() -> matrix.
 
-    Emitted matrices are cached so at(t) is consistent across calls;
-    queries advance the process only as far as the largest t seen.
+    Holds the live process, a deep copy of it taken at construction, and
+    the last emission.  at(t) steps the live process forward to t; a time
+    before the last one emitted restarts the live process from a fresh
+    copy of the checkpoint and replays, so at(t) is consistent across
+    calls whatever the order of queries.  Consumers that walk time in
+    order pay no replay; memory is one process and one matrix.
     """
 
     def __init__(self, process):
+        self._checkpoint = copy.deepcopy(process)
         self.process = process
         self.m = int(process.m)
-        self._cache: List[np.ndarray] = []
+        self._t = -1  # index of the live process's last emission
+        self._G = None  # that emission validated, or None if it failed
 
-    def at(self, t: int) -> np.ndarray:
+    def at(self, t: int):
         t = _check_time(t)
-        while len(self._cache) <= t:
+        # after a failed emission every query replays, so times before
+        # it stay readable and later ones fail the same way again
+        if t < self._t or (self._G is None and self._t >= 0):
+            self.process = copy.deepcopy(self._checkpoint)
+            self._t = -1
+        while self._t < t:
+            self._t += 1
+            self._G = None
             try:
                 G = self.process.step()
             except StopIteration as exc:
                 raise ProcessExhaustedError(
                     f"driven process ended before t={t}"
                 ) from exc
-            self._cache.append(_validated(G, f"process output at t={len(self._cache)}"))
-        return self._cache[t]
+            self._G = _validated(G, f"process output at t={self._t}")
+        return self._G
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ import numpy as np
 import pytest
 
 from netsync.cli import main
+from netsync.config import ExperimentConfig, build_source
+from netsync.estimators import default_t0_samples
+from netsync.graphs import (
+    from_matrix,
+    has_spanning_tree,
+    is_scrambling_graph,
+    union,
+    window_has_spanning_tree,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -259,6 +268,46 @@ def test_check_periodic_pair_needs_two(tmp_path):
     assert main(["check", "--config", cfg, "--t-max", "5", "--out", str(tmp_path / "o")]) == 0
     blob = json.loads((tmp_path / "o" / "check_report.json").read_text())
     assert blob["t_found"] == 2
+
+
+def check_oracle(doc, t_max):
+    """The report `check` writes, computed window length by window
+    length, each union rebuilt from a fresh source."""
+    cfg = ExperimentConfig.from_json_dict(doc)
+    source = build_source(cfg)
+    t0s = default_t0_samples(cfg.estimator.horizon)
+    found = next(
+        (T for T in range(1, t_max + 1)
+         if all(window_has_spanning_tree(source, t0, T) for t0 in t0s)),
+        None,
+    )
+    report_T = found or t_max
+    windows = []
+    for t0 in t0s:
+        g = union([from_matrix(source.at(t0 + k)) for k in range(report_T)])
+        windows.append({"t0": t0, "T": report_T,
+                        "has_tree": has_spanning_tree(g) is not None,
+                        "scrambling": is_scrambling_graph(g)})
+    return found, windows
+
+
+@pytest.mark.parametrize("t_max, t_found", [(4, None), (8, 7)])
+def test_check_blinking_matches_window_by_window_oracle(tmp_path, t_max, t_found):
+    # window starts every 5 steps, so windows of length 8 overlap
+    doc = {
+        "seed": 5,
+        "source": {"variant": "blinking", "m": 16, "avg_degree": 8, "p": 0.1, "t_rec": 3},
+        "map": {"name": "logistic", "alpha": 3.9, "mu": 0.5},
+        "estimator": {"horizon": 40},
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["check", "--config", cfg, "--t-max", str(t_max), "--out", str(out)]) == 0
+    blob = json.loads((out / "check_report.json").read_text())
+    found, windows = check_oracle(doc, t_max)
+    assert blob["t_found"] == found == t_found
+    assert blob["windows"] == windows
+    assert 0 < sum(w["has_tree"] for w in windows) <= len(windows)
 
 
 # ---------------------------------------------------------------------- jsr

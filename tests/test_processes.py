@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from netsync.errors import InvalidParamsError
 from netsync.graphs import from_matrix, has_spanning_tree
@@ -62,24 +63,53 @@ def small_base():
     return scale_free_graph(8, 4, seed=11)
 
 
+class DenseBlinkingReference(BlinkingProcess):
+    """The dense emission: base with down rows and columns zeroed, unit
+    diagonal, rows divided by their sums."""
+
+    def step(self):
+        self._timers = np.maximum(self._timers - 1, 0)
+        up = self._timers == 0
+        fails = up & (self._rng.random(self.m) < self.p)
+        self._timers[fails] = self.t_rec
+        down = self._timers > 0
+        A = self.base.copy()
+        A[down, :] = 0.0
+        A[:, down] = 0.0
+        np.fill_diagonal(A, 1.0)
+        return A / A.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.1, 0.5, 1.0])
+def test_blinking_csr_emission_matches_dense_reference(p):
+    csr = BlinkingProcess.from_params(m=60, avg_degree=6, p=p, t_rec=3, seed=4)
+    dense = DenseBlinkingReference.from_params(m=60, avg_degree=6, p=p, t_rec=3, seed=4)
+    for _ in range(60):
+        G = csr.step()
+        assert isinstance(G, csr_array) and G.has_canonical_format
+        # bit for bit, and no stored zeros
+        assert np.array_equal(G.toarray(), dense.step())
+        assert G.nnz == np.count_nonzero(G.data)
+
+
 def test_blinking_p_zero_is_constant_normalized_base():
     base = small_base()
     proc = BlinkingProcess(base, p=0.0, t_rec=3, seed=0)
     expected = make_stochastic(base + np.eye(8))
     for _ in range(10):
-        assert np.array_equal(proc.step(), expected)
+        assert np.array_equal(proc.step().toarray(), expected)
 
 
 def test_blinking_certain_failure_unit_recovery_gives_identity():
     proc = BlinkingProcess(small_base(), p=1.0, t_rec=1, seed=4)
     for _ in range(20):
-        assert np.array_equal(proc.step(), np.eye(8))
+        assert np.array_equal(proc.step().toarray(), np.eye(8))
 
 
 def test_blinking_down_vertices_are_isolated():
     proc = BlinkingProcess(small_base(), p=0.5, t_rec=2, seed=21)
     for _ in range(60):
-        G = proc.step()
+        G = proc.step().toarray()
         timers = proc.down_timers
         assert timers.min() >= 0 and timers.max() <= 2
         for i in np.flatnonzero(timers > 0):
@@ -96,7 +126,7 @@ def test_blinking_deterministic_by_seed():
     a = BlinkingProcess(small_base(), p=0.3, t_rec=2, seed=5)
     b = BlinkingProcess(small_base(), p=0.3, t_rec=2, seed=5)
     for _ in range(15):
-        assert np.array_equal(a.step(), b.step())
+        assert np.array_equal(a.step().toarray(), b.step().toarray())
 
 
 def test_blinking_down_fraction_matches_independent_chain():
@@ -132,7 +162,7 @@ def test_blinking_from_params_deterministic_and_connected():
     b = BlinkingProcess.from_params(m=30, avg_degree=4, p=0.2, t_rec=2, seed=5)
     assert has_spanning_tree(from_matrix(a.base)) is not None
     for _ in range(10):
-        assert np.array_equal(a.step(), b.step())
+        assert np.array_equal(a.step().toarray(), b.step().toarray())
 
 
 def test_blinking_validates_inputs():
@@ -154,7 +184,7 @@ def test_blinking_validates_inputs():
 def test_blinking_wraps_as_driven_source():
     src = DrivenSource(BlinkingProcess(small_base(), p=0.3, t_rec=2, seed=9))
     G5 = src.at(5)
-    assert np.array_equal(src.at(5), G5)  # cached, consistent
+    assert np.array_equal(src.at(5).toarray(), G5.toarray())  # consistent
     assert is_stochastic(src.at(0))
 
 

@@ -1,11 +1,15 @@
 """Oracle tests for matrix sequence sources and window products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
-from netsync.errors import EmptySetError, InvalidParamsError
+from netsync.errors import EmptySetError, InvalidParamsError, ProcessExhaustedError
 from netsync.linalg import is_stochastic, make_stochastic
+from netsync.processes import BlinkingProcess
 from netsync.sources import (
     DrivenSource,
     FiniteSetIIDSource,
@@ -81,6 +85,17 @@ def test_finite_set_weights_frequencies():
     assert abs(picks_b - 1000) < 5 * 28.3
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3, 2**63 - 1])
+def test_finite_set_index_matches_generator_draw(seed):
+    weights = [0.1, 0.25, 0.3, 0.35]
+    src = FiniteSetIIDSource([A2, B2, A2, B2], weights=weights, seed=seed)
+    cum = np.cumsum(np.asarray(weights) / sum(weights))
+    for t in list(range(300)) + [10**6, 2**40, 2**63 - 1]:
+        u = np.random.Generator(np.random.Philox(key=[seed, t])).random()
+        expected = min(int(np.searchsorted(cum, u, side="right")), 3)
+        assert src.index_at(t) == expected
+
+
 def test_finite_set_rejects_empty():
     with pytest.raises(EmptySetError):
         FiniteSetIIDSource([], seed=0)
@@ -107,13 +122,114 @@ class CountingProcess:
 
 
 def test_driven_caches_and_random_access():
-    src = DrivenSource(CountingProcess())
+    proc = CountingProcess()
+    src = DrivenSource(proc)
     assert np.array_equal(src.at(3), B2)
-    assert src.process.calls == 4
-    # earlier time answered from cache, no extra stepping
+    assert src.process is proc and proc.calls == 4
+    # the last emission is held, no extra stepping
+    assert np.array_equal(src.at(3), B2) and proc.calls == 4
+    # an earlier time replays a fresh copy of the process as it was at
+    # construction, and leaves the original alone
     assert np.array_equal(src.at(1), B2)
     assert np.array_equal(src.at(0), A2)
-    assert src.process.calls == 4
+    assert src.process is not proc and src.process.calls == 1
+    assert proc.calls == 4
+    # a later time steps the live process forward
+    assert np.array_equal(src.at(2), A2) and src.process.calls == 3
+
+
+def blinking(m=30, seed=3):
+    return BlinkingProcess.from_params(m=m, avg_degree=4, p=0.2, t_rec=2, seed=seed)
+
+
+def test_driven_out_of_order_matches_in_order():
+    in_order = DrivenSource(blinking())
+    expected = {t: in_order.at(t).toarray() for t in range(31)}
+    src = DrivenSource(blinking())
+    for t in (30, 5, 30, 0, 17, 17, 29, 3):
+        assert np.array_equal(src.at(t).toarray(), expected[t])
+
+
+def driven_peak_bytes(horizon: int) -> int:
+    tracemalloc.start()
+    try:
+        src = DrivenSource(
+            BlinkingProcess.from_params(m=100, avg_degree=12, p=0.01, t_rec=3, seed=0)
+        )
+        for t in range(horizon):
+            src.at(t)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_driven_memory_does_not_grow_with_horizon():
+    short, long = driven_peak_bytes(200), driven_peak_bytes(2000)
+    assert long <= 2 * short, f"peak {long} B at horizon 2000 vs {short} B at 200"
+
+
+class ListProcess:
+    """Emits the given matrices in order, then stops."""
+
+    def __init__(self, matrices):
+        self.m = 2
+        self.matrices = list(matrices)
+        self.calls = 0
+
+    def step(self):
+        if self.calls == len(self.matrices):
+            raise StopIteration
+        self.calls += 1
+        return self.matrices[self.calls - 1]
+
+
+def test_driven_failed_emission_replays_consistently():
+    src = DrivenSource(ListProcess([A2, B2, np.full((2, 2), 0.7), B2, A2]))
+    assert np.array_equal(src.at(1), B2)
+    # a bad emission fails every query at or after its index, every time;
+    # earlier times stay readable
+    for t in (2, 2, 3, 4):
+        with pytest.raises(InvalidParamsError, match="t=2"):
+            src.at(t)
+    assert np.array_equal(src.at(1), B2)
+    assert np.array_equal(src.at(0), A2)
+    with pytest.raises(InvalidParamsError, match="t=2"):
+        src.at(9)
+
+
+def test_driven_exhausted_process():
+    src = DrivenSource(ListProcess([A2, B2]))
+    assert np.array_equal(src.at(1), B2)
+    for _ in range(2):
+        with pytest.raises(ProcessExhaustedError):
+            src.at(2)
+    assert np.array_equal(src.at(0), A2)
+
+
+def test_driven_validates_sparse_output():
+    G = csr_array(A2)
+    out = DrivenSource(ListProcess([G])).at(0)
+    assert isinstance(out, csr_array) and np.array_equal(out.toarray(), A2)
+    # a frozen copy: the process's own matrix is left writeable
+    assert not out.data.flags.writeable
+    assert G.data.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        csr_array(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])),  # not square
+        csr_array(np.array([[1.5, -0.5], [0.0, 1.0]])),  # negative entry
+        csr_array(np.array([[np.nan, 1.0], [0.0, 1.0]])),  # not finite
+        csr_array(np.array([[0.5, 0.5], [0.0, 0.9]])),  # row sum off
+        csr_array((2, 2)),  # empty rows
+    ],
+)
+def test_sparse_output_checked_like_dense(bad):
+    with pytest.raises(InvalidParamsError):
+        StaticSource(bad)
+    with pytest.raises(InvalidParamsError):
+        StaticSource(bad.toarray())
 
 
 def test_negative_time_rejected():
