@@ -35,7 +35,6 @@ from .errors import (
     OrbitDivergedError,
     SingularMatrixError,
     StateDivergedError,
-    UnknownParameterError,
 )
 from .estimators import (
     default_t0_samples,

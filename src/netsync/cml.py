@@ -20,7 +20,7 @@ observed by the final state diameter falling below SYNC_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
     InvalidParamsError,
     StateDivergedError,
 )
-from .estimators import NEG_INF, is_neg_inf
 from .sources import MatrixSource
 
 SYNC_TOL = 1e-8
@@ -91,19 +90,6 @@ def sync_metric_k(window):
     return float(np.var(w, axis=1, ddof=1).mean())
 
 
-def variational_step(G, df_at_s, delta):
-    """One step of the synchronized-orbit variational dynamics.
-
-    delta(t+1) = f'(s(t)) G(t) delta(t); the propagator df * G has
-    constant row sums df, so diagonal perturbations stay diagonal.
-    """
-    G = np.asarray(G, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if G.shape[0] != delta.shape[0]:
-        raise DimensionMismatchError("coupling matrix and perturbation disagree")
-    return df_at_s * (G @ delta)
-
-
 class SyncCriterion(NamedTuple):
     W: float
     predicted_sync: bool
@@ -112,15 +98,13 @@ class SyncCriterion(NamedTuple):
 def criterion(sigma1, mu):
     """Combine transverse exponent and map exponent into W = sigma1 + mu.
 
-    sigma1 equal to the NEG_INF sentinel (coupling collapses in finite
-    time) predicts synchronization without doing arithmetic on it.
+    sigma1 = -inf (coupling collapses in finite time) gives W = -inf,
+    which predicts synchronization.
     """
     if not np.isfinite(mu):
         raise InvalidParamsError("mu must be finite")
-    if is_neg_inf(sigma1):
-        return SyncCriterion(NEG_INF, True)
-    if not np.isfinite(sigma1):
-        raise InvalidParamsError("sigma1 must be finite or the NEG_INF sentinel")
+    if np.isnan(sigma1) or sigma1 == np.inf:
+        raise InvalidParamsError("sigma1 must be finite or -inf")
     W = float(sigma1) + float(mu)
     return SyncCriterion(W, W < 0.0)
 
@@ -243,7 +227,7 @@ def make_sync_report(run: SimRun, sigma1, mu, mu_source):
     if mu_source not in ("supplied", "estimated"):
         raise InvalidParamsError("mu_source must be 'supplied' or 'estimated'")
     W, predicted = criterion(sigma1, mu)
-    indeterminate = (not is_neg_inf(W)) and abs(W) < INDETERMINATE_BAND
+    indeterminate = abs(W) < INDETERMINATE_BAND
     return SyncReport(
         m=run.m,
         steps=run.steps,

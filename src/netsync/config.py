@@ -8,7 +8,7 @@ never reshuffles the others.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
@@ -134,6 +134,17 @@ class SimulationParams:
     x0_eps: float = 1e-3
 
 
+# converter for each annotation used by a section dataclass
+_CONVERTERS = {int: _as_int, float: _as_float, str: _as_str, Optional[List[int]]: _as_int_list}
+
+
+def _section(cls, d, where: str):
+    """An instance of the section dataclass cls from its JSON object;
+    the dataclass fields name every key and give its default."""
+    optional = {f.name: (_CONVERTERS[f.type], f.default) for f in fields(cls)}
+    return cls(**_expect(d, where, required={}, optional=optional))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
@@ -160,51 +171,29 @@ class ExperimentConfig:
             raise ConfigError("config.seed", "seed must be >= 0")
         source = _validate_source(top["source"])
         map_spec = _validate_map(top["map"])
-        est = _expect(
-            top["estimator"],
-            "config.estimator",
-            required={},
-            optional={
-                "horizon": (_as_int, 1000),
-                "t0_samples": (_as_int_list, None),
-                "renorm_every": (_as_int, 8),
-                "n_vectors": (_as_int, 8),
-                "mu_burn": (_as_int, 1000),
-                "mu_horizon": (_as_int, 100_000),
-            },
-        )
+        est = _section(EstimatorParams, top["estimator"], "config.estimator")
         for key in ("horizon", "renorm_every", "n_vectors", "mu_horizon"):
-            if est[key] < 1:
+            if getattr(est, key) < 1:
                 raise ConfigError(f"config.estimator.{key}", "must be >= 1")
-        if est["mu_burn"] < 0:
+        if est.mu_burn < 0:
             raise ConfigError("config.estimator.mu_burn", "must be >= 0")
-        sim = _expect(
-            top["simulation"],
-            "config.simulation",
-            required={},
-            optional={
-                "steps": (_as_int, 1000),
-                "record_every": (_as_int, 1),
-                "x0_policy": (_as_str, "near_diagonal"),
-                "x0_eps": (_as_float, 1e-3),
-            },
-        )
-        if sim["steps"] < 0:
+        sim = _section(SimulationParams, top["simulation"], "config.simulation")
+        if sim.steps < 0:
             raise ConfigError("config.simulation.steps", "must be >= 0")
-        if sim["record_every"] < 1:
+        if sim.record_every < 1:
             raise ConfigError("config.simulation.record_every", "must be >= 1")
-        if sim["x0_policy"] not in X0_POLICIES:
+        if sim.x0_policy not in X0_POLICIES:
             raise ConfigError(
                 "config.simulation.x0_policy", f"must be one of {X0_POLICIES}"
             )
-        if not sim["x0_eps"] >= 0:
+        if not sim.x0_eps >= 0:
             raise ConfigError("config.simulation.x0_eps", "must be >= 0")
         return ExperimentConfig(
             seed=top["seed"],
             source=source,
             map_spec=map_spec,
-            estimator=EstimatorParams(**est),
-            simulation=SimulationParams(**sim),
+            estimator=est,
+            simulation=sim,
             out=top["out"],
         )
 
@@ -213,20 +202,8 @@ class ExperimentConfig:
             "seed": self.seed,
             "source": json.loads(json.dumps(self.source)),
             "map": json.loads(json.dumps(self.map_spec)),
-            "estimator": {
-                "horizon": self.estimator.horizon,
-                "t0_samples": self.estimator.t0_samples,
-                "renorm_every": self.estimator.renorm_every,
-                "n_vectors": self.estimator.n_vectors,
-                "mu_burn": self.estimator.mu_burn,
-                "mu_horizon": self.estimator.mu_horizon,
-            },
-            "simulation": {
-                "steps": self.simulation.steps,
-                "record_every": self.simulation.record_every,
-                "x0_policy": self.simulation.x0_policy,
-                "x0_eps": self.simulation.x0_eps,
-            },
+            "estimator": asdict(self.estimator),
+            "simulation": asdict(self.simulation),
             "out": self.out,
         }
 

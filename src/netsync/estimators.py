@@ -17,7 +17,7 @@ below the floating-point floor.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -32,18 +32,13 @@ from .errors import (
 from .hajnal import diam
 from .linalg import ProjectionBasis, as_dense, norm_ord, projection_basis
 
-# sentinel for "every probe direction was annihilated"; never used in
-# arithmetic, always tested via is_neg_inf
-NEG_INF = -1.0e9
+# value of a collapsed estimate: every probe direction was annihilated
+NEG_INF = -math.inf
 
 DEFAULT_RENORM_EVERY = 8
 DEFAULT_N_VECTORS = 8
 DEFAULT_T0_COUNT = 16
 CURVE_TAIL_RTOL = 0.10
-
-
-def is_neg_inf(x: float) -> bool:
-    return x == NEG_INF
 
 
 def default_t0_samples(horizon: int, n: int = DEFAULT_T0_COUNT) -> List[int]:
@@ -247,7 +242,7 @@ def estimate_sigma1(
     """Top projection Lyapunov exponent: propagate random unit probes
     through the projected sequence, accumulate log growth, take the max
     over probes.  Probes that are annihilated drop out; if all die the
-    value is the NEG_INF sentinel with collapsed=True.
+    value is -inf with collapsed=True.
 
     The probes V are lifted once to node space, X = Pplus V, and carried
     there as X <- G X, X -= X[0]; P X equals the projected probes at
@@ -304,9 +299,9 @@ def estimate_sigma1(
         value = float(final.max() / horizon) if final.size else NEG_INF
     else:
         value = float(np.max(logs[live]) / horizon)
-    if is_neg_inf(value):
+    if value == NEG_INF:
         return LyapunovEstimate(value, horizon, renorm_every, trace, True, True)
-    finite_trace = [x for x in trace if not is_neg_inf(x)]
+    finite_trace = [x for x in trace if x != NEG_INF]
     return LyapunovEstimate(
         value=value,
         horizon=horizon,
@@ -317,25 +312,18 @@ def estimate_sigma1(
     )
 
 
-def _matrix_fn(source) -> Callable[[int], np.ndarray]:
-    if callable(source) and not hasattr(source, "at"):
-        return source
-    return source.at
-
-
 def lyapunov_spectrum_qr(source, horizon: int) -> List[float]:
     """All Lyapunov exponents of a square-matrix sequence, descending,
     via QR reorthonormalization of a full frame.  Sparse matrices are
     densified, since the frame is dense."""
     if horizon < 1:
         raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
-    fn = _matrix_fn(source)
-    A0 = as_dense(fn(0))
+    A0 = as_dense(source.at(0))
     m = A0.shape[0]
     Q = np.eye(m)
     logs = np.zeros(m)
     for t in range(horizon):
-        A = A0 if t == 0 else as_dense(fn(t))
+        A = A0 if t == 0 else as_dense(source.at(t))
         Q, R = np.linalg.qr(A @ Q)
         d = np.abs(np.diag(R))
         if np.any(d < 1e-300):

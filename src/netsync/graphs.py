@@ -7,19 +7,13 @@ Matrices may be dense or scipy.sparse; adjacency is always dense.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyListError,
-    InvalidParamsError,
-    PreconditionError,
-)
+from .errors import EmptyListError, InvalidParamsError, PreconditionError
 from .hajnal import is_scrambling
 from .linalg import as_dense, is_stochastic
 
@@ -49,10 +43,6 @@ class Digraph:
     def has_edge(self, src: int, dst: int) -> bool:
         return bool(self.adj[dst, src])
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.adj.sum())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
@@ -71,17 +61,6 @@ def from_matrix(G, threshold: float = 0.0) -> Digraph:
     if threshold < 0:
         raise InvalidParamsError(f"threshold must be >= 0, got {threshold}")
     return Digraph(G.shape[0], G > threshold)
-
-
-def union(graphs: Sequence[Digraph]) -> Digraph:
-    graphs = list(graphs)
-    if not graphs:
-        raise EmptyListError("union of an empty graph list is undefined")
-    m = graphs[0].m
-    for g in graphs[1:]:
-        if g.m != m:
-            raise DimensionMismatchError(f"vertex counts differ: {m} vs {g.m}")
-    return Digraph(m, reduce(np.logical_or, (g.adj for g in graphs)))
 
 
 def has_spanning_tree(g: Digraph) -> Optional[int]:
@@ -107,27 +86,6 @@ def has_spanning_tree(g: Digraph) -> Optional[int]:
     return int(np.flatnonzero(labels == sources[0]).min())
 
 
-def spanning_tree_root_by_search(g: Digraph) -> Optional[int]:
-    """Independent reference: breadth-first reachability from each
-    candidate in index order."""
-    m = g.m
-    for r in range(m):
-        seen = np.zeros(m, dtype=bool)
-        seen[r] = True
-        frontier = [r]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in np.flatnonzero(g.adj[:, v]):
-                    if not seen[w]:
-                        seen[w] = True
-                        nxt.append(int(w))
-            frontier = nxt
-        if seen.all():
-            return r
-    return None
-
-
 def is_scrambling_graph(g: Digraph) -> bool:
     """True iff every vertex pair shares an in-neighbor (self-loops count)."""
     if g.m < 2:
@@ -136,25 +94,6 @@ def is_scrambling_graph(g: Digraph) -> bool:
     shared = B @ B.T
     offdiag = shared[~np.eye(g.m, dtype=bool)]
     return bool(np.all(offdiag > 0))
-
-
-def window_has_spanning_tree(
-    source,
-    t0: int,
-    T: int,
-    threshold: float = 0.0,
-    inclusive_end: bool = False,
-) -> bool:
-    """Union the graphs over a window starting at t0 and test for a root.
-
-    The window covers T steps [t0, t0+T-1]; pass inclusive_end=True for
-    the closed-interval reading [t0, t0+T] with T+1 graphs.
-    """
-    if T < 1:
-        raise InvalidParamsError(f"window length must be >= 1, got {T}")
-    count = T + 1 if inclusive_end else T
-    graphs = [from_matrix(source.at(t0 + k), threshold) for k in range(count)]
-    return has_spanning_tree(union(graphs)) is not None
 
 
 def scrambling_product_check(matrices: Sequence[np.ndarray]) -> bool:
@@ -183,34 +122,3 @@ def scrambling_product_check(matrices: Sequence[np.ndarray]) -> bool:
     for G in matrices[1:]:
         prod = G @ prod
     return is_scrambling(prod)
-
-
-def digraph_to_text(g: Digraph) -> str:
-    """Edge-list format: header "m edge_count", then one "src dst" line
-    per edge, sorted."""
-    influenced, influencer = np.nonzero(g.adj)
-    pairs = sorted(zip(influencer.tolist(), influenced.tolist()))
-    lines = [f"{g.m} {len(pairs)}"]
-    lines.extend(f"{j} {i}" for j, i in pairs)
-    return "\n".join(lines) + "\n"
-
-
-def digraph_from_text(text: str) -> Digraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidParamsError("empty digraph text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise InvalidParamsError(f"bad header line {lines[0]!r}")
-    m, count = int(header[0]), int(header[1])
-    if len(lines) - 1 != count:
-        raise InvalidParamsError(
-            f"header says {count} edges but found {len(lines) - 1}"
-        )
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidParamsError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Digraph.from_edges(m, edges)

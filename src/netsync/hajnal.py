@@ -1,6 +1,5 @@
 """Hajnal diameter, scramblingness eta, and the contraction inequality."""
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -13,12 +12,6 @@ from .errors import DimensionMismatchError, InvalidParamsError
 POSITIVITY_THRESHOLD = 1e-12
 
 BOUND_SLACK = 1e-10
-
-
-@dataclass(frozen=True)
-class DiamValue:
-    value: float
-    norm_kind: str
 
 
 def _rows(L) -> np.ndarray:
@@ -53,10 +46,6 @@ def _stacked_diam(L: np.ndarray, kind: str) -> np.ndarray:
     if metric is None:
         raise InvalidParamsError(f"unknown norm kind {kind!r}")
     return np.array([pdist(L[:, k], metric=metric).max() for k in range(L.shape[1])])
-
-
-def diam_matrix(L, kind: str = "inf") -> DiamValue:
-    return DiamValue(diam(L, kind), kind)
 
 
 def eta(G) -> float:

@@ -156,26 +156,3 @@ def spectral_radius(M) -> float:
     if M.shape[0] == 1:
         return float(abs(M[0, 0]))
     return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
-def matrix_to_json(M) -> dict:
-    M = _as_matrix(np.asarray(M, dtype=float))
-    return {
-        "rows": int(M.shape[0]),
-        "cols": int(M.shape[1]),
-        "data": [float(x) for x in M.ravel()],
-    }
-
-
-def matrix_from_json(d: dict) -> np.ndarray:
-    try:
-        rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidParamsError(f"malformed matrix json: {exc}") from exc
-    if rows <= 0 or cols <= 0:
-        raise InvalidParamsError(f"bad matrix shape ({rows},{cols})")
-    if len(data) != rows * cols:
-        raise InvalidParamsError(
-            f"data length {len(data)} does not match {rows}x{cols}"
-        )
-    return np.asarray(data, dtype=float).reshape(rows, cols)

@@ -86,15 +86,16 @@ class BlinkingProcess:
     """
 
     def __init__(self, base, p, t_rec, seed):
-        self.base = _validated_base(base)
+        base = _validated_base(base)
         if not 0.0 <= p <= 1.0:
             raise InvalidParamsError(f"failure probability must be in [0, 1], got {p}")
         if int(t_rec) < 1:
             raise InvalidParamsError(f"recovery time must be >= 1, got {t_rec}")
         self.p = float(p)
         self.t_rec = int(t_rec)
-        self.m = self.base.shape[0]
-        self._rows, self._cols = np.nonzero(self.base + np.eye(self.m))
+        self.m = base.shape[0]
+        # only the O(nnz) edge lists are kept, not the dense base
+        self._rows, self._cols = np.nonzero(base + np.eye(self.m))
         self._loop = self._rows == self._cols
         self._timers = np.zeros(self.m, dtype=int)
         self._rng = np.random.default_rng(seed)

@@ -7,16 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from graph_oracles import union, window_has_spanning_tree
 from netsync.cli import main
 from netsync.config import ExperimentConfig, build_source
 from netsync.estimators import default_t0_samples
-from netsync.graphs import (
-    from_matrix,
-    has_spanning_tree,
-    is_scrambling_graph,
-    union,
-    window_has_spanning_tree,
-)
+from netsync.graphs import from_matrix, has_spanning_tree, is_scrambling_graph
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -71,9 +66,9 @@ def test_spectrum_rank_one_collapses(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     blob = json.loads((tmp_path / "o" / "diam_estimate.json").read_text())
     assert blob["sigma1"]["collapsed"] is True
-    assert blob["sigma1"]["value"] == -1.0e9
+    assert blob["sigma1"]["value"] == -np.inf
     _, rows = read_csv_rows(tmp_path / "o" / "sigma1_trace.csv")
-    assert all(float(r[1]) == -1.0e9 for r in rows)
+    assert all(float(r[1]) == -np.inf for r in rows)
 
 
 def test_spectrum_byte_identical_reruns(tmp_path):
@@ -134,6 +129,21 @@ def test_simulate_identity_coupling_stays_apart(tmp_path):
     assert summary["observed_sync"] is False
     assert summary["W"] == pytest.approx(0.5, abs=1e-6)
     assert summary["K_post_transient"] > 1e-3
+
+
+def test_simulate_rank_one_writes_negative_infinity(tmp_path):
+    doc = two_node_doc()
+    doc["source"]["matrix"] = [[0.3, 0.7], [0.3, 0.7]]
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "summary.json").read_text()
+    assert '"W": -Infinity' in text
+    summary = json.loads(text)
+    assert summary["W"] == summary["sigma1"] == -np.inf
+    assert summary["sigma1_collapsed"] is True
+    assert summary["predicted_sync"] is True and summary["indeterminate"] is False
+    meta = (tmp_path / "o" / "sync_report.csv").read_text().split("\n")[0]
+    assert " W=-inf " in meta
 
 
 def test_simulate_estimates_mu_when_absent(tmp_path):

@@ -11,7 +11,6 @@ from netsync.cml import (
     make_sync_report,
     simulate,
     sync_metric_k,
-    variational_step,
 )
 from netsync.errors import (
     DegenerateDimensionError,
@@ -85,17 +84,6 @@ def test_k_rejects_empty_window():
 # ---------------------------------------------------------------- variational
 
 
-def test_variational_diagonal_direction():
-    G = np.array([[0.5, 0.5], [0.25, 0.75]])
-    out = variational_step(G, 1.7, np.ones(2))
-    assert np.array_equal(out, np.array([1.7, 1.7]))
-
-
-def test_variational_zero_derivative():
-    G = make_stochastic(np.random.default_rng(0).random((3, 3)))
-    assert np.array_equal(variational_step(G, 0.0, np.ones(3)), np.zeros(3))
-
-
 @given(seed=st.integers(0, 2**32 - 1), df=st.floats(-3, 3))
 @settings(max_examples=50, deadline=None)
 def test_variational_propagator_row_sums(seed, df):
@@ -127,6 +115,8 @@ def test_criterion_neg_inf_sentinel():
 def test_criterion_rejects_nan():
     with pytest.raises(InvalidParamsError):
         criterion(float("nan"), 0.5)
+    with pytest.raises(InvalidParamsError):
+        criterion(float("inf"), 0.5)
 
 
 # ---------------------------------------------------------------- simulate

@@ -1,12 +1,15 @@
 """Config document validation, seed derivation, and builders."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from netsync.config import (
+    EstimatorParams,
     ExperimentConfig,
+    SimulationParams,
     apply_parameter,
     build_map,
     build_source,
@@ -49,6 +52,33 @@ def test_round_trip_is_lossless():
     again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+
+
+def test_round_trip_every_section_field_set():
+    estimator = {"horizon": 333, "t0_samples": [0, 5, 17], "renorm_every": 3,
+                 "n_vectors": 5, "mu_burn": 7, "mu_horizon": 999}
+    simulation = {"steps": 123, "record_every": 4, "x0_policy": "random", "x0_eps": 0.01}
+    cfg = ExperimentConfig.from_json_dict(
+        static_doc(estimator=estimator, simulation=simulation, out="results")
+    )
+    # every field differs from its default, so none can be dropped silently
+    for section, given in ((cfg.estimator, estimator), (cfg.simulation, simulation)):
+        for f in fields(section):
+            assert getattr(section, f.name) == given[f.name] != f.default
+    doc = cfg.to_json_dict()
+    assert doc["estimator"] == estimator and doc["simulation"] == simulation
+    again = ExperimentConfig.from_json_dict(doc)
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
+
+
+def test_empty_sections_are_dataclass_defaults():
+    cfg = ExperimentConfig.from_json_dict(static_doc(estimator={}, simulation={}))
+    assert cfg.estimator == EstimatorParams()
+    assert cfg.simulation == SimulationParams()
+    doc = cfg.to_json_dict()
+    assert doc["estimator"] == {f.name: f.default for f in fields(EstimatorParams)}
+    assert doc["simulation"] == {f.name: f.default for f in fields(SimulationParams)}
 
 
 def test_defaults_fill_in():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netsync.errors import DimensionMismatchError, InvalidParamsError
-from netsync.hajnal import diam, diam_matrix, eta, hajnal_bound_check, is_scrambling
+from netsync.hajnal import diam, eta, hajnal_bound_check, is_scrambling
 from netsync.linalg import make_stochastic
 
 ETA_EXAMPLE = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
@@ -25,27 +25,22 @@ def rand_stochastic(rng, m, density=1.0):
 def test_diam_equal_rows_is_zero():
     L = np.tile([0.2, 0.3, 0.5], (3, 1))
     for kind in ("inf", "one", "two"):
-        assert diam_matrix(L, kind).value == 0.0
+        assert diam(L, kind) == 0.0
 
 
 def test_diam_identity_m2():
-    assert diam_matrix(np.eye(2), "inf").value == 1.0
-    assert diam_matrix(np.eye(2), "one").value == 2.0
+    assert diam(np.eye(2), "inf") == 1.0
+    assert diam(np.eye(2), "one") == 2.0
 
 
 def test_diam_column_vector_state_diameter():
     x = np.array([[0.0], [0.0], [3.0]])
-    assert diam_matrix(x, "inf").value == 3.0
-    assert diam_matrix(x, "one").value == 3.0
+    assert diam(x, "inf") == 3.0
+    assert diam(x, "one") == 3.0
 
 
 def test_diam_single_row():
-    assert diam_matrix(np.array([[1.0, 2.0]]), "inf").value == 0.0
-
-
-def test_diam_norm_kind_recorded():
-    d = diam_matrix(np.eye(3), "one")
-    assert d.norm_kind == "one"
+    assert diam(np.array([[1.0, 2.0]]), "inf") == 0.0
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9))
@@ -56,7 +51,7 @@ def test_diam_inf_matches_pairwise_bruteforce(seed, m):
     for i in range(m):
         for j in range(i + 1, m):
             want = max(want, np.max(np.abs(L[i] - L[j])))
-    assert diam_matrix(L, "inf").value == pytest.approx(want, abs=1e-14)
+    assert diam(L, "inf") == pytest.approx(want, abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["inf", "one", "two"])

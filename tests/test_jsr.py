@@ -151,6 +151,25 @@ def test_brute_force_below_upper(seed):
 # ---------------------------------------------------------------- brute force
 
 
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), count=st.integers(2, 3))
+@settings(max_examples=25, deadline=None)
+def test_projected_jsr_invariant_under_relabelling(seed, m, count):
+    # relabelling nodes maps G to Pi G Pi^T; the projected sets are then
+    # similar through P Pi Pplus, so every product keeps its spectrum
+    rng = np.random.default_rng(seed)
+    mats = [stochastic_with_tree(rng, m) for _ in range(count)]
+    perm = rng.permutation(m)
+    relabelled = [G[perm][:, perm] for G in mats]
+    a, b = projected_set(mats), projected_set(relabelled)
+    assert brute_force_jsr(b, max_len=5) == pytest.approx(
+        brute_force_jsr(a, max_len=5), rel=1e-12, abs=0
+    )
+    ga = gripenberg(a, max_nodes=100)
+    gb = gripenberg(b, max_nodes=100)
+    # both brackets are certified, so both hold the common JSR
+    assert max(ga.lower, gb.lower) <= min(ga.upper, gb.upper) * (1 + 1e-12)
+
+
 def test_brute_force_singleton():
     A = np.array([[0.3, 0.4], [0.1, 0.2]])
     want = spectral_radius(A)

@@ -4,8 +4,6 @@ Expected values here are either hand-checkable or verified against an
 independent route (numpy SVD / eigvals) inside the test itself.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +17,7 @@ from netsync.errors import (
 from netsync.linalg import (
     is_stochastic,
     make_stochastic,
-    matrix_from_json,
     matrix_norm,
-    matrix_to_json,
     project,
     projection_basis,
     spectral_radius,
@@ -215,21 +211,3 @@ def test_spectral_radius_rotation():
     # rotation by 90 degrees: eigenvalues +-i, radius 1
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert spectral_radius(R) == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------- JSON
-
-
-def test_matrix_json_roundtrip():
-    M = np.array([[1.5, -2.0, 0.0], [0.25, 1e-17, 3.0]])
-    d = matrix_to_json(M)
-    assert d["rows"] == 2 and d["cols"] == 3
-    assert d["data"] == list(M.ravel())
-    # survives an actual serialize/parse cycle bit for bit
-    back = matrix_from_json(json.loads(json.dumps(d)))
-    assert np.array_equal(back, M)
-
-
-def test_matrix_from_json_validates_length():
-    with pytest.raises(ValueError):
-        matrix_from_json({"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0]})

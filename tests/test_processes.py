@@ -1,5 +1,7 @@
 """Oracle tests for the time-varying topology processes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -66,6 +68,10 @@ def small_base():
 class DenseBlinkingReference(BlinkingProcess):
     """The dense emission: base with down rows and columns zeroed, unit
     diagonal, rows divided by their sums."""
+
+    def __init__(self, base, p, t_rec, seed):
+        super().__init__(base, p, t_rec, seed)
+        self.base = np.array(base, dtype=float)
 
     def step(self):
         self._timers = np.maximum(self._timers - 1, 0)
@@ -160,7 +166,9 @@ def test_blinking_down_fraction_matches_independent_chain():
 def test_blinking_from_params_deterministic_and_connected():
     a = BlinkingProcess.from_params(m=30, avg_degree=4, p=0.2, t_rec=2, seed=5)
     b = BlinkingProcess.from_params(m=30, avg_degree=4, p=0.2, t_rec=2, seed=5)
-    assert has_spanning_tree(from_matrix(a.base)) is not None
+    # nothing fails at p = 0, so the first emission covers the same base
+    full = BlinkingProcess.from_params(m=30, avg_degree=4, p=0.0, t_rec=2, seed=5)
+    assert has_spanning_tree(from_matrix(full.step())) is not None
     for _ in range(10):
         assert np.array_equal(a.step().toarray(), b.step().toarray())
 
@@ -186,6 +194,22 @@ def test_blinking_wraps_as_driven_source():
     G5 = src.at(5)
     assert np.array_equal(src.at(5).toarray(), G5.toarray())  # consistent
     assert is_stochastic(src.at(0))
+
+
+def test_blinking_source_holds_only_edge_lists():
+    # a dense base would be 2000^2 doubles = 30.5 MiB, deep-copied once
+    # more by the checkpoint; the edge lists of ~26k entries are ~0.4 MiB
+    tracemalloc.start()
+    try:
+        src = DrivenSource(
+            BlinkingProcess.from_params(m=2000, avg_degree=12, p=0.01, t_rec=3, seed=0)
+        )
+        for t in range(20):
+            src.at(t)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 2**20
 
 
 # ----------------------------------------------------------------- blurring
