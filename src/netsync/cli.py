@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from hashlib import sha256
 from pathlib import Path
 
@@ -251,6 +250,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("values", "sweep needs at least one value")
     docs = [apply_parameter(raw, args.parameter, v) for v in values]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_worker, [json.dumps(d) for d in docs]))
     else:

@@ -17,6 +17,7 @@ below the floating-point floor.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -214,9 +215,16 @@ def estimate_projection_jsr(
     The norm is read in the canonical difference frame, where the
     projected window product P B Pplus is cumsum(B[:-1] - B[1:],
     axis=1)[:, :-1] in closed form.  The value is therefore exactly
-    basis independent; basis is accepted for symmetry with sigma1 and
-    only checked against the source dimension.
+    basis independent; basis is deprecated, unused, and only checked
+    against the source dimension.
     """
+    if basis is not None:
+        warnings.warn(
+            "estimate_projection_jsr: basis is deprecated and unused; the "
+            "value is basis independent",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     _check_basis(basis, source.m)
 
     def size(Y):

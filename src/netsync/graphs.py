@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyListError, InvalidParamsError, PreconditionError
 from .hajnal import is_scrambling
@@ -71,6 +69,9 @@ def has_spanning_tree(g: Digraph) -> Optional[int]:
     """
     if g.m == 1:
         return 0
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(
         csr_matrix(g.adj), directed=True, connection="strong"
     )

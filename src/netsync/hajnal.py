@@ -3,7 +3,6 @@
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import DimensionMismatchError, InvalidParamsError
 
@@ -12,6 +11,9 @@ from .errors import DimensionMismatchError, InvalidParamsError
 POSITIVITY_THRESHOLD = 1e-12
 
 BOUND_SLACK = 1e-10
+
+# scipy.spatial.distance metric of each non-inf row-difference norm
+_PDIST_METRIC = {"one": "cityblock", "two": "euclidean"}
 
 
 def _rows(L) -> np.ndarray:
@@ -37,14 +39,16 @@ def diam(L, kind: str = "inf"):
 
 
 def _stacked_diam(L: np.ndarray, kind: str) -> np.ndarray:
+    if kind != "inf" and kind not in _PDIST_METRIC:
+        raise InvalidParamsError(f"unknown norm kind {kind!r}")
     if L.shape[0] < 2:
         return np.zeros(L.shape[1])
     if kind == "inf":
         # max_{i,j} max_c |L_ic - L_jc| decomposes columnwise
         return (L.max(axis=0) - L.min(axis=0)).max(axis=1)
-    metric = {"one": "cityblock", "two": "euclidean"}.get(kind)
-    if metric is None:
-        raise InvalidParamsError(f"unknown norm kind {kind!r}")
+    from scipy.spatial.distance import pdist
+
+    metric = _PDIST_METRIC[kind]
     return np.array([pdist(L[:, k], metric=metric).max() for k in range(L.shape[1])])
 
 

@@ -7,10 +7,10 @@ through as_dense.  A projection basis is a small frozen dataclass
 pairing P with a precomputed right inverse.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import issparse
 
 from .errors import (
     DimensionMismatchError,
@@ -33,6 +33,13 @@ def _as_matrix(A) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvalidParamsError("matrix has non-finite entries")
     return A
+
+
+def issparse(G) -> bool:
+    """scipy.sparse.issparse, without importing scipy: a sparse matrix
+    can only exist once scipy.sparse has been imported."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(G)
 
 
 def as_dense(G) -> np.ndarray:

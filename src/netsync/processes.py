@@ -16,7 +16,6 @@ emissions determined by its state.
 """
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import InvalidParamsError
 
@@ -111,6 +110,8 @@ class BlinkingProcess:
         return self._timers.copy()
 
     def step(self):
+        from scipy.sparse import csr_array
+
         self._timers = np.maximum(self._timers - 1, 0)
         up = self._timers == 0
         fails = up & (self._rng.random(self.m) < self.p)

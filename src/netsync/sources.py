@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
 
 from .errors import (
     EmptySetError,
     InvalidParamsError,
     ProcessExhaustedError,
 )
-from .linalg import is_stochastic
+from .linalg import is_stochastic, issparse
 
 RENORM_EVERY = 64
 _ZERO4 = np.zeros(4, dtype=np.uint64)
@@ -32,6 +31,8 @@ def _validated(G, what: str = "matrix"):
     """A frozen copy of G, checked row stochastic; scipy.sparse input
     becomes a canonical CSR array, checked on its stored entries."""
     if issparse(G):
+        from scipy.sparse import csr_array
+
         G = csr_array(G, dtype=float, copy=True)
         G.sum_duplicates()
         frozen = G.data

@@ -8,6 +8,7 @@ projected matrices Ghat = P G Pplus, one window at a time.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -132,10 +133,23 @@ def test_projection_jsr_basis_independent():
     vals = []
     for kind in ("difference", "orthonormal"):
         basis = projection_basis(4, kind)
-        vals.append(
-            estimate_projection_jsr(src, basis=basis, horizon=300, t0_samples=[0, 40]).value
-        )
+        with pytest.warns(DeprecationWarning):
+            vals.append(
+                estimate_projection_jsr(src, basis=basis, horizon=300, t0_samples=[0, 40]).value
+            )
     assert vals[0] == vals[1]
+
+
+def test_projection_jsr_basis_is_deprecated():
+    src = random_finite_source(2)
+    with pytest.warns(DeprecationWarning, match="basis is deprecated"):
+        with_basis = estimate_projection_jsr(
+            src, basis=projection_basis(src.m, "orthonormal"), horizon=40
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        without = estimate_projection_jsr(src, horizon=40)
+    assert with_basis.value == without.value
 
 
 # ------------------------------------------------------------- sigma1
@@ -406,7 +420,10 @@ def test_projection_jsr_matches_projected_reference(seed, kind, basis_kind):
     src = random_finite_source(seed)
     basis = projection_basis(src.m, basis_kind)
     t0s = [0, 7, 30, 31]
-    est = estimate_projection_jsr(src, basis=basis, horizon=120, t0_samples=t0s, kind=kind)
+    with pytest.warns(DeprecationWarning):
+        est = estimate_projection_jsr(
+            src, basis=basis, horizon=120, t0_samples=t0s, kind=kind
+        )
     ref = ref_projection_jsr(src, basis, 120, t0s, kind)
     np.testing.assert_allclose(est.curve, ref, rtol=ORACLE_RTOL, atol=0)
 
@@ -457,7 +474,7 @@ def test_basis_must_match_source_dimension():
     basis = projection_basis(src.m + 1)
     with pytest.raises(DimensionMismatchError):
         estimate_sigma1(src, basis=basis, horizon=16)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError), pytest.warns(DeprecationWarning):
         estimate_projection_jsr(src, basis=basis, horizon=16)
 
 

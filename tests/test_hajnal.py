@@ -65,6 +65,14 @@ def test_diam_stacked_block_matches_each_window(kind):
         diam(Y, "frobenius")
 
 
+@pytest.mark.parametrize("L", [[[1.0, 2.0]], [1.0], np.zeros((1, 2, 3))])
+def test_diam_rejects_unknown_kind_for_a_single_row(L):
+    # one row has diameter 0 under every norm, but an unknown norm is
+    # still an error, as it is for two or more rows
+    with pytest.raises(InvalidParamsError):
+        diam(L, kind="bogus")
+
+
 # ---------------------------------------------------------------- eta
 
 
