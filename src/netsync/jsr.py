@@ -46,15 +46,6 @@ BRUTE_FORCE_BUDGET = 10**7
 ADAPT_COND_LIMIT = 1e10
 MAX_ADAPT_ROUNDS = 4
 
-# LAPACK xGEBAL constants: a scale is kept only if it shrinks the row
-# plus column 2-norm below this share, and scales stay clear of
-# under/overflow (safe minimum over precision, and its doubling)
-_BALANCE_FACTOR = 0.95
-_SFMIN1 = np.finfo(float).tiny / np.finfo(float).eps
-_SFMAX1 = 1.0 / _SFMIN1
-_SFMIN2 = 2.0 * _SFMIN1
-_SFMAX2 = 1.0 / _SFMIN2
-
 
 @dataclass(frozen=True)
 class JsrBounds:
@@ -93,52 +84,6 @@ def _validated_set(matrices: Sequence) -> List[np.ndarray]:
     return mats
 
 
-def _norm2(v: np.ndarray) -> float:
-    """2-norm summed and rooted in extended precision, as the x87 DNRM2
-    kernel of OpenBLAS does on x86-64, so that exact ties in the
-    balancing tests fall the same way as in LAPACK."""
-    w = v.astype(np.longdouble)
-    return float(np.sqrt(np.sum(w * w)))
-
-
-def _balance_scales(X: np.ndarray) -> np.ndarray:
-    """Diagonal D of LAPACK xGEBAL with job 'S' (scale, no permutation):
-    powers of 2 chosen row by row until no scale changes, each one
-    equalising the 2-norms of row i and column i of D^-1 X D.  X must be
-    finite."""
-    A = np.array(X, dtype=float)
-    scale = np.ones(A.shape[0])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(A.shape[0]):
-            c = _norm2(A[:, i])
-            r = _norm2(A[i, :])
-            if c == 0.0 or r == 0.0:
-                continue
-            ca = float(np.max(np.abs(A[:, i])))
-            ra = float(np.max(np.abs(A[i, :])))
-            s = c + r
-            f = 1.0
-            g = r / 2.0
-            while c < g and max(f, c, ca) < _SFMAX2 and min(r, g, ra) > _SFMIN2:
-                f, c, ca, r, g, ra = 2 * f, 2 * c, 2 * ca, r / 2, g / 2, ra / 2
-            g = c / 2.0
-            while g >= r and max(r, ra) < _SFMAX2 and min(f, c, g, ca) > _SFMIN2:
-                f, c, g, ca, r, ra = f / 2, c / 2, g / 2, ca / 2, 2 * r, 2 * ra
-            if c + r >= _BALANCE_FACTOR * s:
-                continue
-            if f < 1.0 and scale[i] < 1.0 and f * scale[i] <= _SFMIN1:
-                continue
-            if f > 1.0 and scale[i] > 1.0 and scale[i] >= _SFMAX1 / f:
-                continue
-            scale[i] *= f
-            A[i, :] /= f
-            A[:, i] *= f
-            changed = True
-    return scale
-
-
 def _balanced(mats: List[np.ndarray]) -> List[np.ndarray]:
     """Apply one diagonal similarity, chosen by balancing the entrywise
     sum of absolute values, to the whole set.  Similarities preserve
@@ -150,9 +95,13 @@ def _balanced(mats: List[np.ndarray]) -> List[np.ndarray]:
     X = np.zeros((n, n))
     for A in mats:
         X += np.abs(A)
-    if not np.all(np.isfinite(X)):
+    from scipy.linalg import matrix_balance
+
+    try:
+        _, T = matrix_balance(X, permute=False)
+        d = np.diag(T)
+    except Exception:
         return mats
-    d = _balance_scales(X)
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
         return mats
     return [(A * d[None, :]) / d[:, None] for A in mats]

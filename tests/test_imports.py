@@ -1,7 +1,7 @@
 """Import boundaries: the package and its common commands load no scipy.
 
 scipy is imported inside the few functions that need it (sparse blinking
-emission and `check`, the JSR adaptive rounds, the `one`/`two` diameter
+emission and `check`, the `jsr` command, the `one`/`two` diameter
 norms), so short runs on dense inputs start with numpy alone.  Each
 boundary test runs in a fresh interpreter, since this test process has
 long since imported scipy.
@@ -14,11 +14,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import matrix_balance
 
-from netsync.jsr import _balance_scales, _balanced
+from netsync.jsr import _balanced
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -82,29 +79,6 @@ def test_simulate_on_static_loads_no_scipy(tmp_path):
     }
     assert run_cli(tmp_path, "simulate", doc) == []
     assert (tmp_path / "out" / "summary.json").exists()
-
-
-@st.composite
-def balance_inputs(draw):
-    n = draw(st.integers(1, 7))
-    exps = draw(st.lists(st.floats(-8.0, 8.0), min_size=n * n, max_size=n * n))
-    kept = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    X = np.where(np.reshape(kept, (n, n)), 10.0 ** np.reshape(exps, (n, n)), 0.0)
-    if draw(st.booleans()):
-        X[draw(st.integers(0, n - 1)), :] = 0.0
-    if draw(st.booleans()):
-        X[:, draw(st.integers(0, n - 1))] = 0.0
-    return X
-
-
-# scipy casts its unused permutation output, which can hold NaN
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
-@settings(max_examples=300, deadline=None)
-@given(balance_inputs())
-def test_balance_scales_match_lapack_gebal(X):
-    # matrix_balance(permute=False) runs LAPACK xGEBAL with job 'S'
-    expected = np.diag(matrix_balance(X, permute=False)[1])
-    assert np.array_equal(_balance_scales(X), expected)
 
 
 def test_balanced_leaves_non_finite_input_unchanged():
