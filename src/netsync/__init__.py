@@ -10,7 +10,7 @@ from .estimators import (
 )
 from .hajnal import diam, eta, hajnal_bound_check, is_scrambling
 from .jsr import JsrBounds, brute_force_jsr, gripenberg
-from .linalg import make_stochastic, project, projection_basis, spectral_radius
+from .linalg import make_stochastic, project, spectral_radius
 from .processes import BlinkingProcess, BlurringProcess
 from .sources import (
     DrivenSource,
@@ -45,7 +45,6 @@ __all__ = [
     "lyapunov_spectrum_qr",
     "make_stochastic",
     "project",
-    "projection_basis",
     "simulate",
     "spectral_radius",
     "window_product",

@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .graphs import Digraph, from_matrix, has_spanning_tree, is_scrambling_graph
 from .jsr import DEFAULT_MAX_LEN, DEFAULT_TOL, gripenberg
-from .linalg import is_stochastic, project, projection_basis
+from .linalg import is_stochastic, project
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -356,9 +356,7 @@ def cmd_jsr(args) -> int:
     h = sha256(
         json.dumps([[list(r) for r in M] for M in mats], separators=(",", ":")).encode()
     ).hexdigest()[:16]
-    basis = projection_basis(mats[0].shape[0], "difference")
-    projected = [project(M, basis) for M in mats]
-    bounds = gripenberg(projected, tol=args.tol, max_len=args.max_len)
+    bounds = gripenberg([project(M) for M in mats], tol=args.tol, max_len=args.max_len)
 
     obj = {"config_hash": h, **bounds.to_json_dict(), "mu": args.mu}
     line = (

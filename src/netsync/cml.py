@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (
-    DegenerateDimensionError,
     DimensionMismatchError,
     EmptyListError,
     InvalidParamsError,
@@ -71,23 +70,6 @@ def logistic(alpha):
     if err >= 1e-6:
         raise InvalidParamsError(f"derivative self-check failed: {err}")
     return fmap
-
-
-def sync_metric_k(window):
-    """Average over frames of sum_i (x_i - mean(x))^2 / (m - 1).
-
-    Accepts a single state vector or a (frames, m) stack.
-    """
-    w = np.asarray(window, dtype=float)
-    if w.ndim == 1:
-        w = w.reshape(1, -1)
-    if w.ndim != 2:
-        raise InvalidParamsError("window must be a vector or a 2-D stack")
-    if w.shape[0] == 0:
-        raise EmptyListError("empty window")
-    if w.shape[1] < 2:
-        raise DegenerateDimensionError("need at least two nodes")
-    return float(np.var(w, axis=1, ddof=1).mean())
 
 
 class SyncCriterion(NamedTuple):
@@ -136,22 +118,6 @@ class SyncReport:
     observed_sync: bool
     indeterminate: bool
     mu_source: str
-
-    def to_json_dict(self):
-        return {
-            "m": self.m,
-            "steps": self.steps,
-            "times": list(self.times),
-            "k_series": list(self.k_series),
-            "diam_series": list(self.diam_series),
-            "sigma1": self.sigma1,
-            "mu": self.mu,
-            "W": self.W,
-            "predicted_sync": self.predicted_sync,
-            "observed_sync": self.observed_sync,
-            "indeterminate": self.indeterminate,
-            "mu_source": self.mu_source,
-        }
 
 
 def _spread_stat(x):

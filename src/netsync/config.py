@@ -177,6 +177,12 @@ class ExperimentConfig:
                 raise ConfigError(f"config.estimator.{key}", "must be >= 1")
         if est.mu_burn < 0:
             raise ConfigError("config.estimator.mu_burn", "must be >= 0")
+        if est.t0_samples is not None and (
+            not est.t0_samples or min(est.t0_samples) < 0
+        ):
+            raise ConfigError(
+                "config.estimator.t0_samples", "must be a nonempty list of starts >= 0"
+            )
         sim = _section(SimulationParams, top["simulation"], "config.simulation")
         if sim.steps < 0:
             raise ConfigError("config.simulation.steps", "must be >= 0")

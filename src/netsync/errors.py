@@ -42,15 +42,6 @@ class EmptySetError(NetsyncError):
     pass
 
 
-class PreconditionError(NetsyncError):
-    """A list element failed a documented precondition."""
-
-    def __init__(self, index: int, reason: str):
-        self.index = index
-        self.reason = reason
-        super().__init__(f"element {index}: {reason}")
-
-
 class ProcessExhaustedError(NetsyncError):
     pass
 
@@ -77,10 +68,6 @@ class StateDivergedError(NetsyncError):
         self.t = t
         self.value = value
         super().__init__(f"node state exceeded 1e12 at step {t} (max |x|={value:.3e})")
-
-
-class DegenerateDimensionError(NetsyncError):
-    pass
 
 
 class InvalidParamsError(NetsyncError):

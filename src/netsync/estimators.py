@@ -2,12 +2,12 @@
 radii, and Lyapunov exponents.
 
 Every transverse estimator works in node space and never forms the
-projected matrix Ghat = P G Pplus: a block X is advanced as X <- G X
-and centred, X -= X[0].  Since P G = Ghat P and P annihilates
-consensus rows, P X follows the projected dynamics exactly, at
-O(m^2 n) per step (O(nnz n) for a sparse G) instead of O(m^3).  The
-two window estimators share one walk over absolute time that advances
-every sampled window with a single matmul per step.
+projected matrix Ghat = P G P+ of the difference frame (see linalg):
+a block X is advanced as X <- G X and centred, X -= X[0].  Since
+P G = Ghat P and P annihilates consensus rows, P X follows the projected
+dynamics exactly, at O(m^2 n) per step (O(nnz n) for a sparse G) instead
+of O(m^3).  The two window estimators share one walk over absolute time
+that advances every sampled window with a single matmul per step.
 
 The sup over window starts is sampled on a fixed grid; the limsup in t
 is reported as the final-horizon value together with a convergence flag
@@ -17,21 +17,19 @@ below the floating-point floor.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     DimensionTooSmallError,
     InvalidParamsError,
     OrbitDivergedError,
     SingularMatrixError,
 )
 from .hajnal import diam
-from .linalg import ProjectionBasis, as_dense, norm_ord, projection_basis
+from .linalg import as_dense, compress, difference, lift, norm_ord
 
 # value of a collapsed estimate: every probe direction was annihilated
 NEG_INF = -math.inf
@@ -203,7 +201,6 @@ def estimate_hajnal_diameter(
 
 def estimate_projection_jsr(
     source,
-    basis: Optional[ProjectionBasis] = None,
     horizon: int = 500,
     t0_samples: Optional[Sequence[int]] = None,
     kind: str = "inf",
@@ -212,36 +209,18 @@ def estimate_projection_jsr(
     """Estimate the projection joint spectral radius:
     sup over sampled window starts of ||prod Ghat||^(1/t).
 
-    The norm is read in the canonical difference frame, where the
-    projected window product P B Pplus is cumsum(B[:-1] - B[1:],
-    axis=1)[:, :-1] in closed form.  The value is therefore exactly
-    basis independent; basis is deprecated, unused, and only checked
-    against the source dimension.
+    The norm is read in the difference frame, where the projected
+    window product P B P+ is compress(B) in closed form.
     """
-    if basis is not None:
-        warnings.warn(
-            "estimate_projection_jsr: basis is deprecated and unused; the "
-            "value is basis independent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    _check_basis(basis, source.m)
 
     def size(Y):
-        C = np.cumsum(Y[:-1] - Y[1:], axis=2)[:, :, :-1]
-        return np.linalg.norm(C, norm_ord(kind), axis=(0, 2))
+        return np.linalg.norm(compress(Y), norm_ord(kind), axis=(0, 2))
 
     return _window_walk(source, horizon, t0_samples, kind, renorm_every, size)
 
 
-def _check_basis(basis: Optional[ProjectionBasis], m: int) -> None:
-    if basis is not None and basis.m != m:
-        raise DimensionMismatchError(f"basis is for m={basis.m}, source has m={m}")
-
-
 def estimate_sigma1(
     source,
-    basis: Optional[ProjectionBasis] = None,
     horizon: int = 10_000,
     renorm_every: int = DEFAULT_RENORM_EVERY,
     n_vectors: int = DEFAULT_N_VECTORS,
@@ -252,9 +231,10 @@ def estimate_sigma1(
     over probes.  Probes that are annihilated drop out; if all die the
     value is -inf with collapsed=True.
 
-    The probes V are lifted once to node space, X = Pplus V, and carried
-    there as X <- G X, X -= X[0]; P X equals the projected probes at
-    every step, since P G = Ghat P and P annihilates consensus rows."""
+    The probes V live in the difference frame.  They are lifted once to
+    node space, X = P+ V, and carried there as X <- G X, X -= X[0];
+    P X equals the projected probes at every step, since P G = Ghat P
+    and P annihilates consensus rows."""
     if horizon < 1 or renorm_every < 1 or horizon < renorm_every:
         raise InvalidParamsError(
             f"need horizon >= renorm_every >= 1, got {horizon}, {renorm_every}"
@@ -262,14 +242,13 @@ def estimate_sigma1(
     if n_vectors < 1:
         raise InvalidParamsError("need at least one probe vector")
     m = source.m
-    _check_basis(basis, m)
-    if basis is None:
-        basis = projection_basis(m, "difference")
+    if m < 2:
+        raise DimensionTooSmallError(f"need m >= 2, got {m}")
     rng = np.random.default_rng(seed)
     # draw probe-by-probe so a larger n_vectors extends, not reshuffles
     V = rng.standard_normal((n_vectors, m - 1)).T
     V /= np.linalg.norm(V, axis=0, keepdims=True)
-    X = basis.Pplus @ V
+    X = lift(V)
     logs = np.zeros(n_vectors)
     alive = np.ones(n_vectors, dtype=bool)
     trace: List[float] = []
@@ -278,7 +257,7 @@ def estimate_sigma1(
         X = source.at(t - 1) @ X
         X -= X[0]
         if t % renorm_every == 0:
-            norms = np.linalg.norm(basis.P @ X, axis=0)
+            norms = np.linalg.norm(difference(X), axis=0)
             dying = alive & (norms <= 1e-300)
             alive &= ~dying
             X[:, ~alive] = 0.0
@@ -301,7 +280,7 @@ def estimate_sigma1(
             converged=True,
         )
     if last_renorm < horizon:
-        norms = np.linalg.norm(basis.P @ X[:, live], axis=0)
+        norms = np.linalg.norm(difference(X[:, live]), axis=0)
         ok = norms > 1e-300
         final = logs[live][ok] + np.log(norms[ok]) if ok.any() else np.array([])
         value = float(final.max() / horizon) if final.size else NEG_INF

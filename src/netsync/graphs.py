@@ -7,13 +7,12 @@ Matrices may be dense or scipy.sparse; adjacency is always dense.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyListError, InvalidParamsError, PreconditionError
-from .hajnal import is_scrambling
-from .linalg import as_dense, is_stochastic
+from .errors import InvalidParamsError
+from .linalg import as_dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,31 +94,3 @@ def is_scrambling_graph(g: Digraph) -> bool:
     shared = B @ B.T
     offdiag = shared[~np.eye(g.m, dtype=bool)]
     return bool(np.all(offdiag > 0))
-
-
-def scrambling_product_check(matrices: Sequence[np.ndarray]) -> bool:
-    """Verifier for the scrambling-product lemma: given exactly m-1
-    stochastic matrices, each with positive diagonal and a spanning
-    tree, form the left product G(m-2)...G(1)G(0) and report whether it
-    is scrambling (it always is when the preconditions hold)."""
-    matrices = [as_dense(G) for G in matrices]
-    if not matrices:
-        raise EmptyListError("need at least one matrix")
-    m = matrices[0].shape[0]
-    if len(matrices) != m - 1:
-        raise InvalidParamsError(
-            f"need exactly m-1 = {m - 1} matrices for m={m}, got {len(matrices)}"
-        )
-    for i, G in enumerate(matrices):
-        if G.shape != (m, m):
-            raise PreconditionError(i, f"shape {G.shape} differs from ({m},{m})")
-        if not is_stochastic(G, tol=1e-9):
-            raise PreconditionError(i, "not row stochastic")
-        if np.min(np.diag(G)) <= 0:
-            raise PreconditionError(i, "diagonal has a non-positive entry")
-        if has_spanning_tree(from_matrix(G)) is None:
-            raise PreconditionError(i, "graph has no spanning tree")
-    prod = matrices[0]
-    for G in matrices[1:]:
-        prod = G @ prod
-    return is_scrambling(prod)

@@ -264,7 +264,6 @@ def gripenberg(
     max_len: int = DEFAULT_MAX_LEN,
     rescale: bool = True,
     max_nodes: int = DEFAULT_MAX_NODES,
-    norm_kind: str = "inf",
 ) -> JsrBounds:
     mats = _validated_set(matrices)
     if tol <= 0:
@@ -288,7 +287,7 @@ def gripenberg(
     work = _balanced(mats) if rescale else mats
 
     lower, witness, upper, binding, node_count, depth_reached = _search(
-        work, tol, max_len, max_nodes, lambda P: matrix_norm(P, norm_kind)
+        work, tol, max_len, max_nodes, lambda P: matrix_norm(P, "inf")
     )
 
     # adaptive rounds: conjugate the set to flatten whichever word is

@@ -3,12 +3,12 @@
 Everything operates on plain numpy float arrays.  A "stochastic matrix"
 is an ndarray or a scipy.sparse matrix validated by is_stochastic
 (nonnegative, unit row sums within 1e-12); dense-only readers take it
-through as_dense.  A projection basis is a small frozen dataclass
-pairing P with a precomputed right inverse.
+through as_dense.  The transverse frame, off the all-ones direction,
+is the difference frame, applied in closed form without forming P or
+its right inverse.
 """
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,45 +86,41 @@ def make_stochastic(raw) -> np.ndarray:
     return A / sums[:, None]
 
 
-@dataclass(frozen=True)
-class ProjectionBasis:
-    """A rank m-1 matrix P annihilating the all-ones direction, plus a
-    right inverse Pplus with P @ Pplus = I."""
-
-    m: int
-    kind: str
-    P: np.ndarray
-    Pplus: np.ndarray
+# The transverse frame is the difference frame: P is the (m-1) x m
+# matrix with (P X)_i = X_i - X_{i+1}, which annihilates the all-ones
+# direction, and P+ is its right inverse, whose column k holds k+1
+# leading ones.  Neither is formed; both act in closed form along axis 0.
 
 
-def projection_basis(m: int, kind: str = "difference") -> ProjectionBasis:
-    if m < 2:
-        raise DimensionTooSmallError(f"need m >= 2, got {m}")
-    D = np.zeros((m - 1, m))
-    idx = np.arange(m - 1)
-    D[idx, idx] = 1.0
-    D[idx, idx + 1] = -1.0
-    if kind == "difference":
-        # right inverse in closed form: column k is the cumulative
-        # indicator (1,...,1,0,...,0) with k+1 leading ones
-        Pplus = np.triu(np.ones((m, m - 1)))
-        return ProjectionBasis(m, kind, D, Pplus)
-    if kind == "orthonormal":
-        Q, R = np.linalg.qr(D.T)
-        Q = Q * np.sign(np.diag(R))
-        P = Q.T
-        return ProjectionBasis(m, kind, P, P.T.copy())
-    raise UnknownParameterError(f"unknown basis kind {kind!r}")
+def difference(X: np.ndarray) -> np.ndarray:
+    """P X: differences of consecutive rows of X."""
+    return X[:-1] - X[1:]
 
 
-def project(L, basis: ProjectionBasis) -> np.ndarray:
+def lift(V: np.ndarray) -> np.ndarray:
+    """P+ V: X[i] is the sum of V[i:], and the last row of X is zero."""
+    X = np.zeros((V.shape[0] + 1,) + V.shape[1:])
+    X[:-1] = np.cumsum(V[::-1], axis=0)[::-1]
+    return X
+
+
+def compress(L: np.ndarray) -> np.ndarray:
+    """P L P+, unchecked, for L of shape (m, ..., m): the row
+    differences of L summed cumulatively along the last axis.  Any axes
+    between the first and the last index a stack of matrices."""
+    return np.cumsum(difference(L), axis=-1)[..., :-1]
+
+
+def project(L) -> np.ndarray:
     """Compress L to the (m-1)-dimensional complement of the all-ones
     direction: the unique Lhat with P L = Lhat P, valid whenever L has
     constant row sums."""
     L = _as_matrix(L)
-    m = basis.m
+    m = L.shape[0]
     if L.shape != (m, m):
-        raise DimensionMismatchError(f"expected shape ({m},{m}), got {L.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got {L.shape}")
+    if m < 2:
+        raise DimensionTooSmallError(f"need m >= 2, got {m}")
     sums = L.sum(axis=1)
     spread = float(sums.max() - sums.min())
     scale = max(1.0, float(np.max(np.abs(L).sum(axis=1))))
@@ -132,7 +128,7 @@ def project(L, basis: ProjectionBasis) -> np.ndarray:
         raise NotRowSumConstantError(
             f"row sums vary by {spread:.3e} (tol {PROJECT_ROW_SUM_TOL:.0e} x {scale:.3e})"
         )
-    return basis.P @ L @ basis.Pplus
+    return compress(L)
 
 
 _NORM_ORD = {"inf": np.inf, "one": 1, "two": 2}

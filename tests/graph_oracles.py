@@ -1,11 +1,14 @@
 """Reference graph routines the graph and CLI tests check against: a
-breadth-first spanning-tree search and the window-by-window union."""
+breadth-first spanning-tree search, the window-by-window union and the
+scrambling-product lemma."""
 
 from functools import reduce
 
 import numpy as np
 
 from netsync.graphs import Digraph, from_matrix, has_spanning_tree
+from netsync.hajnal import is_scrambling
+from netsync.linalg import is_stochastic
 
 
 def union(graphs):
@@ -40,3 +43,16 @@ def spanning_tree_root_by_search(g):
         if seen.all():
             return r
     return None
+
+
+def scrambling_product_check(matrices):
+    """The scrambling-product lemma on one instance: m-1 stochastic
+    matrices, each with positive diagonal and a spanning tree, have a
+    scrambling left product G(m-2)...G(1)G(0).  The preconditions are
+    asserted; the result says whether the product is scrambling."""
+    m = matrices[0].shape[0]
+    assert len(matrices) == m - 1
+    for G in matrices:
+        assert is_stochastic(G, tol=1e-9) and np.min(np.diag(G)) > 0
+        assert has_spanning_tree(from_matrix(G)) is not None
+    return is_scrambling(reduce(lambda prod, G: G @ prod, matrices))

@@ -390,6 +390,14 @@ def test_schema_violation_exits_2(tmp_path):
     assert main(["check", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("t0_samples", [[], [0, -1]])
+def test_bad_t0_samples_exit_2(tmp_path, capsys, t0_samples):
+    cfg = write_config(tmp_path, two_node_doc(estimator={"t0_samples": t0_samples}))
+    for cmd in ("check", "spectrum"):
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config.estimator.t0_samples" in capsys.readouterr().err
+
+
 def test_help_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "netsync.cli", "--help"],

@@ -111,6 +111,14 @@ def test_defaults_fill_in():
             lambda d: d.update(simulation={"x0_policy": "sideways"}),
             "config.simulation.x0_policy",
         ),
+        (
+            lambda d: d.update(estimator={"t0_samples": []}),
+            "config.estimator.t0_samples",
+        ),
+        (
+            lambda d: d.update(estimator={"t0_samples": [0, -3]}),
+            "config.estimator.t0_samples",
+        ),
     ],
 )
 def test_validation_reports_field_paths(mutate, field):
@@ -119,6 +127,11 @@ def test_validation_reports_field_paths(mutate, field):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_json_dict(doc)
     assert err.value.field == field
+
+
+def test_null_t0_samples_means_the_default_grid():
+    cfg = ExperimentConfig.from_json_dict(static_doc(estimator={"t0_samples": None}))
+    assert cfg.estimator.t0_samples is None
 
 
 def test_source_requires_variant_fields():

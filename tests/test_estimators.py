@@ -8,14 +8,13 @@ projected matrices Ghat = P G Pplus, one window at a time.
 
 import math
 import time
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from netsync.errors import (
-    DimensionMismatchError,
     DimensionTooSmallError,
     InvalidParamsError,
     OrbitDivergedError,
@@ -31,7 +30,7 @@ from netsync.estimators import (
     lyapunov_spectrum_qr,
 )
 from netsync.hajnal import diam
-from netsync.linalg import make_stochastic, matrix_norm, projection_basis
+from netsync.linalg import make_stochastic, matrix_norm
 from netsync.sources import FiniteSetIIDSource, MatrixSource, PeriodicSource, StaticSource
 
 SYM2 = np.array([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1 and 0.5
@@ -126,30 +125,6 @@ def test_projection_jsr_tracks_diam_estimate():
     d = estimate_hajnal_diameter(src, horizon=500, t0_samples=samples)
     r = estimate_projection_jsr(src, horizon=500, t0_samples=samples)
     assert abs(d.value - r.value) <= 0.02
-
-
-def test_projection_jsr_basis_independent():
-    src = FiniteSetIIDSource(mixing_pair(seed=9, m=4), seed=13)
-    vals = []
-    for kind in ("difference", "orthonormal"):
-        basis = projection_basis(4, kind)
-        with pytest.warns(DeprecationWarning):
-            vals.append(
-                estimate_projection_jsr(src, basis=basis, horizon=300, t0_samples=[0, 40]).value
-            )
-    assert vals[0] == vals[1]
-
-
-def test_projection_jsr_basis_is_deprecated():
-    src = random_finite_source(2)
-    with pytest.warns(DeprecationWarning, match="basis is deprecated"):
-        with_basis = estimate_projection_jsr(
-            src, basis=projection_basis(src.m, "orthonormal"), horizon=40
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        without = estimate_projection_jsr(src, horizon=40)
-    assert with_basis.value == without.value
 
 
 # ------------------------------------------------------------- sigma1
@@ -329,15 +304,32 @@ def test_diam_and_jsr_agree_on_random_static(seed):
 # arithmetic both give the same numbers.
 
 
+def frame(m, kind="difference"):
+    """Dense (P, Pplus) with P annihilating the all-ones direction and
+    P @ Pplus = I: the difference frame the estimators use, or an
+    orthonormal one."""
+    D = np.zeros((m - 1, m))
+    idx = np.arange(m - 1)
+    D[idx, idx] = 1.0
+    D[idx, idx + 1] = -1.0
+    if kind == "difference":
+        return D, np.triu(np.ones((m, m - 1)))
+    Q, R = np.linalg.qr(D.T)
+    Q = Q * np.sign(np.diag(R))
+    return Q.T, Q.copy()
+
+
 def ref_window_curve(source, basis, M0, size, horizon, t0_samples, renorm_every=8):
     """Per-window propagation M <- Ghat M of the projected product from
-    M0; size(M) is the window's size at step t."""
+    M0, in the frame basis = (P, Pplus); size(M) is the window's size at
+    step t."""
+    P, Pplus = basis
     best = np.zeros(horizon)
     for t0 in t0_samples:
         M = M0.copy()
         logscale = 0.0
         for t in range(1, horizon + 1):
-            M = basis.P @ source.at(t0 + t - 1) @ basis.Pplus @ M
+            M = P @ source.at(t0 + t - 1) @ Pplus @ M
             if renorm_every and t % renorm_every == 0:
                 s = float(np.max(np.abs(M)))
                 if s == 0.0:
@@ -352,20 +344,22 @@ def ref_window_curve(source, basis, M0, size, horizon, t0_samples, renorm_every=
 
 def ref_hajnal_diameter(source, horizon, t0_samples, kind="inf"):
     m = source.m
-    basis = projection_basis(m, "difference")
+    basis = frame(m)
 
     def size(D):
         # rows of B relative to row 0 are prefix sums of D = P B
         return diam(np.vstack([np.zeros(m), np.cumsum(D, axis=0)]), kind)
 
-    return ref_window_curve(source, basis, basis.P, size, horizon, t0_samples)
+    return ref_window_curve(source, basis, basis[0], size, horizon, t0_samples)
 
 
 def ref_projection_jsr(source, basis, horizon, t0_samples, kind="inf"):
+    """The window norms read in the difference frame, whatever frame
+    basis the windows are walked in."""
     m = source.m
-    canon = projection_basis(m, "difference")
-    S = basis.P @ canon.Pplus
-    Sinv = canon.P @ basis.Pplus
+    D, Dplus = frame(m)
+    S = basis[0] @ Dplus
+    Sinv = D @ basis[1]
 
     def size(M):
         return matrix_norm(Sinv @ M @ S, kind)
@@ -374,21 +368,26 @@ def ref_projection_jsr(source, basis, horizon, t0_samples, kind="inf"):
 
 
 def ref_sigma1(source, basis, horizon, renorm_every=8, n_vectors=8, seed=0):
-    """(value, trace) from probes propagated as V <- Ghat V."""
+    """(value, trace) from probes propagated as V <- Ghat V in the frame
+    basis = (P, Pplus), started from and measured in the difference frame."""
+    P, Pplus = basis
+    D, Dplus = frame(source.m)
+    Sinv = D @ Pplus
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((n_vectors, source.m - 1)).T.copy()
     V /= np.linalg.norm(V, axis=0, keepdims=True)
+    V = P @ Dplus @ V
     logs = np.zeros(n_vectors)
     trace = []
     for t in range(1, horizon + 1):
-        V = basis.P @ source.at(t - 1) @ basis.Pplus @ V
+        V = P @ source.at(t - 1) @ Pplus @ V
         if t % renorm_every == 0:
-            norms = np.linalg.norm(V, axis=0)
+            norms = np.linalg.norm(Sinv @ V, axis=0)
             logs += np.log(norms)
             V /= norms
             trace.append(float(logs.max()) / t)
     if horizon % renorm_every:
-        return float((logs + np.log(np.linalg.norm(V, axis=0))).max()) / horizon, trace
+        return float((logs + np.log(np.linalg.norm(Sinv @ V, axis=0))).max()) / horizon, trace
     return float(logs.max()) / horizon, trace
 
 
@@ -415,27 +414,22 @@ def test_diameter_matches_projected_reference(seed, kind):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["inf", "one", "two"])
-@pytest.mark.parametrize("basis_kind", ["difference", "orthonormal"])
-def test_projection_jsr_matches_projected_reference(seed, kind, basis_kind):
+@pytest.mark.parametrize("frame_kind", ["difference", "orthonormal"])
+def test_projection_jsr_matches_projected_reference(seed, kind, frame_kind):
     src = random_finite_source(seed)
-    basis = projection_basis(src.m, basis_kind)
     t0s = [0, 7, 30, 31]
-    with pytest.warns(DeprecationWarning):
-        est = estimate_projection_jsr(
-            src, basis=basis, horizon=120, t0_samples=t0s, kind=kind
-        )
-    ref = ref_projection_jsr(src, basis, 120, t0s, kind)
+    est = estimate_projection_jsr(src, horizon=120, t0_samples=t0s, kind=kind)
+    ref = ref_projection_jsr(src, frame(src.m, frame_kind), 120, t0s, kind)
     np.testing.assert_allclose(est.curve, ref, rtol=ORACLE_RTOL, atol=0)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("basis_kind", ["difference", "orthonormal"])
+@pytest.mark.parametrize("frame_kind", ["difference", "orthonormal"])
 @pytest.mark.parametrize("horizon", [800, 803])
-def test_sigma1_matches_projected_reference(seed, basis_kind, horizon):
+def test_sigma1_matches_projected_reference(seed, frame_kind, horizon):
     src = random_finite_source(seed)
-    basis = projection_basis(src.m, basis_kind)
-    est = estimate_sigma1(src, basis=basis, horizon=horizon, seed=seed)
-    value, trace = ref_sigma1(src, basis, horizon, seed=seed)
+    est = estimate_sigma1(src, horizon=horizon, seed=seed)
+    value, trace = ref_sigma1(src, frame(src.m, frame_kind), horizon, seed=seed)
     assert est.value == pytest.approx(value, rel=ORACLE_RTOL, abs=0)
     np.testing.assert_allclose(est.trace, trace, rtol=ORACLE_RTOL, atol=0)
 
@@ -467,15 +461,27 @@ def test_window_estimators_reject_single_node():
         estimate_hajnal_diameter(src, horizon=10)
     with pytest.raises(DimensionTooSmallError):
         estimate_projection_jsr(src, horizon=10)
+    with pytest.raises(DimensionTooSmallError):
+        estimate_sigma1(src, horizon=16)
 
 
-def test_basis_must_match_source_dimension():
-    src = random_finite_source(4)
-    basis = projection_basis(src.m + 1)
-    with pytest.raises(DimensionMismatchError):
-        estimate_sigma1(src, basis=basis, horizon=16)
-    with pytest.raises(DimensionMismatchError), pytest.warns(DeprecationWarning):
-        estimate_projection_jsr(src, basis=basis, horizon=16)
+def test_sigma1_memory_is_linear_in_m_on_a_sparse_source():
+    # a sparse ring at m = 3000: a dense m x m frame matrix alone is 72 MB,
+    # while the probes and their lift are m x n_vectors
+    from scipy.sparse import csr_array
+
+    m = 3000
+    rows = np.repeat(np.arange(m), 3)
+    cols = (rows + np.tile([-1, 0, 1], m)) % m
+    src = StaticSource(csr_array((np.full(3 * m, 1.0 / 3.0), (rows, cols)), shape=(m, m)))
+    tracemalloc.start()
+    try:
+        est = estimate_sigma1(src, horizon=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"estimate_sigma1 peaked at {peak / 2**20:.1f} MiB"
+    assert not est.collapsed
 
 
 # ------------------------------------------------------------- invariance

@@ -16,7 +16,7 @@ from netsync.errors import (
     InvalidParamsError,
 )
 from netsync.jsr import JsrBounds, brute_force_jsr, gripenberg
-from netsync.linalg import make_stochastic, project, projection_basis, spectral_radius
+from netsync.linalg import make_stochastic, project, spectral_radius
 
 
 def word_product(mats, word):
@@ -36,8 +36,7 @@ def stochastic_with_tree(rng, m):
 
 
 def projected_set(mats):
-    b = projection_basis(mats[0].shape[0], "difference")
-    return [project(G, b) for G in mats]
+    return [project(G) for G in mats]
 
 
 # ---------------------------------------------------------------- gripenberg

@@ -15,15 +15,15 @@ from netsync.errors import (
     ZeroRowError,
 )
 from netsync.linalg import (
+    compress,
+    difference,
     is_stochastic,
+    lift,
     make_stochastic,
     matrix_norm,
     project,
-    projection_basis,
     spectral_radius,
 )
-
-SQ2 = np.sqrt(2.0)
 
 
 def rand_nonneg(rng, m, density=1.0):
@@ -84,49 +84,55 @@ def test_is_stochastic_tolerance():
 # ---------------------------------------------------------------- projection
 
 
+def difference_frame(m):
+    """Dense reference frame: the (m-1) x m difference matrix D and its
+    right inverse, whose column k holds k+1 leading ones."""
+    D = np.zeros((m - 1, m))
+    idx = np.arange(m - 1)
+    D[idx, idx] = 1.0
+    D[idx, idx + 1] = -1.0
+    return D, np.triu(np.ones((m, m - 1)))
+
+
 def test_projection_basis_difference_m2():
-    b = projection_basis(2, "difference")
-    assert np.array_equal(b.P, np.array([[1.0, -1.0]]))
-    assert np.array_equal(b.P @ b.Pplus, np.eye(1))
+    assert np.array_equal(difference(np.array([[3.0], [1.0]])), [[2.0]])
+    assert np.array_equal(lift(np.array([[2.0, -1.0]])), [[2.0, -1.0], [0.0, 0.0]])
 
 
 def test_projection_basis_difference_m3():
-    b = projection_basis(3, "difference")
-    assert np.array_equal(b.P, np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]))
-    assert np.array_equal(b.P @ b.Pplus, np.eye(2))
-    assert np.array_equal(b.P @ np.ones(3), np.zeros(2))
+    D, Dplus = difference_frame(3)
+    X = np.random.default_rng(3).normal(size=(3, 4))
+    V = X[:2]
+    assert np.array_equal(difference(X), D @ X)
+    assert np.array_equal(lift(V), Dplus @ V)
+    assert np.array_equal(difference(np.ones(3)), np.zeros(2))
 
 
-def test_projection_basis_orthonormal_m2():
-    b = projection_basis(2, "orthonormal")
-    assert np.allclose(b.P, [[1 / SQ2, -1 / SQ2]], atol=1e-15)
-    assert np.array_equal(b.Pplus, b.P.T)
-
-
-@given(m=st.integers(2, 12), kind=st.sampled_from(["difference", "orthonormal"]))
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12))
 @settings(max_examples=40, deadline=None)
-def test_projection_basis_invariants(m, kind):
-    b = projection_basis(m, kind)
-    assert b.P.shape == (m - 1, m)
-    assert b.Pplus.shape == (m, m - 1)
-    assert np.max(np.abs(b.P @ np.ones(m))) <= 1e-12
-    assert np.max(np.abs(b.P @ b.Pplus - np.eye(m - 1))) <= 1e-12
-    assert np.linalg.matrix_rank(b.P) == m - 1
+def test_projection_basis_invariants(seed, m):
+    D, Dplus = difference_frame(m)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, 3))
+    V = rng.normal(size=(m - 1, 3))
+    L = rng.normal(size=(m, m))
+    assert np.array_equal(difference(X), D @ X)
+    assert np.max(np.abs(lift(V) - Dplus @ V)) <= 1e-12 * m
+    assert np.max(np.abs(difference(lift(V)) - V)) <= 1e-12 * m
+    assert np.max(np.abs(compress(L) - D @ L @ Dplus)) <= 1e-12 * m
+    # a stack of matrices along the middle axis compresses one by one
+    stack = np.stack([L, 2.0 * L], axis=1)
+    assert np.array_equal(compress(stack)[:, 1], compress(2.0 * L))
 
 
 def test_projection_basis_too_small():
-    with pytest.raises(DimensionTooSmallError):
-        projection_basis(1, "difference")
-
-
-def test_projection_basis_unknown_kind():
-    with pytest.raises(ValueError):
-        projection_basis(3, "fourier")
+    for L in (np.eye(1), np.zeros((0, 0))):
+        with pytest.raises(DimensionTooSmallError):
+            project(L)
 
 
 def test_project_scaled_identity():
-    b = projection_basis(2, "difference")
-    Lhat = project(0.7 * np.eye(2), b)
+    Lhat = project(0.7 * np.eye(2))
     assert np.allclose(Lhat, [[0.7]], atol=1e-15)
 
 
@@ -135,48 +141,43 @@ def test_project_rank_one_is_zero():
     row = rng.random(4)
     row /= row.sum()
     L = np.tile(row, (4, 1))
-    for kind in ("difference", "orthonormal"):
-        Lhat = project(L, projection_basis(4, kind))
-        assert np.max(np.abs(Lhat)) <= 1e-12
+    assert np.max(np.abs(project(L))) <= 1e-12
 
 
 def test_project_random_stochastic_residual():
     rng = np.random.default_rng(11)
     L = make_stochastic(rng.random((3, 3)))
-    b = projection_basis(3, "difference")
-    Lhat = project(L, b)
-    assert np.max(np.abs(b.P @ L - Lhat @ b.P)) < 1e-12
+    D, _ = difference_frame(3)
+    Lhat = project(L)
+    assert np.max(np.abs(D @ L - Lhat @ D)) < 1e-12
 
 
 def test_project_rejects_nonconstant_row_sums():
     with pytest.raises(NotRowSumConstantError):
-        project(np.array([[1.0, 0.0], [3.0, 1.0]]), projection_basis(2, "difference"))
+        project(np.array([[1.0, 0.0], [3.0, 1.0]]))
 
 
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    m=st.integers(2, 8),
-    kind=st.sampled_from(["difference", "orthonormal"]),
-)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
 @settings(max_examples=80, deadline=None)
-def test_project_commutation_residual(seed, m, kind):
+def test_project_commutation_residual(seed, m):
     rng = np.random.default_rng(seed)
     L = rng.normal(size=(m, m)) * 3.0
     # force constant row sums by adjusting the last column
     L[:, -1] += 1.5 - L.sum(axis=1)
-    b = projection_basis(m, kind)
-    Lhat = project(L, b)
-    resid = np.max(np.abs(b.P @ L - Lhat @ b.P))
+    D, _ = difference_frame(m)
+    Lhat = project(L)
+    resid = np.max(np.abs(D @ L - Lhat @ D))
     assert resid <= 1e-9 * max(1.0, matrix_norm(L, "inf"))
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
 @settings(max_examples=60, deadline=None)
 def test_project_basis_covariance_spectral_radius(seed, m):
+    # the spectrum of a stochastic G is {1} plus the spectrum of Ghat, so
+    # the projected spectral radius is G's second largest |eigenvalue|
     G = make_stochastic(rand_nonneg(np.random.default_rng(seed), m, density=0.8))
-    r1 = spectral_radius(project(G, projection_basis(m, "difference")))
-    r2 = spectral_radius(project(G, projection_basis(m, "orthonormal")))
-    assert abs(r1 - r2) <= 1e-8
+    second = np.sort(np.abs(np.linalg.eigvals(G)))[-2]
+    assert abs(spectral_radius(project(G)) - second) <= 1e-8
 
 
 # ---------------------------------------------------------------- norms
