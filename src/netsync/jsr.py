@@ -1,16 +1,31 @@
-"""Branch-and-bound bounds on the joint spectral radius of a finite
-matrix set.
+"""Certified bounds on the joint spectral radius of a finite matrix set.
 
-Exploration is best-first over product words.  Every evaluated word
-updates the certified lower bound through its spectral radius; a word
-whose normalized norm rate falls to the current lower bound plus the
-tolerance is never worth extending and becomes a terminal block.  Every
-long product factors into terminal blocks, each cut at the ancestor
-with the smallest norm rate, so the joint spectral radius is at most
-the largest terminal prefix-min rate, which is the reported upper
-bound.  The bound stays sound when the search is cut off by the depth
-or node budget: the surviving frontier is absorbed into the terminal
-set.
+For 2x2 sets the bracket is first certified by an invariant polytope
+(Guglielmi & Protasov, Found. Comput. Math. 13, 2013; Jungers, The
+Joint Spectral Radius, LNCIS 385, 2009).  A short search pass picks a
+witness word w with rate rho = rho(P_w)^(1/|w|), the certified lower
+bound.  Starting from the leading eigenvector of P_w and its cyclic
+images, every image A_i u / rho that falls outside the symmetric convex
+hull of the vertices so far becomes a vertex.  When no image is added,
+the hull's gauge is a norm in which every A_i / rho has norm at most
+`factor`, so rho * max(1, factor) is a certified upper bound; when the
+witness is extremal, factor is 1 within rounding.  The gauge of a
+symmetric polygon is the linear programme min ||c||_1 over V c = x,
+solved exactly in closed form over its basic solutions.
+
+When the polytope cannot be built (the witness's leading eigenvalue is
+complex or not strictly dominant, the vertices span only a line, the
+vertex cap is hit, or the set is not 2x2), branch-and-bound search
+brackets the radius.  Exploration is best-first over product words.
+Every evaluated word updates the certified lower bound through its
+spectral radius; a word whose normalized norm rate falls to the current
+lower bound plus the tolerance is never worth extending and becomes a
+terminal block.  Every long product factors into terminal blocks, each
+cut at the ancestor with the smallest norm rate, so the joint spectral
+radius is at most the largest terminal prefix-min rate, which is the
+reported upper bound.  The bound stays sound when the search is cut off
+by the depth or node budget: the surviving frontier is absorbed into
+the terminal set.
 
 When the first pass leaves a gap above the tolerance, further passes
 rerun the search under norms adapted to the words that are holding the
@@ -19,7 +34,8 @@ becomes real block diagonal, where its 2-norm equals its spectral
 radius, so that branch's rate estimate collapses to its true rate and
 stops propping up the bound.  A fixed similarity changes no spectral
 radius and no gauge-invariant limit, so every pass yields a certified
-bracket and the tightest ends win.
+bracket and the tightest ends win.  Only this fallback loads scipy
+(balancing and the adapted norms).
 """
 
 import heapq
@@ -46,6 +62,16 @@ BRUTE_FORCE_BUDGET = 10**7
 ADAPT_COND_LIMIT = 1e10
 MAX_ADAPT_ROUNDS = 4
 
+# the polytope certificate: node budget of the witness pass, vertex cap,
+# and the slack by which an image's gauge may exceed 1 and stay inside
+POLYTOPE_PASS_NODES = 2000
+POLYTOPE_MAX_VERTICES = 200
+POLYTOPE_SLACK = 1e-12
+# vertex pairs closer than this sine of angle form no basis of the plane
+PARALLEL_TOL = 1e-9
+# the witness's second eigenvalue must be below its first by this factor
+DOMINANCE = 1.0 - 1e-9
+
 
 @dataclass(frozen=True)
 class JsrBounds:
@@ -56,6 +82,8 @@ class JsrBounds:
     witness: Tuple[int, ...]
     converged: bool
     tol: float
+    certificate: str = "search"
+    vertex_count: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -66,6 +94,8 @@ class JsrBounds:
             "witness": list(self.witness),
             "converged": self.converged,
             "tol": self.tol,
+            "certificate": self.certificate,
+            "vertex_count": self.vertex_count,
         }
 
 
@@ -191,6 +221,80 @@ def _adapted_set(
     return [vr_inv @ A @ vr for A in work]
 
 
+def _independent_pairs(V: np.ndarray):
+    """Index pairs (i, j) of vertex columns of V that form a basis of the
+    plane, with |det [v_i v_j]|."""
+    i, j = np.triu_indices(V.shape[1], 1)
+    det = np.abs(V[0, i] * V[1, j] - V[1, i] * V[0, j])
+    lens = np.hypot(V[0], V[1])
+    keep = det > PARALLEL_TOL * lens[i] * lens[j]
+    return i[keep], j[keep], det[keep]
+
+
+def _gauge(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Gauge of each column of X (2, M) in the symmetric convex hull of
+    the columns of V (2, N): the LP optimum min ||c||_1 over V c = x.
+
+    The optimum sits at a basic solution, which uses one independent
+    vertex pair (i, j); by Cramer's rule its cost is
+    (|cross(v_i, x)| + |cross(v_j, x)|) / |cross(v_i, v_j)|.  Skipping
+    near-parallel pairs can only raise the value.  When every vertex lies
+    on one line, the gauge is finite only on that line.
+    """
+    cross = V[0][:, None] * X[1][None, :] - V[1][:, None] * X[0][None, :]
+    i, j, det = _independent_pairs(V)
+    if len(det):
+        return ((np.abs(cross[i]) + np.abs(cross[j])) / det[:, None]).min(axis=0)
+    lens = np.hypot(V[0], V[1])
+    k = int(np.argmax(lens))
+    xlen = np.hypot(X[0], X[1])
+    on_line = np.abs(cross[k]) <= PARALLEL_TOL * lens[k] * xlen
+    return np.where(on_line, xlen / lens[k], np.inf)
+
+
+def _invariant_polytope(
+    mats: List[np.ndarray], witness: Tuple[int, ...]
+) -> Optional[Tuple[float, np.ndarray, float]]:
+    """Build the invariant polytope of a 2x2 set from a witness word of
+    positive rate.
+
+    Returns (rho, V, factor): rho is the witness rate, the columns of V
+    are the vertices, and every A_i V / rho lies in factor * absco(V).
+    Returns None when the witness's leading eigenvalue is complex or not
+    strictly dominant, when the vertex cap is hit, when the vertices
+    span only a line (an invariant subspace, not a norm), or when the
+    gauge is not finite.
+    """
+    P = _word_product(mats, witness)
+    lam, vecs = np.linalg.eig(P)
+    top = int(np.argmax(np.abs(lam)))
+    if np.iscomplexobj(lam) or not abs(lam[1 - top]) < DOMINANCE * abs(lam[top]):
+        return None
+    rho = spectral_radius(P) ** (1.0 / len(witness))
+    B = np.stack(mats) / rho
+    u = vecs[:, top]
+    verts = [u]
+    for a in witness[:-1]:
+        u = B[a] @ u
+        verts.append(u)
+    V = np.array(verts).T
+    done = 0
+    while done < V.shape[1]:
+        images = B @ V[:, done]
+        done += 1
+        outside = images[_gauge(V, images.T) > 1.0 + POLYTOPE_SLACK]
+        if len(outside):
+            V = np.hstack([V, outside.T])
+            if V.shape[1] > POLYTOPE_MAX_VERTICES:
+                return None
+    if not len(_independent_pairs(V)[0]):
+        return None
+    images = (B @ V).transpose(1, 0, 2).reshape(2, -1)
+    factor = float(_gauge(V, images).max())
+    # an overflowed vertex yields NaN, which max(1, factor) would hide
+    return (rho, V, factor) if math.isfinite(factor) else None
+
+
 def _search(
     work: List[np.ndarray],
     tol: float,
@@ -284,11 +388,41 @@ def gripenberg(
             tol=tol,
         )
 
+    inf_norm = lambda P: matrix_norm(P, "inf")
+    pass_nodes = pass_depth = 0
+    polytope = None
+    if mats[0].shape[0] == 2:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lower, witness, _, _, pass_nodes, pass_depth = _search(
+                    mats, tol, max_len, min(max_nodes, POLYTOPE_PASS_NODES), inf_norm
+                )
+                if lower > 0:
+                    polytope = _invariant_polytope(mats, witness)
+        except np.linalg.LinAlgError:
+            pass  # a product overflowed unbalanced; the balanced search may not
+        if polytope is not None:
+            rho, V, factor = polytope
+            upper = rho * max(1.0, factor)
+            return JsrBounds(
+                lower=rho,
+                upper=upper,
+                depth_reached=pass_depth,
+                node_count=pass_nodes,
+                witness=witness,
+                converged=upper - rho <= tol * (1.0 + 1e-12),
+                tol=tol,
+                certificate="polytope",
+                vertex_count=V.shape[1],
+            )
+
     work = _balanced(mats) if rescale else mats
 
     lower, witness, upper, binding, node_count, depth_reached = _search(
-        work, tol, max_len, max_nodes, lambda P: matrix_norm(P, "inf")
+        work, tol, max_len, max_nodes, inf_norm
     )
+    node_count += pass_nodes
+    depth_reached = max(depth_reached, pass_depth)
 
     # adaptive rounds: conjugate the set to flatten whichever word is
     # holding up the upper bound, preferring the witness first

@@ -1,11 +1,12 @@
 """Stateful generators of time-varying coupling topologies.
 
-Two mechanisms over a scale-free substrate:
+Two mechanisms:
 
-* blinking: vertices fail at random and sit out a fixed recovery time,
-  taking their rows and columns with them;
-* blurring: edge weights diffuse under Gaussian increments, and an edge
-  driven negative reverses its orientation with the overflow magnitude.
+* blinking: vertices of a scale-free base graph fail at random and sit
+  out a fixed recovery time, taking their rows and columns with them;
+* blurring: every pair of vertices is coupled by one live orientation
+  whose weight diffuses under Gaussian increments, and an edge driven
+  negative reverses its orientation with the overflow magnitude.
 
 Both expose .m and .step() -> row stochastic matrix, the interface
 DrivenSource wraps.  Blinking emits a scipy.sparse CSR array built in

@@ -1,8 +1,9 @@
 """Import boundaries: the package and its common commands load no scipy.
 
 scipy is imported inside the few functions that need it (sparse blinking
-emission and `check`, the `jsr` command, the `one`/`two` diameter
-norms), so short runs on dense inputs start with numpy alone.  Each
+emission and `check`, the search fallback of the `jsr` command, the
+`one`/`two` diameter norms), so short runs on dense inputs, and `jsr` on
+a pair its invariant polytope certifies, start with numpy alone.  Each
 boundary test runs in a fresh interpreter, since this test process has
 long since imported scipy.
 """
@@ -79,6 +80,23 @@ def test_simulate_on_static_loads_no_scipy(tmp_path):
     }
     assert run_cli(tmp_path, "simulate", doc) == []
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_jsr_certified_by_polytope_loads_no_scipy(tmp_path):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"matrices": [
+        [[0.6, 0.4, 0.0], [0.0, 0.7, 0.3], [0.2, 0.0, 0.8]],
+        [[0.5, 0.0, 0.5], [0.3, 0.7, 0.0], [0.0, 0.4, 0.6]],
+    ]}))
+    out = tmp_path / "out"
+    loaded = loaded_scipy_modules(
+        "import netsync.cli\n"
+        f"rc = netsync.cli.main({['jsr', str(pair), '--out', str(out)]!r})\n"
+        "assert rc == 0, rc"
+    )
+    bounds = json.loads((out / "jsr_bounds.json").read_text())
+    assert bounds["certificate"] == "polytope"
+    assert loaded == []
 
 
 def test_balanced_leaves_non_finite_input_unchanged():

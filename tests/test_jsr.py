@@ -2,12 +2,14 @@
 
 brute_force_jsr is the independent oracle for gripenberg; soundness
 properties (lower certified by witness, brute force below upper) hold
-even on runs stopped by depth or node budgets.
+even on runs stopped by depth or node budgets.  scipy's linprog checks
+the invariant polytope's closed-form gauge independently.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from netsync.errors import (
     BudgetExceededError,
@@ -15,7 +17,14 @@ from netsync.errors import (
     EmptySetError,
     InvalidParamsError,
 )
-from netsync.jsr import JsrBounds, brute_force_jsr, gripenberg
+from netsync import jsr
+from netsync.jsr import (
+    JsrBounds,
+    _balanced,
+    _invariant_polytope,
+    brute_force_jsr,
+    gripenberg,
+)
 from netsync.linalg import make_stochastic, project, spectral_radius
 
 
@@ -115,12 +124,104 @@ def test_gripenberg_validates_inputs():
 
 
 def test_gripenberg_balancing_changes_nothing_semantically():
-    rng = np.random.default_rng(77)
-    mats = projected_set([stochastic_with_tree(rng, 3) for _ in range(2)])
-    a = gripenberg(mats, tol=1e-4, rescale=True)
-    b = gripenberg(mats, tol=1e-4, rescale=False)
+    # a 3x3 set reaches the search, where rescale is read; the diagonal
+    # similarity gives balancing something to undo
+    rng = np.random.default_rng(40)
+    mats = projected_set([stochastic_with_tree(rng, 4) for _ in range(3)])
+    d = np.array([1.0, 30.0, 0.05])
+    mats = [(M * d[None, :]) / d[:, None] for M in mats]
+    assert any(not np.array_equal(B, M) for B, M in zip(_balanced(mats), mats))
+    a = gripenberg(mats, tol=1e-4, rescale=True, max_nodes=2000)
+    b = gripenberg(mats, tol=1e-4, rescale=False, max_nodes=2000)
+    assert a.certificate == b.certificate == "search"
     # both must bracket the same JSR
     assert max(a.lower, b.lower) <= min(a.upper, b.upper) + 1e-9
+
+
+# ------------------------------------------------------ polytope certificate
+
+
+def test_projected_tree_pair_certified_by_polytope():
+    rng = np.random.default_rng(77)
+    mats = projected_set([stochastic_with_tree(rng, 3) for _ in range(2)])
+    res = gripenberg(mats, tol=1e-4)
+    assert res.certificate == "polytope" and res.vertex_count >= 2
+    assert res.converged
+    assert res.upper - res.lower <= 1e-12 * res.lower
+    assert brute_force_jsr(mats, max_len=12) <= res.upper * (1 + 1e-12)
+
+
+def test_reducible_pair_falls_back_to_search():
+    # upper triangular: both members keep the line spanned by e1, which
+    # also carries the witness's leading eigenvector, so the polytope
+    # closes on that line alone; a segment is no norm
+    mats = [np.array([[0.9, 0.2], [0.0, 0.3]]), np.array([[0.5, 0.1], [0.0, 0.4]])]
+    res = gripenberg(mats, tol=1e-4)
+    assert res.witness == (0,)
+    assert _invariant_polytope(mats, res.witness) is None
+    assert res.certificate == "search" and res.vertex_count == 0
+    assert brute_force_jsr(mats, max_len=12) <= res.upper
+
+
+def test_complex_witness_reaches_adaptive_rounds(monkeypatch):
+    # a scaled rotation dominates: its leading eigenvalues are a complex
+    # pair, so only the search and its adapted norms can close the gap
+    th = 0.9
+    R = 0.8 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    mats = [R, np.array([[0.3, 0.1], [0.2, 0.1]])]
+    targets = []
+    adapted = jsr._adapted_set
+
+    def spy(work, word):
+        targets.append(word)
+        return adapted(work, word)
+
+    monkeypatch.setattr(jsr, "_adapted_set", spy)
+    res = gripenberg(mats, tol=1e-4)
+    assert targets
+    assert res.certificate == "search"
+    assert res.lower == pytest.approx(0.8, rel=1e-12)
+    assert brute_force_jsr(mats, max_len=12) <= res.upper
+
+
+def test_overflowing_witness_pass_falls_back_to_balanced_search():
+    # unbalanced, the witness pass overflows on its second product;
+    # balancing makes the set tractable, as it did before the polytope
+    mats = [np.array([[1e150, 1e-150], [1e-150, 1.0]]),
+            np.array([[0.5, 1e200], [0.0, 0.1]])]
+    res = gripenberg(mats, max_nodes=500)
+    assert res.certificate == "search"
+    assert res.witness == (0,) and res.lower == res.upper == 1e150
+
+
+@st.composite
+def two_by_two_sets(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return projected_set([stochastic_with_tree(rng, 3) for _ in range(2)])
+    return [rng.uniform(-0.7, 0.7, size=(2, 2)) for _ in range(2)]
+
+
+@given(mats=two_by_two_sets())
+@settings(max_examples=30, deadline=None)
+def test_polytope_certificate_checked_by_linear_programme(mats):
+    res = gripenberg(mats, tol=1e-3, max_len=14, max_nodes=6000)
+    if res.certificate != "polytope":
+        return
+    rho, V, factor = _invariant_polytope(mats, res.witness)
+    assert res.upper == rho * max(1.0, factor)
+    assert res.vertex_count == V.shape[1]
+    # every image A_i v / rho lies in factor * absco(V): min ||c||_1 over
+    # [V, -V] c = x, c >= 0, solved independently of the closed form
+    for A in mats:
+        for x in (A @ V / rho).T:
+            lp = linprog(
+                np.ones(2 * V.shape[1]), A_eq=np.hstack([V, -V]), b_eq=x,
+                bounds=(0, None), method="highs",
+            )
+            assert lp.status == 0
+            assert lp.fun <= factor * (1 + 1e-9) + 1e-12
+    assert brute_force_jsr(mats, max_len=10) <= res.upper * (1 + 1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -201,3 +302,4 @@ def test_jsr_bounds_json():
     assert d["lower"] == 0.5 and d["upper"] == 0.5
     assert d["witness"] == [0]
     assert {"depth_reached", "node_count", "converged", "tol"} <= set(d)
+    assert (d["certificate"], d["vertex_count"]) == ("search", 0)
