@@ -12,13 +12,7 @@ from .hajnal import diam, eta, hajnal_bound_check, is_scrambling
 from .jsr import JsrBounds, brute_force_jsr, gripenberg
 from .linalg import make_stochastic, project, spectral_radius
 from .processes import BlinkingProcess, BlurringProcess
-from .sources import (
-    DrivenSource,
-    FiniteSetIIDSource,
-    PeriodicSource,
-    StaticSource,
-    window_product,
-)
+from .sources import DrivenSource, FiniteSetIIDSource, PeriodicSource, StaticSource
 
 __version__ = "0.1.0"
 
@@ -47,5 +41,4 @@ __all__ = [
     "project",
     "simulate",
     "spectral_radius",
-    "window_product",
 ]

@@ -41,7 +41,7 @@ from .estimators import (
     estimate_scalar_lyapunov,
     estimate_sigma1,
 )
-from .graphs import Digraph, from_matrix, has_spanning_tree, is_scrambling_graph
+from .hajnal import has_spanning_tree, is_scrambling
 from .jsr import DEFAULT_MAX_LEN, DEFAULT_TOL, gripenberg
 from .linalg import is_stochastic, project
 
@@ -281,9 +281,9 @@ def _edge_first_lengths(source, t0: int, t_max: int):
     first = np.full((m, m), t_max + 1, dtype=np.min_scalar_type(t_max + 1))
     tree_T = None
     for T in range(1, t_max + 1):
-        adj = from_matrix(source.at(t0 + T - 1)).adj
-        first[adj & (first > T)] = T
-        if tree_T is None and has_spanning_tree(Digraph(m, first <= T)) is not None:
+        rows, cols = (source.at(t0 + T - 1) > 0).nonzero()
+        first[rows, cols] = np.minimum(first[rows, cols], T)
+        if tree_T is None and has_spanning_tree(first <= T) is not None:
             tree_T = T
     return first, tree_T
 
@@ -309,13 +309,13 @@ def cmd_check(args) -> int:
     report_T = found if found is not None else args.t_max
     windows = []
     for t0 in t0s:
-        g = Digraph(source.m, per_start[t0][0] <= report_T)
+        support = per_start[t0][0] <= report_T
         windows.append(
             {
                 "t0": t0,
                 "T": report_T,
-                "has_tree": has_spanning_tree(g) is not None,
-                "scrambling": is_scrambling_graph(g),
+                "has_tree": has_spanning_tree(support) is not None,
+                "scrambling": is_scrambling(support),
             }
         )
     _write_json(

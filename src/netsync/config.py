@@ -214,6 +214,32 @@ class ExperimentConfig:
         }
 
 
+# required and optional fields of each source variant
+_SOURCE_TABLES = {
+    "static": ({"matrix": _as_matrix}, {}),
+    "periodic": ({"matrices": _as_matrix_list}, {}),
+    "finite_set": (
+        {"matrices": _as_matrix_list},
+        {"weights": (_as_float_list, None), "seed": (_as_int, None)},
+    ),
+    "blinking": (
+        {
+            "m": _as_int,
+            "avg_degree": _as_int,
+            "p": _as_float,
+            "t_rec": _as_int,
+        },
+        {"seed": (_as_int, None)},
+    ),
+    "blurring": (
+        {"m": _as_int, "r": _as_float},
+        {"seed": (_as_int, None)},
+    ),
+}
+_MAP_REQUIRED = {"name": _as_str}
+_MAP_OPTIONAL = {"alpha": (_as_float, 3.9), "mu": (_as_float, None)}
+
+
 def _validate_source(d: dict) -> dict:
     if not isinstance(d, dict):
         raise ConfigError("config.source", "expected an object")
@@ -222,40 +248,14 @@ def _validate_source(d: dict) -> dict:
         raise ConfigError(
             "config.source.variant", f"must be one of {SOURCE_VARIANTS}, got {variant!r}"
         )
-    tables = {
-        "static": ({"matrix": _as_matrix}, {}),
-        "periodic": ({"matrices": _as_matrix_list}, {}),
-        "finite_set": (
-            {"matrices": _as_matrix_list},
-            {"weights": (_as_float_list, None), "seed": (_as_int, None)},
-        ),
-        "blinking": (
-            {
-                "m": _as_int,
-                "avg_degree": _as_int,
-                "p": _as_float,
-                "t_rec": _as_int,
-            },
-            {"seed": (_as_int, None)},
-        ),
-        "blurring": (
-            {"m": _as_int, "r": _as_float},
-            {"seed": (_as_int, None)},
-        ),
-    }
-    required, optional = tables[variant]
+    required, optional = _SOURCE_TABLES[variant]
     rest = {k: v for k, v in d.items() if k != "variant"}
     out = _expect(rest, "config.source", required, optional)
     return {"variant": variant, **out}
 
 
 def _validate_map(d: dict) -> dict:
-    out = _expect(
-        d,
-        "config.map",
-        required={"name": _as_str},
-        optional={"alpha": (_as_float, 3.9), "mu": (_as_float, None)},
-    )
+    out = _expect(d, "config.map", _MAP_REQUIRED, _MAP_OPTIONAL)
     if out["name"] != "logistic":
         raise ConfigError("config.map.name", f"unknown map {out['name']!r}")
     if not (0.0 < out["alpha"] <= 4.0):
@@ -326,21 +326,41 @@ def probe_seed(cfg: ExperimentConfig) -> int:
     return child_seed(cfg.seed, _SEED_CHILD_PROBES)
 
 
+def _schema_fields(d: dict, section: str) -> set:
+    """The field names a config section may hold; the source's depend
+    on the variant the document names."""
+    if section == "estimator":
+        return {f.name for f in fields(EstimatorParams)}
+    if section == "simulation":
+        return {f.name for f in fields(SimulationParams)}
+    if section == "map":
+        return set(_MAP_REQUIRED) | set(_MAP_OPTIONAL)
+    source = d.get("source")
+    variant = source.get("variant") if isinstance(source, dict) else None
+    required, optional = _SOURCE_TABLES.get(variant, ({}, {}))
+    return {"variant", *required, *optional}
+
+
 def apply_parameter(config_dict: dict, name: str, value) -> dict:
     """Return a copy of the raw config document with one field replaced.
 
-    Accepts either a dotted path ("source.p") or a bare name resolved
-    against the source, map, estimator, and simulation sections in that
-    order. Used by parameter sweeps.
+    Accepts either a dotted path ("source.p"), resolved against the
+    schema so a field the document leaves at its default can be set (its
+    section is created if absent), or a bare name looked up in the
+    source, map, estimator, and simulation sections of the document in
+    that order. Used by parameter sweeps.
     """
     d = json.loads(json.dumps(config_dict))
     if "." in name:
         section, key = name.split(".", 1)
-        if section in ("source", "map", "estimator", "simulation") and isinstance(
-            d.get(section), dict
-        ) and key in d[section]:
-            d[section][key] = value
-            return d
+        if section in ("source", "map", "estimator", "simulation") and key in _schema_fields(
+            d, section
+        ):
+            if d.get(section) is None:
+                d[section] = {}
+            if isinstance(d[section], dict):
+                d[section][key] = value
+                return d
         raise UnknownParameterError(f"no config field at {name!r}")
     for section in ("source", "map", "estimator", "simulation"):
         block = d.get(section)

@@ -17,7 +17,7 @@ below the floating-point floor.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -56,14 +56,7 @@ class DiamEstimate:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "horizon": self.horizon,
-            "t0_samples": list(self.t0_samples),
-            "curve": list(self.curve),
-            "norm_kind": self.norm_kind,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -76,14 +69,9 @@ class LyapunovEstimate:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "horizon": self.horizon,
-            "renorm_every": self.renorm_every,
-            "curve": list(self.trace),
-            "collapsed": self.collapsed,
-            "converged": self.converged,
-        }
+        d = asdict(self)
+        d["curve"] = d.pop("trace")
+        return d
 
 
 def _tail_converged_multiplicative(curve: Sequence[float]) -> bool:

@@ -1,10 +1,17 @@
-"""Hajnal diameter, scramblingness eta, and the contraction inequality."""
+"""Hajnal diameter, scramblingness eta, the contraction inequality, and
+the graph predicates behind the criteria.
 
-from typing import NamedTuple
+Orientation convention: the matrix entry G[i, j] > 0 means vertex j
+influences vertex i, drawn as the edge j -> i, so row i of a support
+lists the in-neighbors of i.
+"""
+
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParamsError
+from .linalg import issparse
 
 # entries at or below this count as zero when testing scramblingness,
 # matching the row-normalization tolerance
@@ -73,8 +80,54 @@ def eta(G) -> float:
 
 
 def is_scrambling(G) -> bool:
-    """True iff every row pair shares a positively supported column."""
-    return eta(G) > 0.0
+    """True iff every row pair shares a positively supported column.
+
+    With S = G > POSITIVITY_THRESHOLD, every off-diagonal entry of
+    S S^T is positive; that is exactly eta(G) > 0.  A bool support is
+    read as is: its True entries, self-loops included, are the edges.
+    """
+    G = np.asarray(G)
+    if G.ndim != 2:
+        raise InvalidParamsError(f"expected a 2-d array, got ndim={G.ndim}")
+    S = (G > POSITIVITY_THRESHOLD).astype(np.float64)
+    shared = S @ S.T
+    np.fill_diagonal(shared, 1.0)
+    return bool(np.all(shared > 0))
+
+
+def has_spanning_tree(S) -> Optional[int]:
+    """Smallest vertex from which every vertex is reachable, or None.
+
+    S is a square support: a bool or float ndarray or a scipy.sparse
+    matrix, where a nonzero S[i, j] is the edge j -> i and explicitly
+    stored zeros are not edges.  A root exists iff the strongly
+    connected condensation has exactly one source component; the valid
+    roots are exactly that component.
+    """
+    if not issparse(S):
+        S = np.asarray(S)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise InvalidParamsError(f"need a square support, got shape {S.shape}")
+    m = S.shape[0]
+    if m == 1:
+        return 0
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    influenced, influencer = S.nonzero()
+    graph = csr_array(
+        (np.ones(influenced.size, dtype=bool), (influenced, influencer)), shape=(m, m)
+    )
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    if n_comp == 1:
+        return 0
+    cross = labels[influenced] != labels[influencer]
+    has_incoming = np.zeros(n_comp, dtype=bool)
+    has_incoming[labels[influenced[cross]]] = True
+    sources = np.flatnonzero(~has_incoming)
+    if sources.size != 1:
+        return None
+    return int(np.flatnonzero(labels == sources[0]).min())
 
 
 class HajnalBound(NamedTuple):

@@ -40,7 +40,7 @@ bracket and the tightest ends win.  Only this fallback loads scipy
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,17 +86,7 @@ class JsrBounds:
     vertex_count: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "depth_reached": self.depth_reached,
-            "node_count": self.node_count,
-            "witness": list(self.witness),
-            "converged": self.converged,
-            "tol": self.tol,
-            "certificate": self.certificate,
-            "vertex_count": self.vertex_count,
-        }
+        return {**asdict(self), "witness": list(self.witness)}
 
 
 def _validated_set(matrices: Sequence) -> List[np.ndarray]:
@@ -366,7 +356,6 @@ def gripenberg(
     matrices: Sequence,
     tol: float = DEFAULT_TOL,
     max_len: int = DEFAULT_MAX_LEN,
-    rescale: bool = True,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> JsrBounds:
     mats = _validated_set(matrices)
@@ -416,7 +405,7 @@ def gripenberg(
                 vertex_count=V.shape[1],
             )
 
-    work = _balanced(mats) if rescale else mats
+    work = _balanced(mats)
 
     lower, witness, upper, binding, node_count, depth_reached = _search(
         work, tol, max_len, max_nodes, inf_norm

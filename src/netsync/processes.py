@@ -22,13 +22,15 @@ from .errors import InvalidParamsError
 
 
 def scale_free_graph(m, avg_degree, seed):
-    """Preferential-attachment graph as a symmetric 0/1 adjacency matrix.
+    """Preferential-attachment graph as an (E, 2) array of undirected
+    edges, each listed once.
 
     Starts from a clique on k+1 vertices (k = avg_degree // 2); each
     arrival attaches to k distinct existing vertices drawn from the stub
     list, so attachment probability is proportional to current degree.
-    Always connected; realized mean degree approaches avg_degree from
-    below as m grows.
+    The stub list holds both endpoints of every edge in order, so its
+    consecutive pairs are the edges.  Always connected; realized mean
+    degree approaches avg_degree from below as m grows.
     """
     m = int(m)
     avg_degree = int(avg_degree)
@@ -39,33 +41,36 @@ def scale_free_graph(m, avg_degree, seed):
     k = avg_degree // 2
     m0 = k + 1
     rng = np.random.default_rng(seed)
-    adj = np.zeros((m, m))
     stubs = []
     for i in range(m0):
         for j in range(i):
-            adj[i, j] = adj[j, i] = 1.0
             stubs.extend((i, j))
     for v in range(m0, m):
         targets = set()
         while len(targets) < k:
             targets.add(stubs[rng.integers(len(stubs))])
         for u in targets:
-            adj[v, u] = adj[u, v] = 1.0
             stubs.extend((v, u))
-    return adj
+    return np.array(stubs, dtype=np.intp).reshape(-1, 2)
 
 
-def _validated_base(base):
-    base = np.array(base, dtype=float)
-    if base.ndim != 2 or base.shape[0] != base.shape[1]:
-        raise InvalidParamsError("base adjacency must be square")
-    if not np.array_equal(base, base.T):
-        raise InvalidParamsError("base adjacency must be symmetric")
-    if np.any(np.diag(base) != 0):
-        raise InvalidParamsError("base adjacency must have a zero diagonal")
-    if not np.isin(base, (0.0, 1.0)).all():
-        raise InvalidParamsError("base adjacency entries must be 0 or 1")
-    return base
+def _validated_edges(m, edges):
+    """The endpoint columns of an (E, 2) integer edge array on m
+    vertices, checked for range, self-loops and repeated edges."""
+    edges = np.asarray(edges)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2).astype(np.intp)
+    if edges.ndim != 2 or edges.shape[1] != 2 or not np.issubdtype(edges.dtype, np.integer):
+        raise InvalidParamsError(f"edges must be an (E, 2) integer array, got {edges.shape}")
+    if edges.size and (edges.min() < 0 or edges.max() >= m):
+        raise InvalidParamsError(f"edge endpoint out of range for m={m}")
+    a, b = edges.astype(np.intp).T
+    if np.any(a == b):
+        raise InvalidParamsError("base graph must have no self-loops")
+    pair = np.minimum(a, b) * m + np.maximum(a, b)
+    if np.unique(pair).size != pair.size:
+        raise InvalidParamsError("an edge is listed twice")
+    return a, b
 
 
 class BlinkingProcess:
@@ -79,23 +84,32 @@ class BlinkingProcess:
     fails is already absent from the emission of the same step, and
     stays down for exactly t_rec emissions.
 
-    The emission is a CSR array: the edges of base + I, listed once in
-    row-major order, are filtered to those whose endpoints are both up
-    (diagonal entries always stay), and each kept entry of row i is
-    1 / deg(i), the same value as the dense row normalization.
+    The base graph is m vertices and an (E, 2) array of undirected
+    edges, each listed once in either orientation.  The emission is a
+    CSR array: the entries of base + I, both orientations of every edge
+    plus the loops, sorted into row-major order, are filtered to those
+    whose endpoints are both up (loops always stay), and each kept entry
+    of row i is 1 / deg(i), the same value as the dense row
+    normalization.
     """
 
-    def __init__(self, base, p, t_rec, seed):
-        base = _validated_base(base)
+    def __init__(self, m, edges, p, t_rec, seed):
+        m = int(m)
+        if m < 1:
+            raise InvalidParamsError(f"need at least one vertex, got {m}")
+        a, b = _validated_edges(m, edges)
         if not 0.0 <= p <= 1.0:
             raise InvalidParamsError(f"failure probability must be in [0, 1], got {p}")
         if int(t_rec) < 1:
             raise InvalidParamsError(f"recovery time must be >= 1, got {t_rec}")
         self.p = float(p)
         self.t_rec = int(t_rec)
-        self.m = base.shape[0]
-        # only the O(nnz) edge lists are kept, not the dense base
-        self._rows, self._cols = np.nonzero(base + np.eye(self.m))
+        self.m = m
+        loops = np.arange(m)
+        rows = np.concatenate((a, b, loops))
+        cols = np.concatenate((b, a, loops))
+        order = np.lexsort((cols, rows))
+        self._rows, self._cols = rows[order], cols[order]
         self._loop = self._rows == self._cols
         self._timers = np.zeros(self.m, dtype=int)
         self._rng = np.random.default_rng(seed)
@@ -104,7 +118,7 @@ class BlinkingProcess:
     def from_params(cls, m, avg_degree, p, t_rec, seed):
         """Build the base graph and the failure stream from one seed."""
         graph_seed, fail_seed = np.random.SeedSequence(seed).spawn(2)
-        return cls(scale_free_graph(m, avg_degree, graph_seed), p, t_rec, fail_seed)
+        return cls(m, scale_free_graph(m, avg_degree, graph_seed), p, t_rec, fail_seed)
 
     @property
     def down_timers(self):

@@ -11,7 +11,6 @@ CSR array; either is validated as row stochastic and frozen.
 """
 
 import copy
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import (
 )
 from .linalg import is_stochastic, issparse
 
-RENORM_EVERY = 64
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
@@ -183,31 +181,3 @@ class DrivenSource(MatrixSource):
                 ) from exc
             self._G = _validated(G, f"process output at t={self._t}")
         return self._G
-
-
-@dataclass(frozen=True)
-class WindowProduct:
-    t0: int
-    length: int
-    product: np.ndarray
-
-
-def window_product(
-    source: MatrixSource, t0: int, t: int, renorm_every: int = RENORM_EVERY
-) -> WindowProduct:
-    """Left product over the window [t0, t0+t): G(t0+t-1)...G(t0+1)G(t0).
-
-    Later times multiply on the left; the empty window gives identity.
-    Rows are renormalized every renorm_every factors to arrest the slow
-    drift of row sums in long products (relative effect below 1e-12 per
-    step).
-    """
-    t0 = _check_time(t0)
-    if t < 0:
-        raise InvalidParamsError(f"window length must be >= 0, got {t}")
-    P = np.eye(source.m)
-    for k in range(t):
-        P = source.at(t0 + k) @ P
-        if renorm_every and (k + 1) % renorm_every == 0:
-            P /= P.sum(axis=1, keepdims=True)
-    return WindowProduct(t0=t0, length=t, product=P)

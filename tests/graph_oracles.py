@@ -1,33 +1,36 @@
 """Reference graph routines the graph and CLI tests check against: a
 breadth-first spanning-tree search, the window-by-window union and the
-scrambling-product lemma."""
+scrambling-product lemma.  A graph is a square bool support S, where
+S[i, j] is the edge j -> i."""
 
 from functools import reduce
 
 import numpy as np
 
-from netsync.graphs import Digraph, from_matrix, has_spanning_tree
-from netsync.hajnal import is_scrambling
-from netsync.linalg import is_stochastic
+from netsync.hajnal import has_spanning_tree, is_scrambling
+from netsync.linalg import as_dense, is_stochastic
 
 
-def union(graphs):
-    """The digraph holding every edge of the given graphs (same m)."""
-    graphs = list(graphs)
-    return Digraph(graphs[0].m, reduce(np.logical_or, (g.adj for g in graphs)))
+def support(G):
+    """The bool support of a dense or sparse coupling matrix."""
+    return as_dense(G) > 0
+
+
+def union(supports):
+    """The support holding every edge of the given supports (same m)."""
+    return reduce(np.logical_or, supports)
 
 
 def window_has_spanning_tree(source, t0, T):
     """Whether the union of the graphs of G(t0), ..., G(t0 + T - 1) has
     a spanning tree."""
-    graphs = [from_matrix(source.at(t0 + k)) for k in range(T)]
-    return has_spanning_tree(union(graphs)) is not None
+    return has_spanning_tree(union(support(source.at(t0 + k)) for k in range(T))) is not None
 
 
-def spanning_tree_root_by_search(g):
+def spanning_tree_root_by_search(S):
     """Breadth-first reachability from each candidate root in index
     order: the smallest root, or None."""
-    m = g.m
+    m = S.shape[0]
     for r in range(m):
         seen = np.zeros(m, dtype=bool)
         seen[r] = True
@@ -35,7 +38,7 @@ def spanning_tree_root_by_search(g):
         while frontier:
             nxt = []
             for v in frontier:
-                for w in np.flatnonzero(g.adj[:, v]):
+                for w in np.flatnonzero(S[:, v]):
                     if not seen[w]:
                         seen[w] = True
                         nxt.append(int(w))
@@ -54,5 +57,5 @@ def scrambling_product_check(matrices):
     assert len(matrices) == m - 1
     for G in matrices:
         assert is_stochastic(G, tol=1e-9) and np.min(np.diag(G)) > 0
-        assert has_spanning_tree(from_matrix(G)) is not None
+        assert has_spanning_tree(G) is not None
     return is_scrambling(reduce(lambda prod, G: G @ prod, matrices))

@@ -3,15 +3,18 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from graph_oracles import union, window_has_spanning_tree
-from netsync.cli import main
+from graph_oracles import support, union, window_has_spanning_tree
+from netsync.cli import _edge_first_lengths, main
 from netsync.config import ExperimentConfig, build_source
 from netsync.estimators import default_t0_samples
-from netsync.graphs import from_matrix, has_spanning_tree, is_scrambling_graph
+from netsync.hajnal import has_spanning_tree, is_scrambling
+from netsync.processes import BlinkingProcess
+from netsync.sources import DrivenSource
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -240,6 +243,21 @@ def test_sweep_rejects_empty_and_unknown(tmp_path):
     )
 
 
+def test_sweep_dotted_parameter_left_at_its_default(tmp_path):
+    # the document names neither alpha nor a simulation section
+    doc = two_node_doc(map={"name": "logistic", "mu": 0.5})
+    del doc["simulation"]
+    cfg = write_config(tmp_path, doc)
+    for parameter, values in (("map.alpha", "3.7,3.9"), ("simulation.steps", "[50]")):
+        out = tmp_path / parameter
+        assert main(["sweep", "--config", cfg, "--parameter", parameter,
+                     "--values", values, "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "sweep.csv")
+        assert [float(r[0]) for r in rows] == [float(v) for v in values.strip("[]").split(",")]
+    assert main(["sweep", "--config", cfg, "--parameter", "source.bogus",
+                 "--values", "[1]"]) == 2
+
+
 # -------------------------------------------------------------------- check
 
 
@@ -294,10 +312,10 @@ def check_oracle(doc, t_max):
     report_T = found or t_max
     windows = []
     for t0 in t0s:
-        g = union([from_matrix(source.at(t0 + k)) for k in range(report_T)])
+        g = union(support(source.at(t0 + k)) for k in range(report_T))
         windows.append({"t0": t0, "T": report_T,
                         "has_tree": has_spanning_tree(g) is not None,
-                        "scrambling": is_scrambling_graph(g)})
+                        "scrambling": is_scrambling(g)})
     return found, windows
 
 
@@ -318,6 +336,25 @@ def test_check_blinking_matches_window_by_window_oracle(tmp_path, t_max, t_found
     assert blob["t_found"] == found == t_found
     assert blob["windows"] == windows
     assert 0 < sum(w["has_tree"] for w in windows) <= len(windows)
+
+
+def test_check_windows_read_sparse_supports_without_densifying():
+    # the first-time table is one m x m uint8 array; a dense float copy
+    # of a single emission would be 30.5 MiB at m = 2000
+    import scipy.sparse.csgraph  # noqa: F401  (imported before tracing)
+
+    src = DrivenSource(
+        BlinkingProcess.from_params(m=2000, avg_degree=12, p=0.01, t_rec=3, seed=0)
+    )
+    src.at(0)
+    tracemalloc.start()
+    try:
+        first, tree_T = _edge_first_lengths(src, 0, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree_T is not None and first.dtype == np.uint8
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------- jsr

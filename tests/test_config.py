@@ -244,6 +244,39 @@ def test_apply_parameter_bare_and_dotted():
         apply_parameter(doc, "source.nope", 1.0)
 
 
+def test_apply_parameter_dotted_path_reaches_defaulted_fields():
+    # fields the document leaves at their defaults, sections omitted
+    doc = blinking_doc()
+    del doc["estimator"], doc["simulation"]
+    cases = [
+        ("map.alpha", 3.5),
+        ("map.mu", 0.2),
+        ("estimator.horizon", 50),
+        ("estimator.t0_samples", [0, 10]),
+        ("simulation.steps", 20),
+        ("source.seed", 4),
+    ]
+    for name, value in cases:
+        out = apply_parameter(doc, name, value)
+        section, key = name.split(".")
+        assert out[section][key] == value
+        cfg = ExperimentConfig.from_json_dict(out)
+        got = cfg.map_spec if section == "map" else (
+            cfg.source if section == "source" else getattr(cfg, section)
+        )
+        assert (got[key] if isinstance(got, dict) else getattr(got, key)) == value
+    assert "estimator" not in doc  # original untouched
+    # a null section counts as absent
+    assert apply_parameter({**doc, "estimator": None}, "estimator.horizon", 9)[
+        "estimator"
+    ] == {"horizon": 9}
+    # the source fields depend on the variant
+    static = {"source": {"variant": "static", "matrix": [[1.0]]}, "map": {"name": "logistic"}}
+    for bad in ("source.bogus", "source.p", "map.beta", "estimator.nope", "sim.steps"):
+        with pytest.raises(UnknownParameterError):
+            apply_parameter(static if bad == "source.p" else doc, bad, 1.0)
+
+
 def test_json_serializable_throughout():
     cfg = ExperimentConfig.from_json_dict(blinking_doc())
     text = json.dumps(cfg.to_json_dict(), sort_keys=True)

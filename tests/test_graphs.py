@@ -1,7 +1,8 @@
-"""Oracle tests for digraph extraction, unions, spanning trees, scrambling."""
+"""Oracle tests for coupling supports, unions, spanning trees, scrambling."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from graph_oracles import (
     scrambling_product_check,
@@ -9,46 +10,56 @@ from graph_oracles import (
     union,
     window_has_spanning_tree,
 )
-from netsync.graphs import Digraph, from_matrix, has_spanning_tree, is_scrambling_graph
-from netsync.hajnal import is_scrambling
+from netsync.hajnal import POSITIVITY_THRESHOLD, eta, has_spanning_tree, is_scrambling
 from netsync.linalg import make_stochastic
 from netsync.sources import PeriodicSource, StaticSource
 
 
 def edges_graph(m, edges):
-    return Digraph.from_edges(m, edges)
+    """The bool support holding the edges src -> dst."""
+    S = np.zeros((m, m), dtype=bool)
+    for src, dst in edges:
+        S[dst, src] = True
+    return S
 
 
 def rand_digraph(rng, m, density):
-    return Digraph(m=m, adj=rng.random((m, m)) < density)
+    return rng.random((m, m)) < density
 
 
-# ---------------------------------------------------------------- extraction
+# ------------------------------------------------------ reading a matrix
 
 
 def test_from_matrix_identity():
-    g = from_matrix(np.eye(3))
-    assert np.array_equal(g.adj, np.eye(3, dtype=bool))
+    # only self-loops: no vertex reaches another, in any input form
+    for S in (np.eye(3), np.eye(3, dtype=bool), csr_array(np.eye(3))):
+        assert has_spanning_tree(S) is None
+    assert not is_scrambling(np.eye(3))
 
 
 def test_from_matrix_all_positive_complete():
-    g = from_matrix(np.full((3, 3), 1.0 / 3.0))
-    assert g.adj.all()
+    G = np.full((3, 3), 1.0 / 3.0)
+    assert has_spanning_tree(G) == 0
+    assert has_spanning_tree(csr_array(G)) == 0
+    assert is_scrambling(G)
 
 
 def test_from_matrix_orientation():
-    # G_01 > 0 means an edge from vertex 1 into vertex 0
-    g = from_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
-    assert g.has_edge(1, 0)
-    assert not g.has_edge(0, 1)
-    assert g.has_edge(0, 0) and g.has_edge(1, 1)
+    # G_01 > 0 means an edge from vertex 1 into vertex 0, so only vertex
+    # 1 reaches every vertex; the transpose reverses the edge
+    G = np.array([[0.5, 0.5], [0.0, 1.0]])
+    assert has_spanning_tree(G) == 1
+    assert has_spanning_tree(G.T) == 0
+    assert has_spanning_tree(csr_array(G)) == 1
 
 
-def test_from_matrix_threshold():
-    G = np.array([[0.9, 0.1], [0.4, 0.6]])
-    g = from_matrix(G, threshold=0.3)
-    assert not g.has_edge(1, 0)  # 0.1 dropped
-    assert g.has_edge(0, 1)  # 0.4 kept
+def test_spanning_tree_sparse_stored_zeros_are_not_edges():
+    # the edge 0 -> 1 is stored explicitly with value zero
+    S = csr_array((np.array([1.0, 0.0, 1.0]), (np.array([0, 1, 1]), np.array([0, 0, 1]))))
+    assert S.nnz == 3
+    assert has_spanning_tree(S) is None
+    S.data[1] = 0.5
+    assert has_spanning_tree(S) == 0
 
 
 # ---------------------------------------------------------------- union
@@ -56,14 +67,14 @@ def test_from_matrix_threshold():
 
 def test_union_idempotent():
     g = edges_graph(3, [(0, 1), (1, 2)])
-    assert union([g, g]) == g
+    assert np.array_equal(union([g, g]), g)
 
 
 def test_union_merges_edges():
     a = edges_graph(2, [(0, 1)])
     b = edges_graph(2, [(1, 0)])
     u = union([a, b])
-    assert u.has_edge(0, 1) and u.has_edge(1, 0)
+    assert u[1, 0] and u[0, 1]
 
 
 # ---------------------------------------------------------------- spanning tree
@@ -101,7 +112,9 @@ def test_spanning_tree_self_loops_neutral():
 @settings(max_examples=150, deadline=None)
 def test_spanning_tree_two_algorithms_agree(seed, m, density):
     g = rand_digraph(np.random.default_rng(seed), m, density)
-    assert has_spanning_tree(g) == spanning_tree_root_by_search(g)
+    root = spanning_tree_root_by_search(g)
+    assert has_spanning_tree(g) == root
+    assert has_spanning_tree(g.astype(float)) == has_spanning_tree(csr_array(g)) == root
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
@@ -111,7 +124,7 @@ def test_spanning_tree_monotone_under_edge_addition(seed, m):
     # start from a guaranteed chain so a root exists
     order = rng.permutation(m)
     edges = [(int(order[k]), int(order[k + 1])) for k in range(m - 1)]
-    g = Digraph.from_edges(m, edges)
+    g = edges_graph(m, edges)
     assert has_spanning_tree(g) is not None
     extra = rand_digraph(rng, m, 0.3)
     assert has_spanning_tree(union([g, extra])) is not None
@@ -121,32 +134,39 @@ def test_spanning_tree_monotone_under_edge_addition(seed, m):
 
 
 def test_scrambling_graph_all_positive():
-    assert is_scrambling_graph(from_matrix(np.full((4, 4), 0.25)))
+    assert is_scrambling(np.ones((4, 4), dtype=bool))
 
 
 def test_scrambling_graph_identity_false():
-    assert not is_scrambling_graph(from_matrix(np.eye(3)))
+    assert not is_scrambling(np.eye(3, dtype=bool))
 
 
 def test_scrambling_graph_positive_column():
     G = make_stochastic(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    assert is_scrambling_graph(from_matrix(G))
+    assert is_scrambling(G > 0)
 
 
 def test_scrambling_graph_self_loop_counts():
     # pair (0,1): vertex 0 feeds both (self-loop plus edge 0->1)
     g = edges_graph(2, [(0, 0), (0, 1), (1, 1)])
-    assert is_scrambling_graph(g)
+    assert is_scrambling(g)
 
 
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
-@settings(max_examples=100, deadline=None)
-def test_scrambling_graph_matches_eta_route(seed, m):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 8),
+    density=st.floats(0.05, 0.6),
+)
+@settings(max_examples=150, deadline=None)
+def test_scrambling_graph_matches_eta_route(seed, m, density):
+    # entries on both sides of the positivity threshold, so the support
+    # product and eta must draw the same line
     rng = np.random.default_rng(seed)
-    A = rng.random((m, m)) * (rng.random((m, m)) < 0.4)
-    A[A.sum(axis=1) == 0, 0] = 1.0
-    G = make_stochastic(A)
-    assert is_scrambling_graph(from_matrix(G)) == is_scrambling(G)
+    levels = np.array([0.0, POSITIVITY_THRESHOLD / 2, POSITIVITY_THRESHOLD,
+                       2 * POSITIVITY_THRESHOLD, 0.3, 1.0])
+    G = levels[rng.integers(0, levels.size, (m, m))] * (rng.random((m, m)) < density)
+    assert is_scrambling(G) == (eta(G) > 0.0)
+    assert is_scrambling(G) == is_scrambling(G > POSITIVITY_THRESHOLD)
 
 
 # ---------------------------------------------------------------- windows

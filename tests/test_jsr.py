@@ -123,16 +123,17 @@ def test_gripenberg_validates_inputs():
         gripenberg([np.eye(2)], tol=0.0)
 
 
-def test_gripenberg_balancing_changes_nothing_semantically():
-    # a 3x3 set reaches the search, where rescale is read; the diagonal
+def test_gripenberg_balancing_changes_nothing_semantically(monkeypatch):
+    # a 3x3 set reaches the search, which balances it; the diagonal
     # similarity gives balancing something to undo
     rng = np.random.default_rng(40)
     mats = projected_set([stochastic_with_tree(rng, 4) for _ in range(3)])
     d = np.array([1.0, 30.0, 0.05])
     mats = [(M * d[None, :]) / d[:, None] for M in mats]
     assert any(not np.array_equal(B, M) for B, M in zip(_balanced(mats), mats))
-    a = gripenberg(mats, tol=1e-4, rescale=True, max_nodes=2000)
-    b = gripenberg(mats, tol=1e-4, rescale=False, max_nodes=2000)
+    a = gripenberg(mats, tol=1e-4, max_nodes=2000)
+    monkeypatch.setattr(jsr, "_balanced", lambda mats: mats)
+    b = gripenberg(mats, tol=1e-4, max_nodes=2000)
     assert a.certificate == b.certificate == "search"
     # both must bracket the same JSR
     assert max(a.lower, b.lower) <= min(a.upper, b.upper) + 1e-9

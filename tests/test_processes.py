@@ -7,24 +7,30 @@ import pytest
 from scipy.sparse import csr_array
 
 from netsync.errors import InvalidParamsError
-from netsync.graphs import from_matrix, has_spanning_tree
+from netsync.hajnal import has_spanning_tree
 from netsync.linalg import is_stochastic, make_stochastic
 from netsync.processes import BlinkingProcess, BlurringProcess, scale_free_graph
 from netsync.sources import DrivenSource
+
+
+def adjacency(m, edges):
+    """The dense symmetric 0/1 adjacency of an undirected edge array."""
+    A = np.zeros((m, m))
+    A[edges[:, 0], edges[:, 1]] = A[edges[:, 1], edges[:, 0]] = 1.0
+    return A
 
 
 # ---------------------------------------------------------------- scale free
 
 
 def test_scale_free_small_instance():
-    adj = scale_free_graph(10, 4, seed=0)
-    assert adj.shape == (10, 10)
-    assert np.array_equal(adj, adj.T)
-    assert np.all(np.diag(adj) == 0)
-    assert set(np.unique(adj)) <= {0.0, 1.0}
+    edges = scale_free_graph(10, 4, seed=0)
     # clique on k+1=3 vertices, then 7 arrivals bringing k=2 edges each
-    assert int(adj.sum()) // 2 == 3 + 2 * 7
-    assert has_spanning_tree(from_matrix(adj)) is not None
+    assert edges.shape == (3 + 2 * 7, 2)
+    assert np.all(edges[:, 0] != edges[:, 1])
+    assert np.unique(np.sort(edges, axis=1), axis=0).shape == edges.shape
+    assert edges.min() >= 0 and edges.max() < 10
+    assert has_spanning_tree(adjacency(10, edges)) is not None
 
 
 def test_scale_free_deterministic_by_seed():
@@ -36,16 +42,15 @@ def test_scale_free_deterministic_by_seed():
 
 
 def test_scale_free_realized_degree_and_connectivity():
-    adj = scale_free_graph(100, 12, seed=3)
-    assert int(adj.sum()) // 2 == 21 + 6 * 93
-    realized = adj.sum() / 100
+    edges = scale_free_graph(100, 12, seed=3)
+    assert len(edges) == 21 + 6 * 93
+    realized = 2 * len(edges) / 100
     assert abs(realized - 12) / 12 < 0.05
-    assert has_spanning_tree(from_matrix(adj)) is not None
+    assert has_spanning_tree(adjacency(100, edges)) is not None
 
 
 def test_scale_free_new_arrivals_have_min_degree():
-    adj = scale_free_graph(40, 6, seed=1)
-    degrees = adj.sum(axis=1)
+    degrees = np.bincount(scale_free_graph(40, 6, seed=1).ravel(), minlength=40)
     assert degrees.min() >= 3  # k = avg_degree // 2
 
 
@@ -69,9 +74,9 @@ class DenseBlinkingReference(BlinkingProcess):
     """The dense emission: base with down rows and columns zeroed, unit
     diagonal, rows divided by their sums."""
 
-    def __init__(self, base, p, t_rec, seed):
-        super().__init__(base, p, t_rec, seed)
-        self.base = np.array(base, dtype=float)
+    def __init__(self, m, edges, p, t_rec, seed):
+        super().__init__(m, edges, p, t_rec, seed)
+        self.base = adjacency(m, edges)
 
     def step(self):
         self._timers = np.maximum(self._timers - 1, 0)
@@ -99,21 +104,20 @@ def test_blinking_csr_emission_matches_dense_reference(p):
 
 
 def test_blinking_p_zero_is_constant_normalized_base():
-    base = small_base()
-    proc = BlinkingProcess(base, p=0.0, t_rec=3, seed=0)
-    expected = make_stochastic(base + np.eye(8))
+    proc = BlinkingProcess(8, small_base(), p=0.0, t_rec=3, seed=0)
+    expected = make_stochastic(adjacency(8, small_base()) + np.eye(8))
     for _ in range(10):
         assert np.array_equal(proc.step().toarray(), expected)
 
 
 def test_blinking_certain_failure_unit_recovery_gives_identity():
-    proc = BlinkingProcess(small_base(), p=1.0, t_rec=1, seed=4)
+    proc = BlinkingProcess(8, small_base(), p=1.0, t_rec=1, seed=4)
     for _ in range(20):
         assert np.array_equal(proc.step().toarray(), np.eye(8))
 
 
 def test_blinking_down_vertices_are_isolated():
-    proc = BlinkingProcess(small_base(), p=0.5, t_rec=2, seed=21)
+    proc = BlinkingProcess(8, small_base(), p=0.5, t_rec=2, seed=21)
     for _ in range(60):
         G = proc.step().toarray()
         timers = proc.down_timers
@@ -129,8 +133,8 @@ def test_blinking_down_vertices_are_isolated():
 
 
 def test_blinking_deterministic_by_seed():
-    a = BlinkingProcess(small_base(), p=0.3, t_rec=2, seed=5)
-    b = BlinkingProcess(small_base(), p=0.3, t_rec=2, seed=5)
+    a = BlinkingProcess(8, small_base(), p=0.3, t_rec=2, seed=5)
+    b = BlinkingProcess(8, small_base(), p=0.3, t_rec=2, seed=5)
     for _ in range(15):
         assert np.array_equal(a.step().toarray(), b.step().toarray())
 
@@ -140,7 +144,7 @@ def test_blinking_down_fraction_matches_independent_chain():
     # length T is T / ((1-p)/p + T); cross-check against an independent
     # per-vertex renewal chain simulated with its own generator
     p, t_rec, m, steps = 0.1, 3, 50, 20000
-    proc = BlinkingProcess(scale_free_graph(m, 4, seed=2), p=p, t_rec=t_rec, seed=77)
+    proc = BlinkingProcess(m, scale_free_graph(m, 4, seed=2), p=p, t_rec=t_rec, seed=77)
     measured = 0.0
     for _ in range(steps):
         proc.step()
@@ -168,7 +172,7 @@ def test_blinking_from_params_deterministic_and_connected():
     b = BlinkingProcess.from_params(m=30, avg_degree=4, p=0.2, t_rec=2, seed=5)
     # nothing fails at p = 0, so the first emission covers the same base
     full = BlinkingProcess.from_params(m=30, avg_degree=4, p=0.0, t_rec=2, seed=5)
-    assert has_spanning_tree(from_matrix(full.step())) is not None
+    assert has_spanning_tree(full.step()) is not None
     for _ in range(10):
         assert np.array_equal(a.step().toarray(), b.step().toarray())
 
@@ -176,21 +180,39 @@ def test_blinking_from_params_deterministic_and_connected():
 def test_blinking_validates_inputs():
     base = small_base()
     with pytest.raises(InvalidParamsError):
-        BlinkingProcess(base, p=-0.1, t_rec=1, seed=0)
+        BlinkingProcess(8, base, p=-0.1, t_rec=1, seed=0)
     with pytest.raises(InvalidParamsError):
-        BlinkingProcess(base, p=1.5, t_rec=1, seed=0)
+        BlinkingProcess(8, base, p=1.5, t_rec=1, seed=0)
     with pytest.raises(InvalidParamsError):
-        BlinkingProcess(base, p=0.5, t_rec=0, seed=0)
+        BlinkingProcess(8, base, p=0.5, t_rec=0, seed=0)
     with pytest.raises(InvalidParamsError):
-        BlinkingProcess(np.triu(base), p=0.5, t_rec=1, seed=0)  # asymmetric
+        BlinkingProcess(0, np.empty((0, 2), dtype=int), p=0.5, t_rec=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        pytest.param([[0, 1], [1, 4]], id="endpoint-out-of-range"),
+        pytest.param([[0, 1], [-1, 2]], id="negative-endpoint"),
+        pytest.param([[0, 1], [2, 2]], id="self-loop"),
+        pytest.param([[0, 1], [2, 3], [0, 1]], id="listed-twice"),
+        pytest.param([[0, 1], [2, 3], [1, 0]], id="listed-twice-reversed"),
+        pytest.param([[0, 1, 2]], id="not-two-columns"),
+        pytest.param([[0.0, 1.0]], id="not-integer"),
+    ],
+)
+def test_blinking_rejects_bad_edges(edges):
     with pytest.raises(InvalidParamsError):
-        BlinkingProcess(base + np.eye(8), p=0.5, t_rec=1, seed=0)  # self loops
-    with pytest.raises(InvalidParamsError):
-        BlinkingProcess(base * 0.5, p=0.5, t_rec=1, seed=0)  # not 0/1
+        BlinkingProcess(4, np.array(edges), p=0.5, t_rec=1, seed=0)
+
+
+def test_blinking_accepts_an_edgeless_base():
+    proc = BlinkingProcess(3, [], p=0.5, t_rec=1, seed=0)
+    assert np.array_equal(proc.step().toarray(), np.eye(3))
 
 
 def test_blinking_wraps_as_driven_source():
-    src = DrivenSource(BlinkingProcess(small_base(), p=0.3, t_rec=2, seed=9))
+    src = DrivenSource(BlinkingProcess(8, small_base(), p=0.3, t_rec=2, seed=9))
     G5 = src.at(5)
     assert np.array_equal(src.at(5).toarray(), G5.toarray())  # consistent
     assert is_stochastic(src.at(0))
@@ -210,6 +232,20 @@ def test_blinking_source_holds_only_edge_lists():
     finally:
         tracemalloc.stop()
     assert held < 16 * 2**20
+
+
+def test_blinking_build_allocates_no_dense_base():
+    # the base graph goes from its stub list to row-major edge lists;
+    # a dense 2000 x 2000 adjacency alone would be 30.5 MiB
+    tracemalloc.start()
+    try:
+        DrivenSource(
+            BlinkingProcess.from_params(m=2000, avg_degree=12, p=0.01, t_rec=3, seed=0)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ----------------------------------------------------------------- blurring

@@ -1,29 +1,18 @@
-"""Oracle tests for matrix sequence sources and window products."""
+"""Oracle tests for matrix sequence sources."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
 from netsync.errors import EmptySetError, InvalidParamsError, ProcessExhaustedError
-from netsync.linalg import is_stochastic, make_stochastic
+from netsync.linalg import make_stochastic
 from netsync.processes import BlinkingProcess
-from netsync.sources import (
-    DrivenSource,
-    FiniteSetIIDSource,
-    PeriodicSource,
-    StaticSource,
-    window_product,
-)
+from netsync.sources import DrivenSource, FiniteSetIIDSource, PeriodicSource, StaticSource
 
 A2 = make_stochastic(np.array([[0.5, 0.5], [0.25, 0.75]]))
 B2 = make_stochastic(np.array([[1.0, 0.0], [0.5, 0.5]]))
-
-
-def rand_stochastic(rng, m):
-    return make_stochastic(rng.random((m, m)) + 1e-3)
 
 
 # ---------------------------------------------------------------- variants
@@ -235,61 +224,3 @@ def test_sparse_output_checked_like_dense(bad):
 def test_negative_time_rejected():
     with pytest.raises(InvalidParamsError):
         StaticSource(A2).at(-1)
-
-
-# ---------------------------------------------------------------- products
-
-
-def test_window_product_empty_is_identity():
-    wp = window_product(PeriodicSource([A2, B2]), t0=5, t=0)
-    assert np.array_equal(wp.product, np.eye(2))
-    assert wp.t0 == 5 and wp.length == 0
-
-
-def test_window_product_static_square():
-    wp = window_product(StaticSource(A2), t0=0, t=2)
-    assert np.allclose(wp.product, A2 @ A2, atol=1e-15)
-
-
-def test_window_product_left_order():
-    # over [0, 2) the factors are G(0)=A, G(1)=B and later times stack
-    # on the left: B.A, not A.B
-    wp = window_product(PeriodicSource([A2, B2]), t0=0, t=2)
-    assert np.allclose(wp.product, B2 @ A2, atol=1e-15)
-    assert not np.allclose(wp.product, A2 @ B2, atol=1e-6)
-
-
-def test_window_product_offset_phase():
-    wp = window_product(PeriodicSource([A2, B2]), t0=1, t=2)
-    assert np.allclose(wp.product, A2 @ B2, atol=1e-15)
-
-
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), t=st.integers(0, 40))
-@settings(max_examples=60, deadline=None)
-def test_window_product_stochastic_closure(seed, m, t):
-    rng = np.random.default_rng(seed)
-    src = FiniteSetIIDSource([rand_stochastic(rng, m) for _ in range(3)], seed=seed)
-    wp = window_product(src, t0=0, t=t)
-    assert is_stochastic(wp.product, tol=max(1e-12, 1e-9 * max(t, 1)))
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    t0=st.integers(0, 30),
-    a=st.integers(0, 25),
-    b=st.integers(0, 25),
-)
-@settings(max_examples=60, deadline=None)
-def test_window_product_composition(seed, t0, a, b):
-    rng = np.random.default_rng(seed)
-    src = FiniteSetIIDSource([rand_stochastic(rng, 3) for _ in range(4)], seed=seed + 1)
-    whole = window_product(src, t0, a + b).product
-    left = window_product(src, t0 + a, b).product
-    right = window_product(src, t0, a).product
-    assert np.max(np.abs(whole - left @ right)) <= 1e-10 * max(a + b, 1)
-
-
-def test_window_product_long_horizon_stays_stochastic():
-    src = FiniteSetIIDSource([A2, B2], seed=3)
-    wp = window_product(src, 0, 5000)
-    assert is_stochastic(wp.product, tol=1e-9)
