@@ -6,17 +6,19 @@ projected matrix Ghat = P G P+ of the difference frame (see linalg):
 a block X is advanced as X <- G X and centred, X -= X[0].  Since
 P G = Ghat P and P annihilates consensus rows, P X follows the projected
 dynamics exactly, at O(m^2 n) per step (O(nnz n) for a sparse G) instead
-of O(m^3).  The two window estimators share one walk over absolute time
-that advances every sampled window with a single matmul per step.
+of O(m^3).  One walk over absolute time serves sigma1 (width-1 probe
+windows, all started at 0), the diameter and the projected growth (one
+identity window per sampled start): every window scores its log growth
+rate at every age, and the probe-death rule applies to all of them.
 
 The sup over window starts is sampled on a fixed grid; the limsup in t
 is reported as the final-horizon value together with a convergence flag
-derived from the tail of the curve.  All long products are carried with
-periodic rescaling and log accumulators so rates stay resolvable far
-below the floating-point floor.
+derived from the tail of the curve.  Log accumulators keep rates
+resolvable far below the floating-point floor.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -33,6 +35,8 @@ from .linalg import as_dense, compress, difference, lift, norm_ord
 
 # value of a collapsed estimate: every probe direction was annihilated
 NEG_INF = -math.inf
+# a window at or below this size is taken as annihilated
+DEAD_SIZE = 1e-300
 
 DEFAULT_RENORM_EVERY = 8
 DEFAULT_N_VECTORS = 8
@@ -76,8 +80,6 @@ class LyapunovEstimate:
 
 def _tail_converged_multiplicative(curve: Sequence[float]) -> bool:
     """Last quartile of a rate curve varies by < 10 percent."""
-    if not curve:
-        return False
     tail = np.asarray(curve[3 * len(curve) // 4 :])
     hi = float(tail.max())
     lo = float(tail.min())
@@ -87,31 +89,86 @@ def _tail_converged_multiplicative(curve: Sequence[float]) -> bool:
 
 
 def _tail_converged_log(trace: Sequence[float]) -> bool:
-    if not trace:
-        return False
     tail = np.asarray(trace[3 * len(trace) // 4 :])
     return float(tail.max() - tail.min()) <= math.log(1.0 + CURVE_TAIL_RTOL)
 
 
+def _nodes(source) -> int:
+    m = source.m
+    if m < 2:
+        raise DimensionTooSmallError(f"need m >= 2, got {m}")
+    return m
+
+
 def _window_walk(
     source,
+    X: np.ndarray,
+    starts: Sequence[int],
     horizon: int,
-    t0_samples: Optional[Sequence[int]],
-    kind: str,
     renorm_every: int,
     size: Callable[[np.ndarray], np.ndarray],
-) -> DiamEstimate:
-    """Curve of sup over window starts of size(window product)^(1/t),
-    in one walk over absolute time tau.
+) -> np.ndarray:
+    """Log growth rates of a block of windows, one per age t = 1..horizon:
+    entry t-1 is the max over windows of log(size of the window's product
+    at age t) / t, or -inf where no window scores.
 
-    Window k holds its product B_k = G(tau)...G(t0_k) relative to row 0,
-    Y_k = B_k - 1 B_k[0], so rows never coalesce below the float floor.
-    Windows are stacked as (m, K, m) by start, so those covering tau are
-    one contiguous block that G(tau) advances with a single matmul; size
-    maps such a block to its window sizes.
+    X is an (m, K, w) block of K windows of width w, and window k starts
+    at time starts[k] (ascending ints) from X[:, k].  At age t it holds
+    Y_k = G(starts[k] + t - 1) ... G(starts[k]) X[:, k] relative to its
+    row 0, so rows never coalesce below the float floor.  The windows
+    covering a time form one contiguous block, which that time's matrix
+    advances with a single matmul; size maps such a block to its window
+    sizes.  Every renorm_every ages a window is divided by its size after
+    it is scored, and a log scale keeps what was divided out.  A window
+    whose size falls to DEAD_SIZE is zeroed and never scores again.
     """
-    if horizon < 1:
-        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
+    if horizon < 1 or renorm_every < 1:
+        raise InvalidParamsError(
+            f"need horizon >= 1 and renorm_every >= 1, got {horizon}, {renorm_every}"
+        )
+    m, K, w = X.shape
+    first = np.asarray(starts)
+    logscale = np.zeros(K)
+    curve = np.full(horizon + 1, NEG_INF)
+    # the windows covering tau change only where one starts or ends
+    bounds = sorted({*starts, *(s + horizon for s in starts)})
+    with np.errstate(divide="ignore"):
+        for a, b in zip(bounds, bounds[1:]):
+            lo = bisect_right(starts, a - horizon)
+            hi = bisect_right(starts, a)
+            if lo == hi:
+                continue
+            Y = X[:, lo:hi]
+            scale = logscale[lo:hi]
+            age = a - first[lo:hi]
+            due = [
+                np.flatnonzero((age + j) % renorm_every == 0)
+                for j in range(1, renorm_every + 1)
+            ]
+            for tau in range(a, b):
+                age += 1
+                Y = (source.at(tau) @ Y.reshape(m, -1)).reshape(m, hi - lo, w)
+                Y -= Y[0]
+                d = size(Y)
+                logd = np.log(d)
+                if d.min() <= DEAD_SIZE:
+                    dead = d <= DEAD_SIZE
+                    Y[:, dead] = 0.0
+                    d[dead] = 1.0
+                    logd[dead] = NEG_INF
+                # windows sharing a start share an age: keep the max
+                np.maximum.at(curve, age, (logd + scale) / age)
+                k = due[(tau - a) % renorm_every]
+                if k.size:
+                    Y[:, k] /= d[k, None]
+                    scale[k] += logd[k]
+            X[:, lo:hi] = Y
+    return curve[1:]
+
+
+def _window_estimate(source, horizon, t0_samples, kind, renorm_every, size) -> DiamEstimate:
+    """Curve of sup over window starts of size(window product)^(1/t),
+    one identity window per distinct start."""
     if t0_samples is None:
         t0_samples = default_t0_samples(horizon)
     t0_samples = [int(t) for t in t0_samples]
@@ -119,54 +176,13 @@ def _window_walk(
         raise InvalidParamsError("need at least one window start")
     if any(t < 0 for t in t0_samples):
         raise InvalidParamsError("window starts must be >= 0")
-    m = source.m
-    if m < 2:
-        raise DimensionTooSmallError(f"need m >= 2, got {m}")
-    starts = np.sort(np.asarray(t0_samples))
-    K = starts.size
+    m = _nodes(source)
+    starts = sorted(set(t0_samples))
     eye = np.eye(m)
-    Y = np.repeat((eye - eye[0])[:, None, :], K, axis=1)
-    logscale = np.zeros(K)
-    best = np.zeros(horizon)
-    lo = hi = 0
-    tau = int(starts[0])
-    while lo < K:
-        while hi < K and starts[hi] <= tau:
-            hi += 1
-        Z = (source.at(tau) @ Y[:, lo:hi].reshape(m, -1)).reshape(m, hi - lo, m)
-        Z -= Z[0]
-        t = tau + 1 - starts[lo:hi]
-        if renorm_every:
-            due = np.flatnonzero(t % renorm_every == 0)
-            if due.size:
-                s = np.abs(Z[:, due]).max(axis=(0, 2))
-                # an annihilated window stays zero and never scores again
-                s[s == 0.0] = 1.0
-                Z[:, due] /= s[:, None]
-                logscale[lo + due] += np.log(s)
-        Y[:, lo:hi] = Z
-        d = size(Z)
-        ok = d > 0.0
-        idx = t[ok] - 1
-        # windows sharing a start hold equal products, so a repeated
-        # index writes one value
-        best[idx] = np.maximum(
-            best[idx], np.exp((np.log(d[ok]) + logscale[lo:hi][ok]) / t[ok])
-        )
-        tau += 1
-        while lo < hi and starts[lo] + horizon <= tau:
-            lo += 1
-        if lo == hi < K:
-            tau = int(starts[hi])
-    curve = best.tolist()
-    return DiamEstimate(
-        value=curve[-1],
-        horizon=horizon,
-        t0_samples=t0_samples,
-        curve=curve,
-        norm_kind=kind,
-        converged=_tail_converged_multiplicative(curve),
-    )
+    X = np.repeat((eye - eye[0])[:, None, :], len(starts), axis=1)
+    curve = np.exp(_window_walk(source, X, starts, horizon, renorm_every, size)).tolist()
+    converged = _tail_converged_multiplicative(curve)
+    return DiamEstimate(curve[-1], horizon, t0_samples, curve, kind, converged)
 
 
 def estimate_hajnal_diameter(
@@ -182,7 +198,7 @@ def estimate_hajnal_diameter(
     The diameter of a window product B is read off its rows relative to
     row 0, which the shared window walk carries in node space.
     """
-    return _window_walk(
+    return _window_estimate(
         source, horizon, t0_samples, kind, renorm_every, lambda Y: diam(Y, kind)
     )
 
@@ -204,7 +220,7 @@ def estimate_projection_jsr(
     def size(Y):
         return np.linalg.norm(compress(Y), norm_ord(kind), axis=(0, 2))
 
-    return _window_walk(source, horizon, t0_samples, kind, renorm_every, size)
+    return _window_estimate(source, horizon, t0_samples, kind, renorm_every, size)
 
 
 def estimate_sigma1(
@@ -220,71 +236,37 @@ def estimate_sigma1(
     value is -inf with collapsed=True.
 
     The probes V live in the difference frame.  They are lifted once to
-    node space, X = P+ V, and carried there as X <- G X, X -= X[0];
-    P X equals the projected probes at every step, since P G = Ghat P
-    and P annihilates consensus rows."""
-    if horizon < 1 or renorm_every < 1 or horizon < renorm_every:
+    node space, X = P+ V, and walked as width-1 windows that all start
+    at time 0; P X equals the projected probes at every step, since
+    P G = Ghat P and P annihilates consensus rows.  The trace holds the
+    rate at every renorm_every-th step."""
+    if not 1 <= renorm_every <= horizon:
         raise InvalidParamsError(
             f"need horizon >= renorm_every >= 1, got {horizon}, {renorm_every}"
         )
     if n_vectors < 1:
         raise InvalidParamsError("need at least one probe vector")
-    m = source.m
-    if m < 2:
-        raise DimensionTooSmallError(f"need m >= 2, got {m}")
+    m = _nodes(source)
     rng = np.random.default_rng(seed)
     # draw probe-by-probe so a larger n_vectors extends, not reshuffles
     V = rng.standard_normal((n_vectors, m - 1)).T
     V /= np.linalg.norm(V, axis=0, keepdims=True)
-    X = lift(V)
-    logs = np.zeros(n_vectors)
-    alive = np.ones(n_vectors, dtype=bool)
-    trace: List[float] = []
-    last_renorm = 0
-    for t in range(1, horizon + 1):
-        X = source.at(t - 1) @ X
-        X -= X[0]
-        if t % renorm_every == 0:
-            norms = np.linalg.norm(difference(X), axis=0)
-            dying = alive & (norms <= 1e-300)
-            alive &= ~dying
-            X[:, ~alive] = 0.0
-            live = np.flatnonzero(alive)
-            if live.size:
-                logs[live] += np.log(norms[live])
-                X[:, live] /= norms[live]
-                trace.append(float(np.max(logs[live])) / t)
-            else:
-                trace.append(NEG_INF)
-            last_renorm = t
-    live = np.flatnonzero(alive)
-    if live.size == 0:
-        return LyapunovEstimate(
-            value=NEG_INF,
-            horizon=horizon,
-            renorm_every=renorm_every,
-            trace=trace,
-            collapsed=True,
-            converged=True,
-        )
-    if last_renorm < horizon:
-        norms = np.linalg.norm(difference(X[:, live]), axis=0)
-        ok = norms > 1e-300
-        final = logs[live][ok] + np.log(norms[ok]) if ok.any() else np.array([])
-        value = float(final.max() / horizon) if final.size else NEG_INF
-    else:
-        value = float(np.max(logs[live]) / horizon)
-    if value == NEG_INF:
-        return LyapunovEstimate(value, horizon, renorm_every, trace, True, True)
-    finite_trace = [x for x in trace if x != NEG_INF]
-    return LyapunovEstimate(
-        value=value,
-        horizon=horizon,
-        renorm_every=renorm_every,
-        trace=trace,
-        collapsed=False,
-        converged=_tail_converged_log(finite_trace),
-    )
+
+    def size(Y):
+        # np.linalg.norm(D, axis=0) of the probes' differences, without
+        # its per-call overhead
+        D = difference(Y[..., 0])
+        return np.sqrt((D * D).sum(axis=0))
+
+    X = lift(V)[:, :, None]
+    curve = _window_walk(source, X, [0] * n_vectors, horizon, renorm_every, size)
+    value = float(curve[-1])
+    trace = curve[renorm_every - 1 :: renorm_every].tolist()
+    collapsed = value == NEG_INF
+    # a probe alive at the horizon scored at every age, so only a
+    # collapsed trace holds -inf
+    converged = collapsed or _tail_converged_log(trace)
+    return LyapunovEstimate(value, horizon, renorm_every, trace, collapsed, converged)
 
 
 def lyapunov_spectrum_qr(source, horizon: int) -> List[float]:

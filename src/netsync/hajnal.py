@@ -18,6 +18,7 @@ from .linalg import issparse
 POSITIVITY_THRESHOLD = 1e-12
 
 BOUND_SLACK = 1e-10
+SCRAMBLING_BLOCK = 2**18
 
 # scipy.spatial.distance metric of each non-inf row-difference norm
 _PDIST_METRIC = {"one": "cityblock", "two": "euclidean"}
@@ -83,16 +84,30 @@ def is_scrambling(G) -> bool:
     """True iff every row pair shares a positively supported column.
 
     With S = G > POSITIVITY_THRESHOLD, every off-diagonal entry of
-    S S^T is positive; that is exactly eta(G) > 0.  A bool support is
+    S S^T is nonzero; that is exactly eta(G) > 0.  A bool support is
     read as is: its True entries, self-loops included, are the edges.
+    S S^T is formed sparse, SCRAMBLING_BLOCK entries at a time, up to
+    the first pair that shares no column.
     """
     G = np.asarray(G)
     if G.ndim != 2:
         raise InvalidParamsError(f"expected a 2-d array, got ndim={G.ndim}")
-    S = (G > POSITIVITY_THRESHOLD).astype(np.float64)
-    shared = S @ S.T
-    np.fill_diagonal(shared, 1.0)
-    return bool(np.all(shared > 0))
+    from scipy.sparse import csr_array
+
+    S = csr_array(G > POSITIVITY_THRESHOLD)
+    m = S.shape[0]
+    degree = np.diff(S.indptr)
+    # two rows with more supported columns between them than S has share one
+    light = np.flatnonzero(2 * degree <= S.shape[1])
+    ST = S.T.tocsr()
+    rows = max(1, SCRAMBLING_BLOCK // max(m, 1))
+    for i in range(0, light.size, rows):
+        block = light[i : i + rows]
+        stored = np.diff((S[block] @ ST).indptr)
+        # the diagonal entry of a row is stored iff the row is nonempty
+        if np.any(stored - (degree[block] > 0) < m - 1):
+            return False
+    return True
 
 
 def has_spanning_tree(S) -> Optional[int]:

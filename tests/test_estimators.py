@@ -30,8 +30,15 @@ from netsync.estimators import (
     lyapunov_spectrum_qr,
 )
 from netsync.hajnal import diam
-from netsync.linalg import make_stochastic, matrix_norm
-from netsync.sources import FiniteSetIIDSource, MatrixSource, PeriodicSource, StaticSource
+from netsync.linalg import difference, lift, make_stochastic, matrix_norm
+from netsync.processes import BlinkingProcess
+from netsync.sources import (
+    DrivenSource,
+    FiniteSetIIDSource,
+    MatrixSource,
+    PeriodicSource,
+    StaticSource,
+)
 
 SYM2 = np.array([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1 and 0.5
 RANK1 = np.tile([0.3, 0.7], (2, 1))
@@ -434,6 +441,95 @@ def test_sigma1_matches_projected_reference(seed, frame_kind, horizon):
     np.testing.assert_allclose(est.trace, trace, rtol=ORACLE_RTOL, atol=0)
 
 
+def loop_sigma1(source, horizon, renorm_every=8, n_vectors=8, seed=0):
+    """(value, trace, collapsed, converged) from a standalone probe loop:
+    probes are renormalised, and die at or below 1e-300, only every
+    renorm_every steps, and a horizon off that grid is scored from the
+    live probes' norms at the end."""
+    m = source.m
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((n_vectors, m - 1)).T
+    V /= np.linalg.norm(V, axis=0, keepdims=True)
+    X = lift(V)
+    logs = np.zeros(n_vectors)
+    alive = np.ones(n_vectors, dtype=bool)
+    trace = []
+    last_renorm = 0
+    for t in range(1, horizon + 1):
+        X = source.at(t - 1) @ X
+        X -= X[0]
+        if t % renorm_every == 0:
+            norms = np.linalg.norm(difference(X), axis=0)
+            dying = alive & (norms <= 1e-300)
+            alive &= ~dying
+            X[:, ~alive] = 0.0
+            live = np.flatnonzero(alive)
+            if live.size:
+                logs[live] += np.log(norms[live])
+                X[:, live] /= norms[live]
+                trace.append(float(np.max(logs[live])) / t)
+            else:
+                trace.append(NEG_INF)
+            last_renorm = t
+    live = np.flatnonzero(alive)
+    if live.size == 0:
+        return NEG_INF, trace, True, True
+    if last_renorm < horizon:
+        norms = np.linalg.norm(difference(X[:, live]), axis=0)
+        ok = norms > 1e-300
+        final = logs[live][ok] + np.log(norms[ok]) if ok.any() else np.array([])
+        value = float(final.max() / horizon) if final.size else NEG_INF
+    else:
+        value = float(np.max(logs[live]) / horizon)
+    if value == NEG_INF:
+        return value, trace, True, True
+    tail = np.asarray([x for x in trace if x != NEG_INF])
+    tail = tail[3 * tail.size // 4 :]
+    converged = tail.size > 0 and float(tail.max() - tail.min()) <= math.log(1.0 + 0.10)
+    return value, trace, False, converged
+
+
+def sparse_ring(m):
+    from scipy.sparse import csr_array
+
+    rows = np.repeat(np.arange(m), 3)
+    cols = (rows + np.tile([-1, 0, 1], m)) % m
+    return StaticSource(csr_array((np.full(3 * m, 1.0 / 3.0), (rows, cols)), shape=(m, m)))
+
+
+def collapsing_periodic_source():
+    # 44 mixing steps, then a rank-one step that annihilates every probe
+    rng = np.random.default_rng(11)
+    mats = [make_stochastic(rng.random((4, 4)) + 0.05) for _ in range(44)]
+    return PeriodicSource(mats + [np.tile([0.1, 0.2, 0.3, 0.4], (4, 1))])
+
+
+SIGMA1_LOOP_CASES = {
+    "dense-finite-set": (lambda: random_finite_source(2), 800),
+    "sparse-ring": (lambda: sparse_ring(3000), 64),
+    "blinking": (
+        lambda: DrivenSource(
+            BlinkingProcess.from_params(m=60, avg_degree=6, p=0.1, t_rec=3, seed=3)
+        ),
+        400,
+    ),
+    "collapsing-periodic": (collapsing_periodic_source, 200),
+    "off-grid-horizon": (lambda: random_finite_source(3), 803),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGMA1_LOOP_CASES))
+def test_sigma1_is_bit_identical_to_the_standalone_loop(case):
+    make, horizon = SIGMA1_LOOP_CASES[case]
+    est = estimate_sigma1(make(), horizon=horizon, seed=5)
+    value, trace, collapsed, converged = loop_sigma1(make(), horizon, seed=5)
+    assert collapsed == (case == "collapsing-periodic")
+    assert est.value == value
+    assert est.trace == trace
+    assert est.collapsed == collapsed
+    assert est.converged == converged
+
+
 def test_window_walk_skips_uncovered_times():
     # windows far apart: times between them are never requested
     seen = set()
@@ -455,6 +551,15 @@ def test_window_walk_skips_uncovered_times():
     assert est.t0_samples == t0s
 
 
+@pytest.mark.parametrize("estimate", [estimate_hajnal_diameter, estimate_projection_jsr])
+def test_duplicate_window_starts_change_nothing(estimate):
+    src = random_finite_source(4)
+    twice = estimate(src, horizon=60, t0_samples=[0, 0, 40])
+    once = estimate(src, horizon=60, t0_samples=[0, 40])
+    assert twice.curve == once.curve
+    assert twice.t0_samples == [0, 0, 40]
+
+
 def test_window_estimators_reject_single_node():
     src = StaticSource([[1.0]])
     with pytest.raises(DimensionTooSmallError):
@@ -468,12 +573,7 @@ def test_window_estimators_reject_single_node():
 def test_sigma1_memory_is_linear_in_m_on_a_sparse_source():
     # a sparse ring at m = 3000: a dense m x m frame matrix alone is 72 MB,
     # while the probes and their lift are m x n_vectors
-    from scipy.sparse import csr_array
-
-    m = 3000
-    rows = np.repeat(np.arange(m), 3)
-    cols = (rows + np.tile([-1, 0, 1], m)) % m
-    src = StaticSource(csr_array((np.full(3 * m, 1.0 / 3.0), (rows, cols)), shape=(m, m)))
+    src = sparse_ring(3000)
     tracemalloc.start()
     try:
         est = estimate_sigma1(src, horizon=64)

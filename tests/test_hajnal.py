@@ -1,10 +1,13 @@
 """Oracle tests for Hajnal diameter, eta, and the contraction inequality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from netsync.errors import DimensionMismatchError, InvalidParamsError
+from netsync import hajnal
 from netsync.hajnal import diam, eta, hajnal_bound_check, is_scrambling
 from netsync.linalg import make_stochastic
 
@@ -116,6 +119,38 @@ def test_scrambling_cyclic_example():
 def test_scrambling_iff_eta_positive(seed, m):
     G = rand_stochastic(np.random.default_rng(seed), m, density=0.35)
     assert is_scrambling(G) == (eta(G) > 0.0)
+
+
+def test_scrambling_row_blocks_match_eta(monkeypatch):
+    # blocks of a few entries split every support product across rows
+    monkeypatch.setattr(hajnal, "SCRAMBLING_BLOCK", 7)
+    rng = np.random.default_rng(4)
+    verdicts = []
+    for m in range(2, 12):
+        for density in (0.2, 0.35, 0.6):
+            G = rand_stochastic(rng, m, density)
+            verdicts.append(eta(G) > 0.0)
+            assert is_scrambling(G) == verdicts[-1]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("hub", [False, True])
+def test_scrambling_memory_stays_far_below_a_dense_product(hub):
+    # a 1%-dense bool support at m = 2000; a dense float S S^T alone is
+    # 30.5 MiB.  Measured peak: 4.8 MiB, mostly the bool copy S itself.
+    import scipy.sparse  # noqa: F401  (imported before tracing)
+
+    S = np.random.default_rng(0).random((2000, 2000)) < 0.01
+    # every row listening to node 0 makes every pair share a column
+    S[:, 0] |= hub
+    tracemalloc.start()
+    try:
+        verdict = is_scrambling(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == hub
+    assert peak < 8 * 2**20, f"is_scrambling peaked at {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------- inequality
