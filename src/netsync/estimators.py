@@ -8,8 +8,10 @@ P G = Ghat P and P annihilates consensus rows, P X follows the projected
 dynamics exactly, at O(m^2 n) per step (O(nnz n) for a sparse G) instead
 of O(m^3).  One walk over absolute time serves sigma1 (width-1 probe
 windows, all started at 0), the diameter and the projected growth (one
-identity window per sampled start): every window scores its log growth
-rate at every age, and the probe-death rule applies to all of them.
+identity window per sampled start).  The window estimators score every
+window's log growth rate at every age; sigma1, which reads its curve
+only at renormalisation ages and at the horizon, is scored only there.
+The probe-death rule applies to every window where it is scored.
 
 The sup over window starts is sampled on a fixed grid; the limsup in t
 is reported as the final-horizon value together with a convergence flag
@@ -107,6 +109,7 @@ def _window_walk(
     horizon: int,
     renorm_every: int,
     size: Callable[[np.ndarray], np.ndarray],
+    _renorm_ages_only: bool = False,
 ) -> np.ndarray:
     """Log growth rates of a block of windows, one per age t = 1..horizon:
     entry t-1 is the max over windows of log(size of the window's product
@@ -121,6 +124,12 @@ def _window_walk(
     sizes.  Every renorm_every ages a window is divided by its size after
     it is scored, and a log scale keeps what was divided out.  A window
     whose size falls to DEAD_SIZE is zeroed and never scores again.
+
+    With _renorm_ages_only, a time is sized, checked and scored only if
+    a window is renormalised at it or it ends a run of times covered by
+    one block; for windows that share one start, as sigma1's probes do,
+    these are their renormalisation ages and the horizon, and every
+    other age of the curve is -inf.
     """
     if horizon < 1 or renorm_every < 1:
         raise InvalidParamsError(
@@ -149,6 +158,9 @@ def _window_walk(
                 age += 1
                 Y = (source.at(tau) @ Y.reshape(m, -1)).reshape(m, hi - lo, w)
                 Y -= Y[0]
+                k = due[(tau - a) % renorm_every]
+                if _renorm_ages_only and not k.size and tau != b - 1:
+                    continue
                 d = size(Y)
                 logd = np.log(d)
                 if d.min() <= DEAD_SIZE:
@@ -158,7 +170,6 @@ def _window_walk(
                     logd[dead] = NEG_INF
                 # windows sharing a start share an age: keep the max
                 np.maximum.at(curve, age, (logd + scale) / age)
-                k = due[(tau - a) % renorm_every]
                 if k.size:
                     Y[:, k] /= d[k, None]
                     scale[k] += logd[k]
@@ -239,7 +250,8 @@ def estimate_sigma1(
     node space, X = P+ V, and walked as width-1 windows that all start
     at time 0; P X equals the projected probes at every step, since
     P G = Ghat P and P annihilates consensus rows.  The trace holds the
-    rate at every renorm_every-th step."""
+    rate at every renorm_every-th step; probes are sized, checked and
+    scored only at those steps and at the horizon."""
     if not 1 <= renorm_every <= horizon:
         raise InvalidParamsError(
             f"need horizon >= renorm_every >= 1, got {horizon}, {renorm_every}"
@@ -259,12 +271,15 @@ def estimate_sigma1(
         return np.sqrt((D * D).sum(axis=0))
 
     X = lift(V)[:, :, None]
-    curve = _window_walk(source, X, [0] * n_vectors, horizon, renorm_every, size)
+    curve = _window_walk(
+        source, X, [0] * n_vectors, horizon, renorm_every, size,
+        _renorm_ages_only=True,
+    )
     value = float(curve[-1])
     trace = curve[renorm_every - 1 :: renorm_every].tolist()
     collapsed = value == NEG_INF
-    # a probe alive at the horizon scored at every age, so only a
-    # collapsed trace holds -inf
+    # a probe alive at the horizon scored at every age the trace reads,
+    # so only a collapsed trace holds -inf
     converged = collapsed or _tail_converged_log(trace)
     return LyapunovEstimate(value, horizon, renorm_every, trace, collapsed, converged)
 

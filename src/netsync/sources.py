@@ -1,10 +1,12 @@
 """Seeded producers of stochastic matrix sequences {G(t)}.
 
 Static, periodic, and iid-over-a-finite-set variants are random access;
-the driven variant wraps a stateful topology process and holds only its
-last emission: a query for an earlier time replays the process from a
-deep copy taken at construction, so repeated queries are consistent and
-memory does not grow with the horizon.
+the iid variant computes its counter-based draws for an aligned block of
+times at once and keeps that one block.  The driven variant wraps a
+stateful topology process and holds only its last emission: a query for
+an earlier time replays the process from a deep copy taken at
+construction, so repeated queries are consistent and memory does not
+grow with the horizon.
 
 A matrix is a float ndarray or, when a process emits scipy.sparse, a
 CSR array; either is validated as row stochastic and frozen.
@@ -22,7 +24,48 @@ from .errors import (
 )
 from .linalg import is_stochastic, issparse
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+# 1, 2, 3", SC 2011): round multipliers and key increments.  Every
+# constant is np.uint64, so uint64 arithmetic wraps the same way under
+# numpy's legacy and NEP 50 promotion rules.
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+
+# times drawn at once by FiniteSetIIDSource; a power of two, so the
+# aligned blocks tile [0, 2**64) and the top one ends at 2**64 - 1
+DRAW_BLOCK = 2048
+
+
+def _mulhilo(a, x):
+    """High and low words of the 128-bit products a * x, for a uint64
+    scalar a and a uint64 array x, from 32-bit halves."""
+    a0, a1 = a & _LO32, a >> _SHIFT32
+    x0, x1 = x & _LO32, x >> _SHIFT32
+    p00, p01, p10 = a0 * x0, a0 * x1, a1 * x0
+    mid = (p00 >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
+    hi = a1 * x1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * x
+
+
+def _philox_uniforms(seed: int, t: np.ndarray) -> np.ndarray:
+    """Generator(Philox(key=[seed, t])).random() for each uint64 time t:
+    word 0 of Philox4x64-10 at counter [1, 0, 0, 0], the first counter a
+    fresh Philox draws, keeping its top 53 bits."""
+    c0 = np.ones_like(t)
+    c1 = c2 = c3 = np.zeros_like(t)
+    k0, k1 = np.full_like(t, seed), t
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> _SHIFT11) * 2.0**-53
 
 
 def _validated(G, what: str = "matrix"):
@@ -89,10 +132,15 @@ class PeriodicSource(MatrixSource):
 class FiniteSetIIDSource(MatrixSource):
     """Independent draws from a finite matrix set, one per time step.
 
-    Uses a counter-based generator keyed on (seed, t) so at(t) is O(1)
-    and random access never replays history.  The generator object is
-    reused across calls, so, like a driven source, a source is not to be
-    shared between threads.
+    The draw at time t, 0 <= t < 2**64, is the uniform that
+    Generator(Philox(key=[seed, t])).random() gives for the uint64 key
+    words seed and t, so at(t) never replays history.  Philox is
+    counter-based, so the draws of the DRAW_BLOCK aligned times around t
+    are computed at once in numpy and their indices kept: memory is one
+    block, and a query outside it pays for one block draw, which callers
+    reading times in ascending order pay once per block.  The block is
+    swapped in one assignment, so threads sharing a source read
+    consistent draws.
     """
 
     def __init__(self, matrices: Sequence, weights: Optional[Sequence[float]] = None, seed: int = 0):
@@ -122,24 +170,21 @@ class FiniteSetIIDSource(MatrixSource):
         self.seed = int(seed)
         if not 0 <= self.seed < 2**63:
             raise InvalidParamsError("seed must fit in a nonnegative 63-bit integer")
-        self._bits = np.random.Philox(key=[self.seed, 0])
+        self._block = (0, [])  # (first time, matrix index per time)
 
     def index_at(self, t: int) -> int:
         t = _check_time(t)
-        # reset to the state of a fresh Philox(key=[seed, t]), which is
-        # cheaper than constructing one, then draw the 53-bit uniform that
-        # Generator.random() would
-        key = np.array([self.seed, t], dtype=np.uint64)
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO4, "key": key},
-            "buffer": _ZERO4,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        u = (self._bits.random_raw() >> 11) * 2.0**-53
-        return int(min(np.searchsorted(self._cum, u, side="right"), len(self.matrices) - 1))
+        start, indices = self._block
+        if not 0 <= t - start < len(indices):
+            if t >= 2**64:
+                raise InvalidParamsError(f"time must be < 2**64 (a 64-bit key word), got {t}")
+            start = t - t % DRAW_BLOCK
+            times = np.uint64(start) + np.arange(DRAW_BLOCK, dtype=np.uint64)
+            u = _philox_uniforms(self.seed, times)
+            picks = np.searchsorted(self._cum, u, side="right")
+            indices = np.minimum(picks, len(self.matrices) - 1).tolist()
+            self._block = (start, indices)
+        return indices[t - start]
 
     def at(self, t: int) -> np.ndarray:
         return self.matrices[self.index_at(t)]

@@ -22,6 +22,7 @@ from netsync.errors import (
 )
 from netsync.estimators import (
     NEG_INF,
+    _window_walk,
     default_t0_samples,
     estimate_hajnal_diameter,
     estimate_projection_jsr,
@@ -528,6 +529,32 @@ def test_sigma1_is_bit_identical_to_the_standalone_loop(case):
     assert est.trace == trace
     assert est.collapsed == collapsed
     assert est.converged == converged
+
+
+@pytest.mark.parametrize("horizon", [200, 203])
+def test_sigma1_scoring_at_read_ages_equals_full_scoring(horizon):
+    # sigma1's probes scored at every age, as the window estimators are,
+    # and only at the ages estimate_sigma1 reads: the read ages agree
+    # exactly, and no other age is scored
+    src = random_finite_source(5)
+    rng = np.random.default_rng(2)
+    X = lift(rng.standard_normal((src.m - 1, 8)))[:, :, None]
+
+    def size(Y):
+        return np.linalg.norm(difference(Y[..., 0]), axis=0)
+
+    full = _window_walk(src, X.copy(), [0] * 8, horizon, 8, size)
+    read = _window_walk(src, X.copy(), [0] * 8, horizon, 8, size, _renorm_ages_only=True)
+    ages = np.arange(1, horizon + 1)
+    scored = (ages % 8 == 0) | (ages == horizon)
+    assert read[scored].tolist() == full[scored].tolist()
+    assert np.all(read[~scored] == NEG_INF)
+    # a live window walk scores every age
+    assert np.all(np.isfinite(full))
+    eye = np.eye(src.m)
+    windows = np.repeat((eye - eye[0])[:, None, :], 3, axis=1)
+    diameter = _window_walk(src, windows, [0, 7, 50], horizon, 8, lambda Y: diam(Y, "inf"))
+    assert np.all(np.isfinite(diameter))
 
 
 def test_window_walk_skips_uncovered_times():

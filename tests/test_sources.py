@@ -1,5 +1,7 @@
 """Oracle tests for matrix sequence sources."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,13 @@ from scipy.sparse import csr_array
 from netsync.errors import EmptySetError, InvalidParamsError, ProcessExhaustedError
 from netsync.linalg import make_stochastic
 from netsync.processes import BlinkingProcess
-from netsync.sources import DrivenSource, FiniteSetIIDSource, PeriodicSource, StaticSource
+from netsync.sources import (
+    DRAW_BLOCK,
+    DrivenSource,
+    FiniteSetIIDSource,
+    PeriodicSource,
+    StaticSource,
+)
 
 A2 = make_stochastic(np.array([[0.5, 0.5], [0.25, 0.75]]))
 B2 = make_stochastic(np.array([[1.0, 0.0], [0.5, 0.5]]))
@@ -74,15 +82,73 @@ def test_finite_set_weights_frequencies():
     assert abs(picks_b - 1000) < 5 * 28.3
 
 
+# the last time before and the first time of several draw blocks, the
+# top block (which ends at the largest 64-bit time) included
+BLOCK_EDGE_TIMES = [
+    t
+    for edge in (DRAW_BLOCK, 2 * DRAW_BLOCK, 10**6 - 10**6 % DRAW_BLOCK, 2**63, 2**64 - DRAW_BLOCK)
+    for t in (edge - 1, edge)
+] + [2**64 - 2, 2**64 - 1]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3, 2**63 - 1])
 def test_finite_set_index_matches_generator_draw(seed):
     weights = [0.1, 0.25, 0.3, 0.35]
     src = FiniteSetIIDSource([A2, B2, A2, B2], weights=weights, seed=seed)
     cum = np.cumsum(np.asarray(weights) / sum(weights))
-    for t in list(range(300)) + [10**6, 2**40, 2**63 - 1]:
-        u = np.random.Generator(np.random.Philox(key=[seed, t])).random()
+    times = list(range(300)) + [10**6, 2**40, 2**63 - 1] + BLOCK_EDGE_TIMES
+    for t in times:
+        # a key list holding a time >= 2**63 would pass through float64
+        key = np.array([seed, t], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random()
         expected = min(int(np.searchsorted(cum, u, side="right")), 3)
-        assert src.index_at(t) == expected
+        assert src.index_at(t) == expected, t
+
+
+def test_finite_set_out_of_order_matches_in_order():
+    times = [5000, 3, 5000, DRAW_BLOCK, DRAW_BLOCK - 1, 0, 2**64 - 1, 3, 2**64 - DRAW_BLOCK, 5000]
+    fresh = FiniteSetIIDSource([A2, B2], weights=[0.3, 0.7], seed=9)
+    in_order = {t: fresh.index_at(t) for t in sorted(set(times))}
+    src = FiniteSetIIDSource([A2, B2], weights=[0.3, 0.7], seed=9)
+    assert [src.index_at(t) for t in times] == [in_order[t] for t in times]
+    assert len(set(in_order.values())) == 2
+
+
+def test_finite_set_threads_sharing_a_source_read_consistent_draws():
+    times = [int(t) for t in np.random.default_rng(4).integers(0, 4 * DRAW_BLOCK, 120)]
+    alone = FiniteSetIIDSource([A2, B2], seed=11)
+    expected = [alone.index_at(t) for t in times]
+    src = FiniteSetIIDSource([A2, B2], seed=11)
+    results = {}
+
+    def read(k):
+        results[k] = [src.index_at(t) for t in times[k:] + times[:k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == {k: expected[k:] + expected[:k] for k in range(4)}
+
+
+def test_finite_set_rejects_times_beyond_64_bits():
+    src = FiniteSetIIDSource([A2, B2], seed=3)
+    for t in (2**64, 2**64 + DRAW_BLOCK, 2**70):
+        with pytest.raises(InvalidParamsError):
+            src.at(t)
+        with pytest.raises(InvalidParamsError):
+            src.index_at(t)
+    # the top block still draws after a rejected query
+    key = np.array([3, 2**64 - 1], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random()
+    assert src.index_at(2**64 - 1) == int(u >= 0.5)
 
 
 def test_finite_set_rejects_empty():
