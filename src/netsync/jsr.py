@@ -1,41 +1,37 @@
 """Certified bounds on the joint spectral radius of a finite matrix set.
 
-For 2x2 sets the bracket is first certified by an invariant polytope
-(Guglielmi & Protasov, Found. Comput. Math. 13, 2013; Jungers, The
-Joint Spectral Radius, LNCIS 385, 2009).  A short search pass picks a
-witness word w with rate rho = rho(P_w)^(1/|w|), the certified lower
-bound.  Starting from the leading eigenvector of P_w and its cyclic
-images, every image A_i u / rho that falls outside the symmetric convex
-hull of the vertices so far becomes a vertex.  When no image is added,
-the hull's gauge is a norm in which every A_i / rho has norm at most
-`factor`, so rho * max(1, factor) is a certified upper bound; when the
-witness is extremal, factor is 1 within rounding.  The gauge of a
-symmetric polygon is the linear programme min ||c||_1 over V c = x,
-solved exactly in closed form over its basic solutions.
+The bracket is first certified by an invariant polytope (Guglielmi &
+Protasov, Found. Comput. Math. 13, 2013; Jungers, The Joint Spectral
+Radius, LNCIS 385, 2009).  A short search pass picks a witness word w
+with rate rho = rho(P_w)^(1/|w|), the certified lower bound.  Starting
+from the leading eigenvector of P_w and its cyclic images, every image
+A_i u / rho that falls outside the symmetric convex hull of the vertices
+so far becomes a vertex.  When no image is added, the hull's gauge is a
+norm in which every A_i / rho has norm at most `factor`, so
+rho * max(1, factor) is a certified upper bound; when the witness is
+extremal, factor is 1 within rounding.  The gauge is the linear
+programme min ||c||_1 over V c = x, solved in closed form for 2x2 sets
+and by scipy's HiGHS above.  A witness that certifies no bracket within
+the tolerance is replaced by one from a longer pass.
 
-When the polytope cannot be built (the witness's leading eigenvalue is
-complex or not strictly dominant, the vertices span only a line, the
-vertex cap is hit, or the set is not 2x2), branch-and-bound search
-brackets the radius.  Exploration is best-first over product words.
-Every evaluated word updates the certified lower bound through its
-spectral radius; a word whose normalized norm rate falls to the current
-lower bound plus the tolerance is never worth extending and becomes a
-terminal block.  Every long product factors into terminal blocks, each
-cut at the ancestor with the smallest norm rate, so the joint spectral
-radius is at most the largest terminal prefix-min rate, which is the
-reported upper bound.  The bound stays sound when the search is cut off
-by the depth or node budget: the surviving frontier is absorbed into
-the terminal set.
-
-When the first pass leaves a gap above the tolerance, further passes
-rerun the search under norms adapted to the words that are holding the
-upper bound up: the whole set is conjugated so the targeted product
-becomes real block diagonal, where its 2-norm equals its spectral
-radius, so that branch's rate estimate collapses to its true rate and
-stops propping up the bound.  A fixed similarity changes no spectral
-radius and no gauge-invariant limit, so every pass yields a certified
-bracket and the tightest ends win.  Only this fallback loads scipy
-(balancing and the adapted norms).
+When no polytope can be built (the witness's leading eigenvalue is
+complex or not strictly dominant, the vertices span no full-dimensional
+body, or the vertex cap is hit), one branch-and-bound search brackets
+the radius, starting from the pass's witness and lower bound.
+Exploration is best-first over product words.  Every evaluated word
+updates the certified lower bound through its spectral radius; a word
+whose normalized norm rate falls to the current lower bound plus the
+tolerance is never worth extending and becomes a terminal block.  Every long product factors into
+terminal blocks, each cut at the ancestor with the smallest norm rate,
+so the joint spectral radius is at most the largest terminal prefix-min
+rate, which is the reported upper bound.  The bound stays sound when the
+search is cut off by the depth or node budget: the surviving frontier is
+absorbed into the terminal set.  Norms are 2-norms after conjugating
+the set so the witness product becomes real block diagonal, where its
+2-norm equals its spectral radius, so the witness branch stops propping
+up the bound; a fixed similarity changes no spectral radius.  Without a
+usable witness the search uses the infinity norm of the balanced set.
+Only this fallback and the polytope above 2x2 load scipy.
 """
 
 import heapq
@@ -58,16 +54,16 @@ DEFAULT_MAX_LEN = 24
 DEFAULT_MAX_NODES = 200_000
 BRUTE_FORCE_BUDGET = 10**7
 
-# skip an adapted pass when the target eigenbasis is this ill-conditioned
+# skip the adapted norm when the witness eigenbasis is this ill-conditioned
 ADAPT_COND_LIMIT = 1e10
-MAX_ADAPT_ROUNDS = 4
 
-# the polytope certificate: node budget of the witness pass, vertex cap,
-# and the slack by which an image's gauge may exceed 1 and stay inside
-POLYTOPE_PASS_NODES = 2000
+# the polytope certificate: node budgets of the witness passes, widened
+# until one certifies within tol, the vertex cap, and the slack by which
+# an image's gauge may exceed 1 and stay inside
+WITNESS_PASS_NODES = (50, 2000)
 POLYTOPE_MAX_VERTICES = 200
 POLYTOPE_SLACK = 1e-12
-# vertex pairs closer than this sine of angle form no basis of the plane
+# a unit vertex this close to the span of others adds no dimension
 PARALLEL_TOL = 1e-9
 # the witness's second eigenvalue must be below its first by this factor
 DOMINANCE = 1.0 - 1e-9
@@ -109,10 +105,7 @@ def _balanced(mats: List[np.ndarray]) -> List[np.ndarray]:
     sum of absolute values, to the whole set.  Similarities preserve
     every spectral radius and the JSR while often shrinking norms, which
     tightens pruning."""
-    n = mats[0].shape[0]
-    if n < 2:
-        return mats
-    X = np.zeros((n, n))
+    X = np.zeros(mats[0].shape)
     for A in mats:
         X += np.abs(A)
     from scipy.linalg import matrix_balance
@@ -132,23 +125,6 @@ def _word_product(mats: List[np.ndarray], word: Tuple[int, ...]) -> np.ndarray:
     for a in word[1:]:
         P = mats[a] @ P
     return P
-
-
-def _block_scales(wr: np.ndarray) -> np.ndarray:
-    """Map each coordinate to its eigen-block id in a cdf2rdf output."""
-    n = wr.shape[0]
-    bidx = np.zeros(n, dtype=int)
-    block = 0
-    j = 0
-    while j < n:
-        bidx[j] = block
-        if j + 1 < n and wr[j, j + 1] != 0.0:
-            bidx[j + 1] = block
-            j += 2
-        else:
-            j += 1
-        block += 1
-    return bidx
 
 
 def _adapted_set(
@@ -175,8 +151,10 @@ def _adapted_set(
     if not np.all(np.isfinite(vr)):
         return None
 
-    bidx = _block_scales(wr)
-    nblocks = int(bidx[-1]) + 1 if len(bidx) else 0
+    # eigen-block id of each coordinate: LAPACK lists a conjugate pair
+    # together, positive imaginary part first, and cdf2rdf keeps the order
+    bidx = np.cumsum(np.imag(lam) >= 0) - 1
+    nblocks = int(bidx[-1]) + 1
     if nblocks > 1:
         try:
             base = [np.linalg.solve(vr, A @ vr) for A in work]
@@ -211,75 +189,130 @@ def _adapted_set(
     return [vr_inv @ A @ vr for A in work]
 
 
-def _independent_pairs(V: np.ndarray):
-    """Index pairs (i, j) of vertex columns of V that form a basis of the
-    plane, with |det [v_i v_j]|."""
-    i, j = np.triu_indices(V.shape[1], 1)
-    det = np.abs(V[0, i] * V[1, j] - V[1, i] * V[0, j])
-    lens = np.hypot(V[0], V[1])
-    keep = det > PARALLEL_TOL * lens[i] * lens[j]
-    return i[keep], j[keep], det[keep]
+def _vertex_basis(V: np.ndarray) -> Optional[List[int]]:
+    """Indices of n columns of V (n, N) that form a basis, picked by
+    pivoted Gram-Schmidt on the unit columns; None when every remaining
+    column lies within PARALLEL_TOL of the span of those picked, so the
+    vertices span no full-dimensional body."""
+    R = V / np.linalg.norm(V, axis=0)
+    picks = []
+    for _ in range(V.shape[0]):
+        dist = np.linalg.norm(R, axis=0)
+        k = int(np.argmax(dist))
+        if not dist[k] > PARALLEL_TOL:
+            return None
+        picks.append(k)
+        q = R[:, k] / dist[k]
+        R = R - np.outer(q, q @ R)
+    return picks
 
 
 def _gauge(V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Gauge of each column of X (2, M) in the symmetric convex hull of
-    the columns of V (2, N): the LP optimum min ||c||_1 over V c = x.
+    """Gauge of each column of X (n, M) in the symmetric convex hull of
+    the columns of V (n, N): the LP optimum min ||c||_1 over V c = x,
+    infinite off the span of V.
 
-    The optimum sits at a basic solution, which uses one independent
-    vertex pair (i, j); by Cramer's rule its cost is
+    For n = 2 the optimum sits at a basic solution, which uses one
+    independent vertex pair (i, j); by Cramer's rule its cost is
     (|cross(v_i, x)| + |cross(v_j, x)|) / |cross(v_i, v_j)|.  Skipping
     near-parallel pairs can only raise the value.  When every vertex lies
     on one line, the gauge is finite only on that line.
+
+    For n > 2 scipy's HiGHS solves the programme.  Its primal c meets
+    V c = x only up to a residual r.  Once V spans, r = B d for the basis
+    B of `_vertex_basis`, so x = V c + B d and ||c||_1 + ||B^-1 r||_1
+    bounds the gauge from above whatever the solver's rounding; before,
+    the value only decides which images become vertices, and no such V
+    is certified.  A failed or non-finite solve gives inf, and an
+    overflowed column NaN, which never becomes a vertex.
     """
-    cross = V[0][:, None] * X[1][None, :] - V[1][:, None] * X[0][None, :]
-    i, j, det = _independent_pairs(V)
-    if len(det):
-        return ((np.abs(cross[i]) + np.abs(cross[j])) / det[:, None]).min(axis=0)
-    lens = np.hypot(V[0], V[1])
-    k = int(np.argmax(lens))
-    xlen = np.hypot(X[0], X[1])
-    on_line = np.abs(cross[k]) <= PARALLEL_TOL * lens[k] * xlen
-    return np.where(on_line, xlen / lens[k], np.inf)
+    n, N = V.shape
+    if n == 2:
+        cross = V[0][:, None] * X[1][None, :] - V[1][:, None] * X[0][None, :]
+        i, j = np.triu_indices(N, 1)
+        det = np.abs(V[0, i] * V[1, j] - V[1, i] * V[0, j])
+        lens = np.hypot(V[0], V[1])
+        keep = det > PARALLEL_TOL * lens[i] * lens[j]
+        if keep.any():
+            i, j, det = i[keep], j[keep], det[keep]
+            return ((np.abs(cross[i]) + np.abs(cross[j])) / det[:, None]).min(axis=0)
+        k = int(np.argmax(lens))
+        xlen = np.hypot(X[0], X[1])
+        on_line = np.abs(cross[k]) <= PARALLEL_TOL * lens[k] * xlen
+        return np.where(on_line, xlen / lens[k], np.inf)
+
+    from scipy.optimize import linprog
+    from scipy.sparse import eye, kron
+
+    M = X.shape[1]
+    finite = np.all(np.isfinite(X), axis=0)
+    Y = np.where(finite, X, 0.0)
+    # the columns' programmes share no variable, so one block-diagonal
+    # programme solves them all
+    lp = linprog(
+        np.ones(2 * N * M), A_eq=kron(eye(M), np.hstack([V, -V])),
+        b_eq=Y.T.ravel(), bounds=(0, None), method="highs",
+    )
+    solved = lp.status == 0 and np.all(np.isfinite(lp.x))
+    if not solved and M > 1:
+        # one column off the span of V fails them all: solve each alone
+        return np.concatenate([_gauge(V, X[:, [j]]) for j in range(M)])
+    if not solved:
+        return np.where(finite, np.inf, np.nan)
+    c = lp.x.reshape(M, 2, N)
+    C = (c[:, 0] - c[:, 1]).T
+    value = np.abs(C).sum(axis=0)
+    basis = _vertex_basis(V)
+    if basis is not None:
+        value += np.abs(np.linalg.solve(V[:, basis], Y - V @ C)).sum(axis=0)
+    return np.where(finite, value, np.nan)
 
 
 def _invariant_polytope(
     mats: List[np.ndarray], witness: Tuple[int, ...]
 ) -> Optional[Tuple[float, np.ndarray, float]]:
-    """Build the invariant polytope of a 2x2 set from a witness word of
+    """Build the invariant polytope of the set from a witness word of
     positive rate.
 
     Returns (rho, V, factor): rho is the witness rate, the columns of V
     are the vertices, and every A_i V / rho lies in factor * absco(V).
-    Returns None when the witness's leading eigenvalue is complex or not
-    strictly dominant, when the vertex cap is hit, when the vertices
-    span only a line (an invariant subspace, not a norm), or when the
-    gauge is not finite.
+    Returns None when the witness's leading eigenvalue is not strictly
+    dominant (a complex one ties with its conjugate), when a vertex's
+    word is faster than the witness or the vertex cap is hit, when the
+    vertices span no full-dimensional body (an invariant subspace, not a
+    norm), or when the gauge is not finite.
     """
     P = _word_product(mats, witness)
     lam, vecs = np.linalg.eig(P)
-    top = int(np.argmax(np.abs(lam)))
-    if np.iscomplexobj(lam) or not abs(lam[1 - top]) < DOMINANCE * abs(lam[top]):
+    mods = np.abs(lam)
+    top = int(np.argmax(mods))
+    if not np.partition(mods, -2)[-2] < DOMINANCE * mods[top]:
         return None
     rho = spectral_radius(P) ** (1.0 / len(witness))
     B = np.stack(mats) / rho
-    u = vecs[:, top]
-    verts = [u]
+    # each vertex is W u for a product W of the A_i / rho; a W of spectral
+    # radius above 1 is a word faster than the witness, so no polytope
+    # can close and the construction would only run to the vertex cap
+    verts, W = [vecs[:, top].real], [np.eye(len(lam))]
     for a in witness[:-1]:
-        u = B[a] @ u
-        verts.append(u)
+        verts.append(B[a] @ verts[-1])
+        W.append(B[a] @ W[-1])
     V = np.array(verts).T
     done = 0
     while done < V.shape[1]:
-        images = B @ V[:, done]
+        images, words = B @ V[:, done], B @ W[done]
         done += 1
-        outside = images[_gauge(V, images.T) > 1.0 + POLYTOPE_SLACK]
-        if len(outside):
-            V = np.hstack([V, outside.T])
+        outside = _gauge(V, images.T) > 1.0 + POLYTOPE_SLACK
+        if outside.any():
+            if max(spectral_radius(M) for M in words[outside]) * DOMINANCE > 1.0:
+                return None
+            V = np.hstack([V, images[outside].T])
+            W.extend(words[outside])
             if V.shape[1] > POLYTOPE_MAX_VERTICES:
                 return None
-    if not len(_independent_pairs(V)[0]):
+    if _vertex_basis(V) is None:
         return None
-    images = (B @ V).transpose(1, 0, 2).reshape(2, -1)
+    images = (B @ V).transpose(1, 0, 2).reshape(V.shape[0], -1)
     factor = float(_gauge(V, images).max())
     # an overflowed vertex yields NaN, which max(1, factor) would hide
     return (rho, V, factor) if math.isfinite(factor) else None
@@ -293,10 +326,9 @@ def _search(
     norm_fn: Callable[[np.ndarray], float],
     lower0: float = 0.0,
     witness0: Tuple[int, ...] = (),
-) -> Tuple[float, Tuple[int, ...], float, Tuple[int, ...], int, int]:
-    """One best-first pass.  Returns (lower, witness, upper,
-    binding_word, node_count, depth_reached), where binding_word is the
-    terminal block that determines the upper bound.
+) -> Tuple[float, Tuple[int, ...], float, int, int]:
+    """One best-first pass.  Returns (lower, witness, upper, node_count,
+    depth_reached).
 
     Heap entries carry the prefix-min norm rate along the word's
     ancestry; a terminal block only ever costs its best ancestor cut,
@@ -306,13 +338,12 @@ def _search(
     lower = lower0
     witness = witness0
     terminal_max = 0.0
-    binding: Tuple[int, ...] = ()
     node_count = 0
     depth_reached = 0
     heap: list = []
 
     def consider(word: Tuple[int, ...], P: np.ndarray, prefmin: float):
-        nonlocal lower, witness, terminal_max, binding, node_count, depth_reached
+        nonlocal lower, witness, terminal_max, node_count, depth_reached
         node_count += 1
         length = len(word)
         depth_reached = max(depth_reached, length)
@@ -323,9 +354,7 @@ def _search(
         beta = norm_fn(P) ** (1.0 / length)
         pm = min(prefmin, beta)
         if length >= max_len or beta <= lower + tol:
-            if pm > terminal_max:
-                terminal_max = pm
-                binding = word
+            terminal_max = max(terminal_max, pm)
         else:
             heapq.heappush(heap, (-beta, word, P, pm))
 
@@ -337,19 +366,15 @@ def _search(
         beta = -neg_beta
         if beta <= lower + tol:
             # best-first order: everything left is at most beta
-            if beta > terminal_max:
-                terminal_max = beta
-                binding = word
+            terminal_max = max(terminal_max, beta)
             break
         if node_count >= max_nodes:
-            if pm > terminal_max:
-                terminal_max = pm
-                binding = word
+            terminal_max = max(terminal_max, pm)
             continue
         for a in range(k):
             consider(word + (a,), work[a] @ P, pm)
 
-    return lower, witness, max(lower, terminal_max), binding, node_count, depth_reached
+    return lower, witness, max(lower, terminal_max), node_count, depth_reached
 
 
 def gripenberg(
@@ -364,101 +389,70 @@ def gripenberg(
     if max_len < 1:
         raise InvalidParamsError(f"max_len must be >= 1, got {max_len}")
 
-    if len(mats) == 1:
-        # one generator: the JSR is exactly the spectral radius (Gelfand)
-        val = spectral_radius(mats[0])
+    node_count = depth_reached = 0
+    witness: Tuple[int, ...] = ()
+
+    def bounds(lower: float, upper: float, **certificate) -> JsrBounds:
         return JsrBounds(
-            lower=val,
-            upper=val,
-            depth_reached=1,
-            node_count=1,
-            witness=(0,),
-            converged=True,
+            lower=lower,
+            upper=upper,
+            depth_reached=depth_reached,
+            node_count=node_count,
+            witness=witness,
+            converged=upper - lower <= tol * (1.0 + 1e-12),
             tol=tol,
+            **certificate,
         )
 
+    if len(mats) == 1 or mats[0].shape[0] == 1:
+        # one generator (Gelfand), or 1x1 matrices, which commute: the JSR
+        # is exactly the largest spectral radius
+        rates = [spectral_radius(A) for A in mats]
+        witness, node_count, depth_reached = (int(np.argmax(rates)),), len(mats), 1
+        return bounds(max(rates), max(rates))
+
     inf_norm = lambda P: matrix_norm(P, "inf")
-    pass_nodes = pass_depth = 0
-    polytope = None
-    if mats[0].shape[0] == 2:
+    lower = 0.0
+    for budget in sorted({min(max_nodes, b) for b in WITNESS_PASS_NODES}):
+        polytope = None
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                lower, witness, _, _, pass_nodes, pass_depth = _search(
-                    mats, tol, max_len, min(max_nodes, POLYTOPE_PASS_NODES), inf_norm
+                lower, witness, _, nodes, depth = _search(
+                    mats, tol, max_len, budget, inf_norm
                 )
+                node_count += nodes
+                depth_reached = max(depth_reached, depth)
                 if lower > 0:
                     polytope = _invariant_polytope(mats, witness)
         except np.linalg.LinAlgError:
-            pass  # a product overflowed unbalanced; the balanced search may not
+            break  # a product overflowed unbalanced; the balanced search may not
         if polytope is not None:
             rho, V, factor = polytope
-            upper = rho * max(1.0, factor)
-            return JsrBounds(
-                lower=rho,
-                upper=upper,
-                depth_reached=pass_depth,
-                node_count=pass_nodes,
-                witness=witness,
-                converged=upper - rho <= tol * (1.0 + 1e-12),
-                tol=tol,
-                certificate="polytope",
-                vertex_count=V.shape[1],
+            certified = bounds(
+                rho, rho * max(1.0, factor),
+                certificate="polytope", vertex_count=V.shape[1],
             )
+            if certified.converged:
+                break
+    if polytope is not None:
+        return certified
 
     work = _balanced(mats)
-
-    lower, witness, upper, binding, node_count, depth_reached = _search(
-        work, tol, max_len, max_nodes, inf_norm
+    adapted = _adapted_set(work, witness) if witness else None
+    if adapted is None:
+        norm_fn = inf_norm
+    else:
+        work, norm_fn = adapted, lambda P: float(np.linalg.norm(P, 2))
+    lower, witness, upper, nodes, depth = _search(
+        work, tol, max_len, max_nodes, norm_fn, lower0=lower, witness0=witness
     )
-    node_count += pass_nodes
-    depth_reached = max(depth_reached, pass_depth)
-
-    # adaptive rounds: conjugate the set to flatten whichever word is
-    # holding up the upper bound, preferring the witness first
-    two_norm = lambda P: float(np.linalg.norm(P, 2))
-    used: set = set()
-    rounds = 0
-    while (
-        upper - lower > tol
-        and lower > 0
-        and mats[0].shape[0] >= 2
-        and rounds < MAX_ADAPT_ROUNDS
-    ):
-        target = next(
-            (w for w in (witness, binding) if w and w not in used), None
-        )
-        if target is None:
-            break
-        used.add(target)
-        adapted = _adapted_set(work, target)
-        if adapted is None:
-            break
-        lo2, wit2, up2, bind2, nodes2, depth2 = _search(
-            adapted, tol, max_len, max_nodes, two_norm,
-            lower0=lower, witness0=witness,
-        )
-        node_count += nodes2
-        depth_reached = max(depth_reached, depth2)
-        if up2 < upper:
-            upper, binding = up2, bind2
-        lower, witness = lo2, wit2
-        rounds += 1
-
+    node_count += nodes
+    depth_reached = max(depth_reached, depth)
     if witness:
         # re-certify the witness against the caller's matrices so the lower
         # bound is reproducible without knowing the internal similarities
         lower = spectral_radius(_word_product(mats, witness)) ** (1.0 / len(witness))
-    upper = max(upper, lower)
-    converged = upper - lower <= tol * (1.0 + 1e-12)
-    return JsrBounds(
-        lower=lower,
-        upper=upper,
-        depth_reached=depth_reached,
-        node_count=node_count,
-        witness=witness,
-        converged=converged,
-        tol=tol,
-    )
+    return bounds(lower, max(upper, lower))
 
 
 def brute_force_jsr(matrices: Sequence, max_len: int) -> float:

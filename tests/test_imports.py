@@ -1,11 +1,11 @@
 """Import boundaries: the package and its common commands load no scipy.
 
 scipy is imported inside the few functions that need it (sparse blinking
-emission and `check`, the search fallback of the `jsr` command, the
-`one`/`two` diameter norms), so short runs on dense inputs, and `jsr` on
-a pair its invariant polytope certifies, start with numpy alone.  Each
-boundary test runs in a fresh interpreter, since this test process has
-long since imported scipy.
+emission and `check`, the `jsr` command's polytope above 2x2 and its
+search fallback, the `one`/`two` diameter norms), so short runs on dense
+inputs, and `jsr` on a 2x2 set its invariant polytope certifies, start
+with numpy alone.  Each boundary test runs in a fresh interpreter, since
+this test process has long since imported scipy.
 """
 
 import json

@@ -3,11 +3,15 @@
 brute_force_jsr is the independent oracle for gripenberg; soundness
 properties (lower certified by witness, brute force below upper) hold
 even on runs stopped by depth or node budgets.  scipy's linprog checks
-the invariant polytope's closed-form gauge independently.
+the invariant polytope's gauge independently, through the dual
+programme, which no part of the certificate solves.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
@@ -46,6 +50,16 @@ def stochastic_with_tree(rng, m):
 
 def projected_set(mats):
     return [project(G) for G in mats]
+
+
+def sample_set(k):
+    """Set k of a fixed sample of projected tree sets: m = 4-6 nodes
+    (3x3 to 5x5 matrices) with 2-3 members each."""
+    rng = np.random.default_rng(5)
+    for _ in range(k + 1):
+        m, count = int(rng.integers(4, 7)), int(rng.integers(2, 4))
+        mats = projected_set([stochastic_with_tree(rng, m) for _ in range(count)])
+    return mats
 
 
 # ---------------------------------------------------------------- gripenberg
@@ -104,8 +118,10 @@ def test_gripenberg_gap_on_success():
 
 
 def test_gripenberg_unconverged_still_sound():
-    # a tiny node budget forces an early stop; bounds must still bracket
-    rng = np.random.default_rng(40)
+    # a tiny node budget forces an early stop; bounds must still bracket.
+    # The witness's leading eigenvalue is complex, so no polytope closes
+    # the gap and the stop falls on the search
+    rng = np.random.default_rng(1)
     mats = projected_set([stochastic_with_tree(rng, 4) for _ in range(3)])
     res = gripenberg(mats, tol=1e-9, max_len=6, max_nodes=20)
     assert not res.converged
@@ -124,9 +140,10 @@ def test_gripenberg_validates_inputs():
 
 
 def test_gripenberg_balancing_changes_nothing_semantically(monkeypatch):
-    # a 3x3 set reaches the search, which balances it; the diagonal
-    # similarity gives balancing something to undo
-    rng = np.random.default_rng(40)
+    # a 3x3 set whose witness has a complex leading eigenvalue reaches
+    # the search, which balances it; the diagonal similarity gives
+    # balancing something to undo
+    rng = np.random.default_rng(1)
     mats = projected_set([stochastic_with_tree(rng, 4) for _ in range(3)])
     d = np.array([1.0, 30.0, 0.05])
     mats = [(M * d[None, :]) / d[:, None] for M in mats]
@@ -148,6 +165,8 @@ def test_projected_tree_pair_certified_by_polytope():
     res = gripenberg(mats, tol=1e-4)
     assert res.certificate == "polytope" and res.vertex_count >= 2
     assert res.converged
+    # the 50-node witness pass suffices; no wider pass runs
+    assert res.node_count <= 50
     assert res.upper - res.lower <= 1e-12 * res.lower
     assert brute_force_jsr(mats, max_len=12) <= res.upper * (1 + 1e-12)
 
@@ -164,9 +183,21 @@ def test_reducible_pair_falls_back_to_search():
     assert brute_force_jsr(mats, max_len=12) <= res.upper
 
 
-def test_complex_witness_reaches_adaptive_rounds(monkeypatch):
+def test_witness_slower_than_a_letter_refuted_at_once(monkeypatch):
+    # the second letter alone beats the witness (0,), so no polytope can
+    # close; its image of the eigenvector refutes the witness at the first
+    # gauge instead of growing the vertex set to the cap
+    mats = [np.array([[0.5, 0.2], [0.1, 0.4]]), np.array([[0.9, 0.0], [0.3, 0.2]])]
+    calls = []
+    gauge = jsr._gauge
+    monkeypatch.setattr(jsr, "_gauge", lambda V, X: calls.append(X) or gauge(V, X))
+    assert _invariant_polytope(mats, (0,)) is None
+    assert len(calls) == 1
+
+
+def test_complex_witness_reaches_one_adapted_search(monkeypatch):
     # a scaled rotation dominates: its leading eigenvalues are a complex
-    # pair, so only the search and its adapted norms can close the gap
+    # pair, so only the search, in the norm adapted to it, can close the gap
     th = 0.9
     R = 0.8 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     mats = [R, np.array([[0.3, 0.1], [0.2, 0.1]])]
@@ -178,8 +209,17 @@ def test_complex_witness_reaches_adaptive_rounds(monkeypatch):
         return adapted(work, word)
 
     monkeypatch.setattr(jsr, "_adapted_set", spy)
+    searches = []
+    search = jsr._search
+    monkeypatch.setattr(
+        jsr, "_search", lambda *a, **kw: searches.append(kw) or search(*a, **kw)
+    )
     res = gripenberg(mats, tol=1e-4)
-    assert targets
+    assert targets == [res.witness]
+    # two witness passes, then one search that starts from their bracket
+    assert len(searches) == 3
+    assert searches[-1]["witness0"] == res.witness
+    assert searches[-1]["lower0"] == pytest.approx(0.8, rel=1e-12)
     assert res.certificate == "search"
     assert res.lower == pytest.approx(0.8, rel=1e-12)
     assert brute_force_jsr(mats, max_len=12) <= res.upper
@@ -195,15 +235,42 @@ def test_overflowing_witness_pass_falls_back_to_balanced_search():
     assert res.witness == (0,) and res.lower == res.upper == 1e150
 
 
+def test_sample_set_above_two_by_two_certified_by_polytope():
+    # 4x4 matrices, three members: the search alone leaves a gap of 6e-3
+    mats = sample_set(9)
+    res = gripenberg(mats, tol=1e-4)
+    assert res.certificate == "polytope" and res.converged
+    assert res.upper - res.lower <= 1e-12 * res.lower
+    assert brute_force_jsr(mats, max_len=8) <= res.upper * (1 + 1e-12)
+
+
+def test_lp_gauge_never_below_the_gauge_whatever_the_solver_returns(monkeypatch):
+    # the gauge in the cross-polytope absco(I_3) is the 1-norm
+    X = np.random.default_rng(3).standard_normal((3, 8))
+    V = np.eye(3)
+    assert jsr._gauge(V, X) == pytest.approx(np.abs(X).sum(axis=0), rel=1e-12)
+    # a primal answer off V c = x by any residual still yields a
+    # representation of x, so the value stays at or above the LP optimum
+    solve = scipy.optimize.linprog
+    sloppy = lambda *a, **kw: SimpleNamespace(status=0, x=0.5 * solve(*a, **kw).x)
+    monkeypatch.setattr(scipy.optimize, "linprog", sloppy)
+    assert np.all(jsr._gauge(V, X) >= np.abs(X).sum(axis=0) * (1 - 1e-15))
+    # a failed solve certifies nothing
+    failed = lambda *a, **kw: SimpleNamespace(status=2, x=None)
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)
+    assert np.all(np.isinf(jsr._gauge(V, X)))
+
+
 @st.composite
-def two_by_two_sets(draw):
+def small_sets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([2, 3]))
     if draw(st.booleans()):
-        return projected_set([stochastic_with_tree(rng, 3) for _ in range(2)])
-    return [rng.uniform(-0.7, 0.7, size=(2, 2)) for _ in range(2)]
+        return projected_set([stochastic_with_tree(rng, n + 1) for _ in range(2)])
+    return [rng.uniform(-0.7, 0.7, size=(n, n)) for _ in range(2)]
 
 
-@given(mats=two_by_two_sets())
+@given(mats=small_sets())
 @settings(max_examples=30, deadline=None)
 def test_polytope_certificate_checked_by_linear_programme(mats):
     res = gripenberg(mats, tol=1e-3, max_len=14, max_nodes=6000)
@@ -212,16 +279,17 @@ def test_polytope_certificate_checked_by_linear_programme(mats):
     rho, V, factor = _invariant_polytope(mats, res.witness)
     assert res.upper == rho * max(1.0, factor)
     assert res.vertex_count == V.shape[1]
-    # every image A_i v / rho lies in factor * absco(V): min ||c||_1 over
-    # [V, -V] c = x, c >= 0, solved independently of the closed form
+    # every image A_i v / rho lies in factor * absco(V).  The gauge of x
+    # is also the dual optimum max <y, x> over |<y, v_j>| <= 1, which no
+    # part of the certificate solves
     for A in mats:
         for x in (A @ V / rho).T:
             lp = linprog(
-                np.ones(2 * V.shape[1]), A_eq=np.hstack([V, -V]), b_eq=x,
-                bounds=(0, None), method="highs",
+                -x, A_ub=np.vstack([V.T, -V.T]), b_ub=np.ones(2 * V.shape[1]),
+                bounds=(None, None), method="highs",
             )
             assert lp.status == 0
-            assert lp.fun <= factor * (1 + 1e-9) + 1e-12
+            assert -lp.fun <= factor * (1 + 1e-9) + 1e-12
     assert brute_force_jsr(mats, max_len=10) <= res.upper * (1 + 1e-12)
 
 
