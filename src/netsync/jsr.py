@@ -14,10 +14,12 @@ programme min ||c||_1 over V c = x, solved in closed form for 2x2 sets
 and by scipy's HiGHS above.  A witness that certifies no bracket within
 the tolerance is replaced by one from a longer pass.
 
-When no polytope can be built (the witness's leading eigenvalue is
-complex or not strictly dominant, the vertices span no full-dimensional
-body, or the vertex cap is hit), one branch-and-bound search brackets
-the radius, starting from the pass's witness and lower bound.
+When no polytope within the tolerance can be built (the witness's
+leading eigenvalue is complex or not strictly dominant, the vertices
+span no full-dimensional body, or the vertex cap is hit), one
+branch-and-bound search brackets the radius, starting from the pass's
+witness and lower bound; a wider polytope bound stays where it is
+tighter than the search's.
 Exploration is best-first over product words.  Every evaluated word
 updates the certified lower bound through its spectral radius; a word
 whose normalized norm rate falls to the current lower bound plus the
@@ -412,7 +414,7 @@ def gripenberg(
         return bounds(max(rates), max(rates))
 
     inf_norm = lambda P: matrix_norm(P, "inf")
-    lower = 0.0
+    lower, best = 0.0, (math.inf, {})
     for budget in sorted({min(max_nodes, b) for b in WITNESS_PASS_NODES}):
         polytope = None
         try:
@@ -428,14 +430,12 @@ def gripenberg(
             break  # a product overflowed unbalanced; the balanced search may not
         if polytope is not None:
             rho, V, factor = polytope
-            certified = bounds(
-                rho, rho * max(1.0, factor),
-                certificate="polytope", vertex_count=V.shape[1],
-            )
+            certificate = dict(certificate="polytope", vertex_count=V.shape[1])
+            certified = bounds(rho, rho * max(1.0, factor), **certificate)
             if certified.converged:
-                break
-    if polytope is not None:
-        return certified
+                return certified
+            # keep the tightest polytope bound for the search to improve on
+            best = min(best, (certified.upper, certificate), key=lambda b: b[0])
 
     work = _balanced(mats)
     adapted = _adapted_set(work, witness) if witness else None
@@ -452,7 +452,8 @@ def gripenberg(
         # re-certify the witness against the caller's matrices so the lower
         # bound is reproducible without knowing the internal similarities
         lower = spectral_radius(_word_product(mats, witness)) ** (1.0 / len(witness))
-    return bounds(lower, max(upper, lower))
+    upper, certificate = min((upper, {}), best, key=lambda b: b[0])
+    return bounds(lower, max(upper, lower), **certificate)
 
 
 def brute_force_jsr(matrices: Sequence, max_len: int) -> float:

@@ -225,6 +225,37 @@ def test_complex_witness_reaches_one_adapted_search(monkeypatch):
     assert brute_force_jsr(mats, max_len=12) <= res.upper
 
 
+def test_polytope_bound_kept_when_the_wider_pass_builds_none(monkeypatch):
+    # the 50-node pass certifies a bracket wider than tol (its factor is
+    # inflated, which keeps it sound), the 2000-node pass builds no
+    # polytope, and the search alone stops wider: the first bound stands
+    rng = np.random.default_rng(34)
+    mats = projected_set([stochastic_with_tree(rng, 3) for _ in range(2)])
+    built = iter([True, False])
+    polytope = jsr._invariant_polytope
+
+    def loose_once(mats, witness):
+        rho, V, factor = polytope(mats, witness)
+        return (rho, V, (1 + 1e-6) * factor) if next(built) else None
+
+    monkeypatch.setattr(jsr, "_invariant_polytope", loose_once)
+    res = gripenberg(mats, tol=1e-9, max_nodes=60)
+    rho, V, factor = polytope(mats, (1, 0))
+    assert res.certificate == "polytope" and res.vertex_count == V.shape[1]
+    assert res.upper == rho * (1 + 1e-6) * factor and not res.converged
+    # both passes and the search ran
+    assert res.node_count > 110
+    assert res.lower <= rho * (1 + 1e-12)
+    assert brute_force_jsr(mats, max_len=12) <= res.upper
+
+
+def test_scalar_set_exact():
+    # 1x1 matrices commute: the JSR is the largest modulus, no search runs
+    res = gripenberg([[[0.3]], [[-0.7]]])
+    assert res.lower == res.upper == 0.7
+    assert res.witness == (1,) and res.converged
+
+
 def test_overflowing_witness_pass_falls_back_to_balanced_search():
     # unbalanced, the witness pass overflows on its second product;
     # balancing makes the set tractable, as it did before the polytope
