@@ -18,9 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cml import make_sync_report, report_to_csv, simulate
+from .cml import make_sync_report, simulate
 from .config import (
     ExperimentConfig,
+    _as_matrix,
+    _coerce,
     apply_parameter,
     build_map,
     build_source,
@@ -50,26 +52,46 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _load_config(args):
+def _read_json(path, where: str):
     try:
-        raw = json.loads(Path(args.config).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {args.config}: {exc}") from exc
-    if args.seed is not None:
+        raise ConfigError(where, f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(where, f"invalid JSON in {path}: {exc}") from exc
+
+
+def _load_config(args):
+    """The raw document, the validated config, its hash and the output directory."""
+    raw = _read_json(args.config, "config")
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
-    return raw, ExperimentConfig.from_json_dict(raw)
-
-
-def _outdir(args, cfg):
-    path = Path(args.out or cfg.out or ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    cfg = ExperimentConfig.from_json_dict(raw)
+    out = Path(args.out or cfg.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    return raw, cfg, config_hash(cfg), out
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: Path, meta: dict, header, rows) -> None:
+    """A '#' line of key=value pairs, the header, then the rows, with
+    floats written by repr and ints by str (bools as true or false)."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), ",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            str(v).lower() if isinstance(v, int) else repr(float(v)) for v in row
+        ))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _exit_code(args, converged: bool, failure: str) -> int:
+    if args.strict and not converged:
+        print(f"strict: {failure}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def _run_sigma1(cfg, source):
@@ -83,7 +105,7 @@ def _run_sigma1(cfg, source):
 
 
 def run_sync_experiment(cfg):
-    """Estimate sigma1 and mu, simulate, and assemble the SyncReport.
+    """Estimate sigma1 and mu, simulate; the SyncReport and sigma1 estimate.
 
     The single code path behind both `simulate` and each `sweep` row, so
     a one-value sweep reproduces the simulate summary exactly.
@@ -103,14 +125,11 @@ def run_sync_experiment(cfg):
     run = simulate(
         source, fmap, x0, cfg.simulation.steps, cfg.simulation.record_every
     )
-    report = make_sync_report(run, sig.value, mu, mu_source)
-    return run, report, sig
+    return make_sync_report(run, sig.value, mu, mu_source), sig
 
 
 def cmd_spectrum(args) -> int:
-    raw, cfg = _load_config(args)
-    h = config_hash(cfg)
-    out = _outdir(args, cfg)
+    raw, cfg, h, out = _load_config(args)
     source = build_source(cfg)
     sig = _run_sigma1(cfg, source)
     diam_est = estimate_hajnal_diameter(
@@ -120,15 +139,19 @@ def cmd_spectrum(args) -> int:
         renorm_every=cfg.estimator.renorm_every,
     )
 
-    lines = [
-        f"# config_hash={h} m={source.m} horizon={cfg.estimator.horizon}"
-        f" renorm_every={cfg.estimator.renorm_every} collapsed={sig.collapsed}"
-        f" converged={sig.converged}"
-    ]
-    lines.append("t,sigma1_estimate")
-    for i, v in enumerate(sig.trace):
-        lines.append(f"{(i + 1) * cfg.estimator.renorm_every},{repr(float(v))}")
-    (out / "sigma1_trace.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        out / "sigma1_trace.csv",
+        {
+            "config_hash": h,
+            "m": source.m,
+            "horizon": cfg.estimator.horizon,
+            "renorm_every": cfg.estimator.renorm_every,
+            "collapsed": sig.collapsed,
+            "converged": sig.converged,
+        },
+        ("t", "sigma1_estimate"),
+        [((i + 1) * cfg.estimator.renorm_every, v) for i, v in enumerate(sig.trace)],
+    )
 
     _write_json(
         out / "diam_estimate.json",
@@ -143,47 +166,46 @@ def cmd_spectrum(args) -> int:
         f" | diam rate={diam_est.value:.6g} converged={diam_est.converged}"
     )
     print(f"wrote {out / 'sigma1_trace.csv'} and {out / 'diam_estimate.json'}")
-    if args.strict and not (sig.converged and diam_est.converged):
-        print("strict: estimate did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _exit_code(args, sig.converged and diam_est.converged, "estimate did not converge")
 
 
 def cmd_simulate(args) -> int:
-    raw, cfg = _load_config(args)
-    h = config_hash(cfg)
-    out = _outdir(args, cfg)
-    run, report, sig = run_sync_experiment(cfg)
-
-    csv_text = report_to_csv(
-        report,
-        extra_meta={
-            "config_hash": h,
+    raw, cfg, h, out = _load_config(args)
+    report, sig = run_sync_experiment(cfg)
+    run = report.run
+    # the fields sync_report.csv's metadata line shares with summary.json
+    shared = {
+        "m": run.m,
+        "steps": run.steps,
+        "sigma1": report.sigma1,
+        "mu": report.mu,
+        "W": report.W,
+        "predicted_sync": report.predicted_sync,
+        "observed_sync": run.observed_sync,
+        "mu_source": report.mu_source,
+        "config_hash": h,
+    }
+    _write_csv(
+        out / "sync_report.csv",
+        {
+            **shared,
             "seed": cfg.seed,
             "map": cfg.map_spec["name"],
-            "alpha": repr(cfg.map_spec["alpha"]),
+            "alpha": cfg.map_spec["alpha"],
             "x0_policy": cfg.simulation.x0_policy,
         },
+        ("t", "K", "diam"),
+        zip(run.times, run.k_series, run.diam_series),
     )
-    (out / "sync_report.csv").write_text(csv_text)
-
     _write_json(
         out / "summary.json",
         {
-            "config_hash": h,
-            "m": report.m,
-            "steps": report.steps,
-            "sigma1": report.sigma1,
+            **shared,
             "sigma1_converged": sig.converged,
             "sigma1_collapsed": sig.collapsed,
-            "mu": report.mu,
-            "mu_source": report.mu_source,
-            "W": report.W,
-            "predicted_sync": report.predicted_sync,
-            "observed_sync": report.observed_sync,
             "indeterminate": report.indeterminate,
             "K_post_transient": run.k_final_quarter,
-            "final_diam": report.diam_series[-1],
+            "final_diam": run.diam_series[-1],
         },
     )
     verdict = "indeterminate" if report.indeterminate else (
@@ -191,31 +213,19 @@ def cmd_simulate(args) -> int:
     )
     print(
         f"W={report.W:.6g} ({verdict}; mu {report.mu_source}),"
-        f" observed_sync={report.observed_sync},"
+        f" observed_sync={run.observed_sync},"
         f" K_post_transient={run.k_final_quarter:.6g}"
     )
     print(f"wrote {out / 'sync_report.csv'} and {out / 'summary.json'}")
-    if args.strict and not sig.converged:
-        print("strict: sigma1 estimate did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _exit_code(args, sig.converged, "sigma1 estimate did not converge")
 
 
-def _sweep_row(raw_doc: dict) -> dict:
-    cfg = ExperimentConfig.from_json_dict(raw_doc)
-    run, report, sig = run_sync_experiment(cfg)
-    return {
-        "K": run.k_final_quarter,
-        "W": report.W,
-        "predicted_sync": report.predicted_sync,
-        "observed_sync": report.observed_sync,
-        "indeterminate": report.indeterminate,
-        "converged": sig.converged or sig.collapsed,
-    }
-
-
-def _sweep_worker(raw_json: str) -> dict:
-    return _sweep_row(json.loads(raw_json))
+def _sweep_row(cfg):
+    """The sweep.csv cells after the parameter; whether sigma1 settled."""
+    report, sig = run_sync_experiment(cfg)
+    run = report.run
+    cells = (run.k_final_quarter, report.W, report.predicted_sync, run.observed_sync)
+    return cells, sig.converged or sig.collapsed
 
 
 def _parse_values(text: str):
@@ -242,56 +252,58 @@ def _parse_values(text: str):
 
 
 def cmd_sweep(args) -> int:
-    raw, cfg = _load_config(args)
-    h = config_hash(cfg)
-    out = _outdir(args, cfg)
+    raw, cfg, h, out = _load_config(args)
     values = _parse_values(args.values)
     if not values:
         raise ConfigError("values", "sweep needs at least one value")
-    docs = [apply_parameter(raw, args.parameter, v) for v in values]
+    # every row is validated, and its value read as a number, before any runs
+    cfgs = [
+        ExperimentConfig.from_json_dict(apply_parameter(raw, args.parameter, v))
+        for v in values
+    ]
+    params = [_coerce(v, float, "values") for v in values]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_worker, [json.dumps(d) for d in docs]))
+            rows = list(pool.map(_sweep_row, cfgs))
     else:
-        rows = [_sweep_row(d) for d in docs]
+        rows = list(map(_sweep_row, cfgs))
 
-    lines = [f"# config_hash={h} parameter={args.parameter}"]
-    lines.append("parameter,K,W,predicted_sync,observed_sync")
-    for v, row in zip(values, rows):
-        lines.append(
-            f"{repr(float(v))},{repr(float(row['K']))},{repr(float(row['W']))},"
-            f"{str(row['predicted_sync']).lower()},{str(row['observed_sync']).lower()}"
-        )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        out / "sweep.csv",
+        {"config_hash": h, "parameter": args.parameter},
+        ("parameter", "K", "W", "predicted_sync", "observed_sync"),
+        [(v, *cells) for v, (cells, _) in zip(params, rows)],
+    )
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
-    if args.strict and not all(r["converged"] for r in rows):
-        print("strict: a sigma1 estimate did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _exit_code(args, all(ok for _, ok in rows), "a sigma1 estimate did not converge")
 
 
-def _edge_first_lengths(source, t0: int, t_max: int):
-    """For the windows [t0, t0+T), T = 1..t_max, read in time order: per
-    edge, the first T whose union holds it (t_max + 1 if none), and the
-    first T whose union has a spanning tree (None if none).  Unions only
-    grow with T, so the union at any T is first <= T."""
+def _union_table(source, t0: int, t_max: int):
+    """For the windows [t0, t0+T), T = 1..t_max, read in time order: a
+    sparse table holding, per edge of the largest union, t_max + 1 - T
+    for the first T whose union holds it, and the first T whose union
+    has a spanning tree (None if none).  Unions only grow with T, so the
+    union at any T is the table's entries >= t_max + 1 - T, and while
+    the table is built up to T it holds exactly that union."""
+    from scipy.sparse import csr_array
+
     m = source.m
-    first = np.full((m, m), t_max + 1, dtype=np.min_scalar_type(t_max + 1))
+    dtype = np.min_scalar_type(t_max)
+    table = csr_array((m, m), dtype=dtype)
     tree_T = None
     for T in range(1, t_max + 1):
         rows, cols = (source.at(t0 + T - 1) > 0).nonzero()
-        first[rows, cols] = np.minimum(first[rows, cols], T)
-        if tree_T is None and has_spanning_tree(first <= T) is not None:
+        late = np.full(rows.size, t_max + 1 - T, dtype=dtype)
+        table = table.maximum(csr_array((late, (rows, cols)), shape=(m, m)))
+        if tree_T is None and has_spanning_tree(table) is not None:
             tree_T = T
-    return first, tree_T
+    return table, tree_T
 
 
 def cmd_check(args) -> int:
-    raw, cfg = _load_config(args)
-    h = config_hash(cfg)
-    out = _outdir(args, cfg)
+    raw, cfg, h, out = _load_config(args)
     if args.t_max < 1:
         raise ConfigError("t_max", "must be >= 1")
     source = build_source(cfg)
@@ -299,9 +311,7 @@ def cmd_check(args) -> int:
 
     # window starts in ascending order, so a driven source replays only
     # where windows overlap
-    per_start = {
-        t0: _edge_first_lengths(source, t0, args.t_max) for t0 in sorted(set(t0s))
-    }
+    per_start = {t0: _union_table(source, t0, args.t_max) for t0 in sorted(set(t0s))}
     tree_Ts = [per_start[t0][1] for t0 in t0s]
     # having a spanning tree is monotone in T, so the smallest T at
     # which every sampled window has one is the largest first T
@@ -309,7 +319,7 @@ def cmd_check(args) -> int:
     report_T = found if found is not None else args.t_max
     windows = []
     for t0 in t0s:
-        support = per_start[t0][0] <= report_T
+        support = per_start[t0][0] >= args.t_max + 1 - report_T
         windows.append(
             {
                 "t0": t0,
@@ -331,31 +341,24 @@ def cmd_check(args) -> int:
 
 
 def cmd_jsr(args) -> int:
-    try:
-        data = json.loads(Path(args.matrix_set).read_text())
-    except OSError as exc:
-        raise ConfigError("matrix_set", f"cannot read {args.matrix_set}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("matrix_set", f"invalid JSON: {exc}") from exc
+    data = _read_json(args.matrix_set, "matrix_set")
     mats_raw = data.get("matrices") if isinstance(data, dict) else data
     if not isinstance(mats_raw, list) or not mats_raw:
         raise ConfigError("matrix_set.matrices", "expected a nonempty list of matrices")
-    mats = []
+    rows, mats = [], []
     for k, M in enumerate(mats_raw):
-        arr = np.asarray(M, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ConfigError(f"matrix_set.matrices[{k}]", "not a square matrix")
+        where = f"matrix_set.matrices[{k}]"
+        rows.append(_coerce(M, _as_matrix, where))
+        arr = np.array(rows[-1])
         if arr.shape != (mats[0].shape if mats else arr.shape):
-            raise ConfigError(f"matrix_set.matrices[{k}]", "dimension mismatch")
+            raise ConfigError(where, "dimension mismatch")
         if arr.shape[0] < 2:
-            raise ConfigError(f"matrix_set.matrices[{k}]", "need at least 2x2")
+            raise ConfigError(where, "need at least 2x2")
         if not is_stochastic(arr, tol=1e-9):
-            raise ConfigError(f"matrix_set.matrices[{k}]", "not row stochastic")
+            raise ConfigError(where, "not row stochastic")
         mats.append(arr)
 
-    h = sha256(
-        json.dumps([[list(r) for r in M] for M in mats], separators=(",", ":")).encode()
-    ).hexdigest()[:16]
+    h = sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()[:16]
     bounds = gripenberg([project(M) for M in mats], tol=args.tol, max_len=args.max_len)
 
     obj = {"config_hash": h, **bounds.to_json_dict(), "mu": args.mu}
@@ -375,10 +378,7 @@ def cmd_jsr(args) -> int:
     _write_json(out / "jsr_bounds.json", obj)
     print(line)
     print(f"wrote {out / 'jsr_bounds.json'}")
-    if args.strict and not bounds.converged:
-        print("strict: bounds gap above tolerance", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _exit_code(args, bounds.converged, "bounds gap above tolerance")
 
 
 def _add_common(sp):

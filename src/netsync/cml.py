@@ -106,16 +106,13 @@ class SimRun:
 
 @dataclass(frozen=True)
 class SyncReport:
-    m: int
-    steps: int
-    times: list
-    k_series: list
-    diam_series: list
+    """A finished run with the analytic criterion attached."""
+
+    run: SimRun
     sigma1: float
     mu: float
     W: float
     predicted_sync: bool
-    observed_sync: bool
     indeterminate: bool
     mu_source: str
 
@@ -195,37 +192,12 @@ def make_sync_report(run: SimRun, sigma1, mu, mu_source):
     W, predicted = criterion(sigma1, mu)
     indeterminate = abs(W) < INDETERMINATE_BAND
     return SyncReport(
-        m=run.m,
-        steps=run.steps,
-        times=list(run.times),
-        k_series=list(run.k_series),
-        diam_series=list(run.diam_series),
+        run=run,
         sigma1=float(sigma1),
         mu=float(mu),
         W=W,
         predicted_sync=predicted,
-        observed_sync=run.observed_sync,
         indeterminate=indeterminate,
         mu_source=mu_source,
     )
 
-
-def report_to_csv(report: SyncReport, extra_meta=None):
-    """Render a SyncReport as CSV: a '#' metadata line, then t,K,diam rows."""
-    meta = {
-        "m": report.m,
-        "steps": report.steps,
-        "sigma1": repr(report.sigma1),
-        "mu": repr(report.mu),
-        "W": repr(report.W),
-        "predicted_sync": report.predicted_sync,
-        "observed_sync": report.observed_sync,
-        "mu_source": report.mu_source,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items())]
-    lines.append("t,K,diam")
-    for t, k, d in zip(report.times, report.k_series, report.diam_series):
-        lines.append(f"{t},{repr(float(k))},{repr(float(d))}")
-    return "\n".join(lines) + "\n"

@@ -84,12 +84,14 @@ def is_scrambling(G) -> bool:
     """True iff every row pair shares a positively supported column.
 
     With S = G > POSITIVITY_THRESHOLD, every off-diagonal entry of
-    S S^T is nonzero; that is exactly eta(G) > 0.  A bool support is
-    read as is: its True entries, self-loops included, are the edges.
-    S S^T is formed sparse, SCRAMBLING_BLOCK entries at a time, up to
-    the first pair that shares no column.
+    S S^T is nonzero; that is exactly eta(G) > 0.  G is an ndarray or a
+    scipy.sparse matrix.  A bool support is read as is: its True
+    entries, self-loops included, are the edges.  S S^T is formed
+    sparse, SCRAMBLING_BLOCK entries at a time, up to the first pair
+    that shares no column.
     """
-    G = np.asarray(G)
+    if not issparse(G):
+        G = np.asarray(G)
     if G.ndim != 2:
         raise InvalidParamsError(f"expected a 2-d array, got ndim={G.ndim}")
     from scipy.sparse import csr_array

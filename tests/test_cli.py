@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from graph_oracles import support, union, window_has_spanning_tree
-from netsync.cli import _edge_first_lengths, main
+from netsync.cli import _union_table, main
 from netsync.config import ExperimentConfig, build_source
 from netsync.estimators import default_t0_samples
 from netsync.hajnal import has_spanning_tree, is_scrambling
@@ -235,12 +235,21 @@ def test_sweep_single_value_matches_simulate(tmp_path):
     assert rows[0][4] == str(summary["observed_sync"]).lower()
 
 
-def test_sweep_rejects_empty_and_unknown(tmp_path):
+def test_sweep_rejects_empty_and_unknown(tmp_path, capsys):
     cfg = write_config(tmp_path, blinking_sweep_doc())
     assert main(["sweep", "--config", cfg, "--parameter", "p", "--values", "[]"]) == 2
     assert (
         main(["sweep", "--config", cfg, "--parameter", "warp", "--values", "[1]"]) == 2
     )
+    # values the config accepts but sweep.csv cannot hold as numbers are
+    # rejected before any row runs
+    out = tmp_path / "o"
+    for parameter, values in (("map.mu", "[null]"), ("simulation.x0_policy", '["random"]')):
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--parameter", parameter,
+                     "--values", values, "--out", str(out)]) == 2
+        assert "'values'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_dotted_parameter_left_at_its_default(tmp_path):
@@ -319,12 +328,30 @@ def check_oracle(doc, t_max):
     return found, windows
 
 
-@pytest.mark.parametrize("t_max, t_found", [(4, None), (8, 7)])
-def test_check_blinking_matches_window_by_window_oracle(tmp_path, t_max, t_found):
+def dense_finite_set_source():
+    # three 12 x 12 dense emissions, each about 20 % supported
+    rng = np.random.default_rng(2)
+    matrices = []
+    for _ in range(3):
+        S = np.eye(12) + (rng.random((12, 12)) < 0.2)
+        matrices.append((S / S.sum(axis=1, keepdims=True)).tolist())
+    return {"variant": "finite_set", "matrices": matrices}
+
+
+BLINKING_16 = {"variant": "blinking", "m": 16, "avg_degree": 8, "p": 0.1, "t_rec": 3}
+
+
+@pytest.mark.parametrize("source, t_max, t_found", [
+    pytest.param(BLINKING_16, 4, None, id="4-None"),
+    pytest.param(BLINKING_16, 8, 7, id="8-7"),
+    pytest.param(dense_finite_set_source(), 2, None, id="finite_set-2-None"),
+    pytest.param(dense_finite_set_source(), 8, 3, id="finite_set-8-3"),
+])
+def test_check_blinking_matches_window_by_window_oracle(tmp_path, source, t_max, t_found):
     # window starts every 5 steps, so windows of length 8 overlap
     doc = {
         "seed": 5,
-        "source": {"variant": "blinking", "m": 16, "avg_degree": 8, "p": 0.1, "t_rec": 3},
+        "source": source,
         "map": {"name": "logistic", "alpha": 3.9, "mu": 0.5},
         "estimator": {"horizon": 40},
     }
@@ -339,8 +366,9 @@ def test_check_blinking_matches_window_by_window_oracle(tmp_path, t_max, t_found
 
 
 def test_check_windows_read_sparse_supports_without_densifying():
-    # the first-time table is one m x m uint8 array; a dense float copy
-    # of a single emission would be 30.5 MiB at m = 2000
+    # the table is sparse over the union's entries; a dense m x m uint8
+    # table alone would be 3.8 MiB, and a dense float copy of a single
+    # emission 30.5 MiB, at m = 2000
     import scipy.sparse.csgraph  # noqa: F401  (imported before tracing)
 
     src = DrivenSource(
@@ -349,12 +377,12 @@ def test_check_windows_read_sparse_supports_without_densifying():
     src.at(0)
     tracemalloc.start()
     try:
-        first, tree_T = _edge_first_lengths(src, 0, 8)
+        table, tree_T = _union_table(src, 0, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tree_T is not None and first.dtype == np.uint8
-    assert peak < 16 * 2**20
+    assert tree_T is not None and table.dtype == np.uint8
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------- jsr
@@ -380,7 +408,7 @@ def test_jsr_contracting_singleton_synchronized(tmp_path):
     assert blob["verdict"] == "synchronized"
 
 
-def test_jsr_malformed_inputs(tmp_path):
+def test_jsr_malformed_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("definitely not json{")
     assert main(["jsr", str(bad)]) == 2
@@ -388,6 +416,13 @@ def test_jsr_malformed_inputs(tmp_path):
     nonstoch = tmp_path / "ns.json"
     nonstoch.write_text(json.dumps([[[0.9, 0.5], [0.1, 0.1]]]))
     assert main(["jsr", str(nonstoch)]) == 2
+    # ragged and non-numeric matrices name the offending member
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    for bad_member in ([[0.5, 0.5], [1.0]], [["a", "b"], ["c", "d"]]):
+        bad.write_text(json.dumps([identity, bad_member]))
+        capsys.readouterr()
+        assert main(["jsr", str(bad)]) == 2
+        assert "matrix_set.matrices[1]" in capsys.readouterr().err
 
 
 def test_jsr_strict_escalates_wide_gap(tmp_path):
@@ -416,10 +451,15 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_invalid_config_json_exits_2(tmp_path):
+def test_invalid_config_json_exits_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{nope")
     assert main(["spectrum", "--config", str(p)]) == 2
+    # --seed on a document that is not an object
+    p.write_text("[1, 2]")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(p), "--seed", "3"]) == 2
+    assert "'config': expected an object" in capsys.readouterr().err
 
 
 def test_schema_violation_exits_2(tmp_path):

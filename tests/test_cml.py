@@ -252,10 +252,10 @@ def test_sync_report_assembly():
     )
     rep = make_sync_report(run, sigma1=np.log(0.5), mu=0.5, mu_source="supplied")
     assert rep.W == np.log(0.5) + 0.5
-    assert rep.predicted_sync and rep.observed_sync
+    assert rep.predicted_sync and rep.run.observed_sync
     assert not rep.indeterminate
     assert rep.mu_source == "supplied"
-    assert rep.k_series == run.k_series
+    assert rep.run is run
 
 
 def test_sync_report_neg_inf_collapse():
@@ -268,7 +268,7 @@ def test_sync_report_neg_inf_collapse():
     )
     rep = make_sync_report(run, sigma1=NEG_INF, mu=0.5, mu_source="supplied")
     assert rep.W == NEG_INF
-    assert rep.predicted_sync and rep.observed_sync
+    assert rep.predicted_sync and rep.run.observed_sync
 
 
 def test_sync_report_indeterminate_band():

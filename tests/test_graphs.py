@@ -34,14 +34,14 @@ def test_from_matrix_identity():
     # only self-loops: no vertex reaches another, in any input form
     for S in (np.eye(3), np.eye(3, dtype=bool), csr_array(np.eye(3))):
         assert has_spanning_tree(S) is None
-    assert not is_scrambling(np.eye(3))
+        assert not is_scrambling(S)
 
 
 def test_from_matrix_all_positive_complete():
     G = np.full((3, 3), 1.0 / 3.0)
     assert has_spanning_tree(G) == 0
     assert has_spanning_tree(csr_array(G)) == 0
-    assert is_scrambling(G)
+    assert is_scrambling(G) and is_scrambling(csr_array(G))
 
 
 def test_from_matrix_orientation():
@@ -133,23 +133,28 @@ def test_spanning_tree_monotone_under_edge_addition(seed, m):
 # ---------------------------------------------------------------- scrambling
 
 
+# each support is also read as a csr_array of the same entries
+
+
 def test_scrambling_graph_all_positive():
-    assert is_scrambling(np.ones((4, 4), dtype=bool))
+    g = np.ones((4, 4), dtype=bool)
+    assert is_scrambling(g) and is_scrambling(csr_array(g))
 
 
 def test_scrambling_graph_identity_false():
-    assert not is_scrambling(np.eye(3, dtype=bool))
+    g = np.eye(3, dtype=bool)
+    assert not is_scrambling(g) and not is_scrambling(csr_array(g))
 
 
 def test_scrambling_graph_positive_column():
     G = make_stochastic(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    assert is_scrambling(G > 0)
+    assert is_scrambling(G > 0) and is_scrambling(csr_array(G > 0))
 
 
 def test_scrambling_graph_self_loop_counts():
     # pair (0,1): vertex 0 feeds both (self-loop plus edge 0->1)
     g = edges_graph(2, [(0, 0), (0, 1), (1, 1)])
-    assert is_scrambling(g)
+    assert is_scrambling(g) and is_scrambling(csr_array(g))
 
 
 @given(
@@ -167,6 +172,8 @@ def test_scrambling_graph_matches_eta_route(seed, m, density):
     G = levels[rng.integers(0, levels.size, (m, m))] * (rng.random((m, m)) < density)
     assert is_scrambling(G) == (eta(G) > 0.0)
     assert is_scrambling(G) == is_scrambling(G > POSITIVITY_THRESHOLD)
+    # entries at or below the threshold are stored, and still not edges
+    assert is_scrambling(G) == is_scrambling(csr_array(G))
 
 
 # ---------------------------------------------------------------- windows
