@@ -78,11 +78,14 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, meta: dict, header, rows) -> None:
     """A '#' line of key=value pairs, the header, then the rows, with
-    floats written by repr and ints by str (bools as true or false)."""
+    floats written by repr and ints by str (bools as true or false),
+    numpy scalars as the Python type they stand for; a cell's format
+    follows its type, so a float column must hold floats."""
     lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), ",".join(header)]
     for row in rows:
         lines.append(",".join(
-            str(v).lower() if isinstance(v, int) else repr(float(v)) for v in row
+            str(v).lower() if isinstance(v, (int, np.integer, np.bool_)) else repr(float(v))
+            for v in row
         ))
     path.write_text("\n".join(lines) + "\n")
 
@@ -282,11 +285,13 @@ def cmd_sweep(args) -> int:
 
 def _union_table(source, t0: int, t_max: int):
     """For the windows [t0, t0+T), T = 1..t_max, read in time order: a
-    sparse table holding, per edge of the largest union, t_max + 1 - T
-    for the first T whose union holds it, and the first T whose union
-    has a spanning tree (None if none).  Unions only grow with T, so the
-    union at any T is the table's entries >= t_max + 1 - T, and while
-    the table is built up to T it holds exactly that union."""
+    table holding, per edge of the largest union, t_max + 1 - T for the
+    first T whose union holds it (0 elsewhere), and the first T whose
+    union has a spanning tree (None if none).  Unions only grow with T,
+    so the union at any T is the table's entries >= t_max + 1 - T, and
+    while the table is built up to T it holds exactly that union.  It is
+    built as a sparse CSR array and returned in whichever of that and a
+    dense array is smaller."""
     from scipy.sparse import csr_array
 
     m = source.m
@@ -294,11 +299,17 @@ def _union_table(source, t0: int, t_max: int):
     table = csr_array((m, m), dtype=dtype)
     tree_T = None
     for T in range(1, t_max + 1):
-        rows, cols = (source.at(t0 + T - 1) > 0).nonzero()
-        late = np.full(rows.size, t_max + 1 - T, dtype=dtype)
-        table = table.maximum(csr_array((late, (rows, cols)), shape=(m, m)))
+        # int32 coordinates give int32 indices; scipy keeps int64 ones
+        coords = tuple(ix.astype(np.int32) for ix in (source.at(t0 + T - 1) > 0).nonzero())
+        late = np.full(coords[0].size, t_max + 1 - T, dtype=dtype)
+        table = table.maximum(csr_array((late, coords), shape=(m, m)))
         if tree_T is None and has_spanning_tree(table) is not None:
             tree_T = T
+    # a stored entry costs its value and an int32 index, so past about a
+    # fifth of m * m entries (uint8 values) the dense table is smaller
+    csr_bytes = table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
+    if csr_bytes > table.dtype.itemsize * m * m:
+        table = table.toarray()
     return table, tree_T
 
 

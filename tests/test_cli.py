@@ -7,14 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from graph_oracles import support, union, window_has_spanning_tree
-from netsync.cli import _union_table, main
+from netsync.cli import _union_table, _write_csv, main
 from netsync.config import ExperimentConfig, build_source
 from netsync.estimators import default_t0_samples
 from netsync.hajnal import has_spanning_tree, is_scrambling
 from netsync.processes import BlinkingProcess
-from netsync.sources import DrivenSource
+from netsync.sources import DrivenSource, StaticSource
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -267,6 +268,12 @@ def test_sweep_dotted_parameter_left_at_its_default(tmp_path):
                  "--values", "[1]"]) == 2
 
 
+def test_write_csv_reads_numpy_scalars_as_python_ones(tmp_path):
+    rows = [(3, 0.5, True), (np.int64(3), np.float64(0.5), np.bool_(True))]
+    _write_csv(tmp_path / "t.csv", {"k": "v"}, ("n", "x", "ok"), rows)
+    assert (tmp_path / "t.csv").read_text() == "# k=v\nn,x,ok\n3,0.5,true\n3,0.5,true\n"
+
+
 # -------------------------------------------------------------------- check
 
 
@@ -339,11 +346,14 @@ def dense_finite_set_source():
 
 
 BLINKING_16 = {"variant": "blinking", "m": 16, "avg_degree": 8, "p": 0.1, "t_rec": 3}
+# its unions stay well under a fifth of m * m entries, so its tables stay CSR
+BLINKING_100 = {"variant": "blinking", "m": 100, "avg_degree": 6, "p": 0.05, "t_rec": 3}
 
 
 @pytest.mark.parametrize("source, t_max, t_found", [
     pytest.param(BLINKING_16, 4, None, id="4-None"),
     pytest.param(BLINKING_16, 8, 7, id="8-7"),
+    pytest.param(BLINKING_100, 8, 7, id="sparse-8-7"),
     pytest.param(dense_finite_set_source(), 2, None, id="finite_set-2-None"),
     pytest.param(dense_finite_set_source(), 8, 3, id="finite_set-8-3"),
 ])
@@ -381,8 +391,15 @@ def test_check_windows_read_sparse_supports_without_densifying():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tree_T is not None and table.dtype == np.uint8
+    assert tree_T is not None and table.dtype == np.uint8 and issparse(table)
     assert peak < 4 * 2**20
+
+
+def test_check_dense_union_is_held_dense():
+    # a stored CSR entry costs an int32 index besides its uint8 value
+    table, tree_T = _union_table(StaticSource(np.full((50, 50), 0.02)), 0, 8)
+    assert isinstance(table, np.ndarray) and table.dtype == np.uint8
+    assert tree_T == 1 and (table == 8).all()
 
 
 # ---------------------------------------------------------------------- jsr
