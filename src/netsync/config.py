@@ -203,15 +203,20 @@ class ExperimentConfig:
             out=top["out"],
         )
 
-    def to_json_dict(self) -> dict:
+    def _document(self) -> dict:
+        """The config's JSON document, sharing its source and map."""
         return {
             "seed": self.seed,
-            "source": json.loads(json.dumps(self.source)),
-            "map": json.loads(json.dumps(self.map_spec)),
+            "source": self.source,
+            "map": self.map_spec,
             "estimator": asdict(self.estimator),
             "simulation": asdict(self.simulation),
             "out": self.out,
         }
+
+    def to_json_dict(self) -> dict:
+        # a deep copy, which the caller may change
+        return json.loads(json.dumps(self._document()))
 
 
 # required and optional fields of each source variant
@@ -266,7 +271,8 @@ def _validate_map(d: dict) -> dict:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(cfg.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    # the document need not be copied to be hashed
+    blob = json.dumps(cfg._document(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

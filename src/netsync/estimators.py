@@ -8,10 +8,8 @@ P G = Ghat P and P annihilates consensus rows, P X follows the projected
 dynamics exactly, at O(m^2 n) per step (O(nnz n) for a sparse G) instead
 of O(m^3).  One walk over absolute time serves sigma1 (width-1 probe
 windows, all started at 0), the diameter and the projected growth (one
-identity window per sampled start).  The window estimators score every
-window's log growth rate at every age; sigma1, which reads its curve
-only at renormalisation ages and at the horizon, is scored only there.
-The probe-death rule applies to every window where it is scored.
+identity window per sampled start).  It scores every window's log
+growth rate, and applies the probe-death rule, at every age.
 
 The sup over window starts is sampled on a fixed grid; the limsup in t
 is reported as the final-horizon value together with a convergence flag
@@ -39,6 +37,9 @@ from .linalg import as_dense, compress, difference, lift, norm_ord
 NEG_INF = -math.inf
 # a window at or below this size is taken as annihilated
 DEAD_SIZE = 1e-300
+
+# cap on the buffer a window walk steps a run of ages into
+WALK_BUFFER_BYTES = 2**20
 
 DEFAULT_RENORM_EVERY = 8
 DEFAULT_N_VECTORS = 8
@@ -109,7 +110,6 @@ def _window_walk(
     horizon: int,
     renorm_every: int,
     size: Callable[[np.ndarray], np.ndarray],
-    _renorm_ages_only: bool = False,
 ) -> np.ndarray:
     """Log growth rates of a block of windows, one per age t = 1..horizon:
     entry t-1 is the max over windows of log(size of the window's product
@@ -120,21 +120,20 @@ def _window_walk(
     Y_k = G(starts[k] + t - 1) ... G(starts[k]) X[:, k] relative to its
     row 0, so rows never coalesce below the float floor.  The windows
     covering a time form one contiguous block, which that time's matrix
-    advances with a single matmul; size maps such a block to its window
-    sizes.  Every renorm_every ages a window is divided by its size after
-    it is scored, and a log scale keeps what was divided out.  A window
-    whose size falls to DEAD_SIZE is zeroed and never scores again.
-
-    With _renorm_ages_only, a time is sized, checked and scored only if
-    a window is renormalised at it or it ends a run of times covered by
-    one block; for windows that share one start, as sigma1's probes do,
-    these are their renormalisation ages and the horizon, and every
-    other age of the curve is -inf.
+    advances with a single matmul into a buffer of WALK_BUFFER_BYTES, or
+    in place in X if two ages of the block exceed it.  A run of ages ends
+    where a window is renormalised, the buffer is full or the block
+    changes, and is scored at once: size maps an (m, r*n, w) view of r
+    ages of n windows to their sizes.  Every renorm_every ages a window
+    is divided by its size after it is scored, and a log scale keeps what
+    was divided out.  A window whose size falls to DEAD_SIZE is zeroed
+    and never scores again.
     """
     if horizon < 1 or renorm_every < 1:
         raise InvalidParamsError(
             f"need horizon >= 1 and renorm_every >= 1, got {horizon}, {renorm_every}"
         )
+    X = np.ascontiguousarray(X)  # so that a block's slice reshapes to a view
     m, K, w = X.shape
     first = np.asarray(starts)
     logscale = np.zeros(K)
@@ -147,6 +146,7 @@ def _window_walk(
             hi = bisect_right(starts, a)
             if lo == hi:
                 continue
+            n = hi - lo
             Y = X[:, lo:hi]
             scale = logscale[lo:hi]
             age = a - first[lo:hi]
@@ -154,25 +154,36 @@ def _window_walk(
                 np.flatnonzero((age + j) % renorm_every == 0)
                 for j in range(1, renorm_every + 1)
             ]
+            L = max(1, min(renorm_every, b - a, WALK_BUFFER_BYTES // Y.nbytes))
+            buf = np.empty((m, L, n, w)) if L > 1 else Y[:, None]
+            slots = list(buf.reshape(m, L, n * w).swapaxes(0, 1))
+            prev = Y.reshape(m, -1)
+            r = 0
             for tau in range(a, b):
-                age += 1
-                Y = (source.at(tau) @ Y.reshape(m, -1)).reshape(m, hi - lo, w)
-                Y -= Y[0]
+                Z = source.at(tau) @ prev
+                prev = np.subtract(Z, Z[0], out=slots[r])
+                del Z  # before the next product: one block at a time
+                r += 1
                 k = due[(tau - a) % renorm_every]
-                if _renorm_ages_only and not k.size and tau != b - 1:
+                if not k.size and r < L and tau < b - 1:
                     continue
-                d = size(Y)
+                Y = buf[:, r - 1]
+                ages = age + np.arange(tau - a + 2 - r, tau - a + 2)[:, None]
+                d = size(buf[:, :r].reshape(m, r * n, w)).reshape(r, n)
                 logd = np.log(d)
-                if d.min() <= DEAD_SIZE:
-                    dead = d <= DEAD_SIZE
-                    Y[:, dead] = 0.0
-                    d[dead] = 1.0
+                dead = d <= DEAD_SIZE
+                if dead.any():
+                    # a window dead at one age of the run is dead for the rest
+                    dead = np.logical_or.accumulate(dead)
                     logd[dead] = NEG_INF
+                    d[dead] = 1.0
+                    Y[:, dead[-1]] = 0.0
                 # windows sharing a start share an age: keep the max
-                np.maximum.at(curve, age, (logd + scale) / age)
+                np.maximum.at(curve, ages, (logd + scale) / ages)
                 if k.size:
-                    Y[:, k] /= d[k, None]
-                    scale[k] += logd[k]
+                    Y[:, k] /= d[-1, k][:, None]
+                    scale[k] += logd[-1, k]
+                r = 0
             X[:, lo:hi] = Y
     return curve[1:]
 
@@ -249,9 +260,9 @@ def estimate_sigma1(
     The probes V live in the difference frame.  They are lifted once to
     node space, X = P+ V, and walked as width-1 windows that all start
     at time 0; P X equals the projected probes at every step, since
-    P G = Ghat P and P annihilates consensus rows.  The trace holds the
-    rate at every renorm_every-th step; probes are sized, checked and
-    scored only at those steps and at the horizon."""
+    P G = Ghat P and P annihilates consensus rows.  The walk scores the
+    probes at every step; the trace reads the rate at every
+    renorm_every-th step, and the value at the horizon."""
     if not 1 <= renorm_every <= horizon:
         raise InvalidParamsError(
             f"need horizon >= renorm_every >= 1, got {horizon}, {renorm_every}"
@@ -266,15 +277,14 @@ def estimate_sigma1(
 
     def size(Y):
         # np.linalg.norm(D, axis=0) of the probes' differences, without
-        # its per-call overhead
+        # its per-call overhead; numpy sums a lone column pairwise, so a
+        # lone probe's ages are summed as rows, in that order
         D = difference(Y[..., 0])
-        return np.sqrt((D * D).sum(axis=0))
+        D *= D
+        return np.sqrt(D.T.copy().sum(axis=1) if n_vectors == 1 else D.sum(axis=0))
 
     X = lift(V)[:, :, None]
-    curve = _window_walk(
-        source, X, [0] * n_vectors, horizon, renorm_every, size,
-        _renorm_ages_only=True,
-    )
+    curve = _window_walk(source, X, [0] * n_vectors, horizon, renorm_every, size)
     value = float(curve[-1])
     trace = curve[renorm_every - 1 :: renorm_every].tolist()
     collapsed = value == NEG_INF

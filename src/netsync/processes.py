@@ -110,6 +110,9 @@ class BlinkingProcess:
         cols = np.concatenate((b, a, loops))
         order = np.lexsort((cols, rows))
         self._rows, self._cols = rows[order], cols[order]
+        # emitted int32 while the entry count fits: half the bytes of int64,
+        # while the gathers keep numpy's native index type
+        self._indices = self._cols.astype(np.int32 if rows.size < 2**31 else np.int64)
         self._loop = self._rows == self._cols
         self._timers = np.zeros(self.m, dtype=int)
         self._rng = np.random.default_rng(seed)
@@ -135,9 +138,9 @@ class BlinkingProcess:
         keep = self._loop | (up[self._rows] & up[self._cols])
         rows = self._rows[keep]
         deg = np.bincount(rows, minlength=self.m)
-        indptr = np.concatenate(([0], np.cumsum(deg)))
+        indptr = np.cumsum(np.concatenate(([0], deg)), dtype=self._indices.dtype)
         return csr_array(
-            (1.0 / deg[rows], self._cols[keep], indptr), shape=(self.m, self.m)
+            (1.0 / deg[rows], self._indices[keep], indptr), shape=(self.m, self.m)
         )
 
 

@@ -141,6 +141,35 @@ def test_source_requires_variant_fields():
     assert err.value.field.startswith("config.source.")
 
 
+def finite_set_doc():
+    return {
+        "seed": 5,
+        "source": {
+            "variant": "finite_set",
+            "matrices": [[[0.5, 0.5], [0.1, 0.9]], [[1.0, 0.0], [0.3, 0.7]]],
+            "weights": [0.25, 0.75],
+        },
+        "map": {"name": "logistic"},
+        "estimator": {"t0_samples": [0, 5, 17]},
+        "out": "results",
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        (static_doc(), "ebf43131e21d59ef"),
+        (static_doc(seed=4), "88968907718122dc"),
+        (blinking_doc(), "9ae36eb66200a8f3"),
+        (finite_set_doc(), "ec0039d4936095b8"),
+    ],
+)
+def test_hash_is_pinned(doc, expected):
+    # summary.json and every CLI output carry this hash: it must not
+    # change with how the document is serialised
+    assert config_hash(ExperimentConfig.from_json_dict(doc)) == expected
+
+
 def test_hash_tracks_content():
     a = config_hash(ExperimentConfig.from_json_dict(static_doc()))
     b = config_hash(ExperimentConfig.from_json_dict(static_doc(seed=4)))

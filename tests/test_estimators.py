@@ -9,11 +9,13 @@ projected matrices Ghat = P G Pplus, one window at a time.
 import math
 import time
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netsync import estimators
 from netsync.errors import (
     DimensionTooSmallError,
     InvalidParamsError,
@@ -21,7 +23,9 @@ from netsync.errors import (
     SingularMatrixError,
 )
 from netsync.estimators import (
+    DEAD_SIZE,
     NEG_INF,
+    WALK_BUFFER_BYTES,
     _window_walk,
     default_t0_samples,
     estimate_hajnal_diameter,
@@ -533,28 +537,170 @@ def test_sigma1_is_bit_identical_to_the_standalone_loop(case):
 
 @pytest.mark.parametrize("horizon", [200, 203])
 def test_sigma1_scoring_at_read_ages_equals_full_scoring(horizon):
-    # sigma1's probes scored at every age, as the window estimators are,
-    # and only at the ages estimate_sigma1 reads: the read ages agree
-    # exactly, and no other age is scored
+    # the walk scores sigma1's probes at every age; estimate_sigma1 reads
+    # its trace at the renormalisation ages and its value at the horizon
     src = random_finite_source(5)
     rng = np.random.default_rng(2)
-    X = lift(rng.standard_normal((src.m - 1, 8)))[:, :, None]
+    V = rng.standard_normal((8, src.m - 1)).T
+    V /= np.linalg.norm(V, axis=0, keepdims=True)
+    X = lift(V)[:, :, None]
 
     def size(Y):
         return np.linalg.norm(difference(Y[..., 0]), axis=0)
 
-    full = _window_walk(src, X.copy(), [0] * 8, horizon, 8, size)
-    read = _window_walk(src, X.copy(), [0] * 8, horizon, 8, size, _renorm_ages_only=True)
-    ages = np.arange(1, horizon + 1)
-    scored = (ages % 8 == 0) | (ages == horizon)
-    assert read[scored].tolist() == full[scored].tolist()
-    assert np.all(read[~scored] == NEG_INF)
+    full = _window_walk(src, X, [0] * 8, horizon, 8, size)
+    est = estimate_sigma1(src, horizon=horizon, seed=2)
+    assert est.trace == full[7::8].tolist()
+    assert est.value == full[-1]
     # a live window walk scores every age
     assert np.all(np.isfinite(full))
     eye = np.eye(src.m)
     windows = np.repeat((eye - eye[0])[:, None, :], 3, axis=1)
     diameter = _window_walk(src, windows, [0, 7, 50], horizon, 8, lambda Y: diam(Y, "inf"))
     assert np.all(np.isfinite(diameter))
+
+
+def per_age_window_walk(source, X, starts, horizon, renorm_every, size):
+    """The window walk one age at a time: every age's block is advanced,
+    sized, checked for deaths and scored before the next is stepped."""
+    m, K, w = X.shape
+    first = np.asarray(starts)
+    logscale = np.zeros(K)
+    curve = np.full(horizon + 1, NEG_INF)
+    bounds = sorted({*starts, *(s + horizon for s in starts)})
+    with np.errstate(divide="ignore"):
+        for a, b in zip(bounds, bounds[1:]):
+            lo = bisect_right(starts, a - horizon)
+            hi = bisect_right(starts, a)
+            if lo == hi:
+                continue
+            Y = X[:, lo:hi]
+            scale = logscale[lo:hi]
+            age = a - first[lo:hi]
+            for tau in range(a, b):
+                age += 1
+                Y = (source.at(tau) @ Y.reshape(m, -1)).reshape(m, hi - lo, w)
+                Y -= Y[0]
+                d = size(Y)
+                logd = np.log(d)
+                if d.min() <= DEAD_SIZE:
+                    dead = d <= DEAD_SIZE
+                    Y[:, dead] = 0.0
+                    d[dead] = 1.0
+                    logd[dead] = NEG_INF
+                np.maximum.at(curve, age, (logd + scale) / age)
+                k = np.flatnonzero(age % renorm_every == 0)
+                if k.size:
+                    Y[:, k] /= d[k, None]
+                    scale[k] += logd[k]
+            X[:, lo:hi] = Y
+    return curve[1:]
+
+
+def with_rank_one_member():
+    # a rank-one member drawn about one step in ten kills every window
+    # that covers it, mostly at ages between renormalisations
+    rng = np.random.default_rng(4)
+    mats = [make_stochastic(rng.random((5, 5)) + 0.1) for _ in range(2)]
+    row = rng.random(5) + 0.1
+    rank1 = np.tile(row / row.sum(), (5, 1))
+    return FiniteSetIIDSource(mats + [rank1], weights=[0.45, 0.45, 0.1], seed=4)
+
+
+def large_finite_source():
+    # m = 130: four or more diameter windows exceed half the walk buffer,
+    # so their segments run one age at a time
+    rng = np.random.default_rng(6)
+    return FiniteSetIIDSource([make_stochastic(rng.random((130, 130)) + 0.1) for _ in range(2)], seed=6)
+
+
+# name: (make source, horizon, window starts, renorm_every)
+WALK_ORACLE_CASES = {
+    "misaligned-duplicated-starts": (lambda: random_finite_source(2), 120, [0, 0, 3, 13, 13, 29], 8),
+    "off-grid-horizon": (lambda: random_finite_source(3), 203, None, 8),
+    "blinking-csr": (
+        lambda: DrivenSource(
+            BlinkingProcess.from_params(m=40, avg_degree=6, p=0.1, t_rec=3, seed=3)
+        ),
+        96,
+        [0, 5, 40],
+        8,
+    ),
+    "rank-one-member": (with_rank_one_member, 60, [0, 3, 10, 21, 22], 8),
+    "renorm-every-5": (lambda: random_finite_source(7), 61, [0, 2, 9], 5),
+    "one-age-runs": (large_finite_source, 24, [0, 1, 2, 3, 4, 5], 8),
+}
+
+
+def walk_estimates(make, horizon, t0s, renorm_every):
+    out = [
+        estimate_sigma1(make(), horizon=horizon, renorm_every=renorm_every, n_vectors=n, seed=3)
+        for n in (1, 8)
+    ]
+    for estimate in (estimate_hajnal_diameter, estimate_projection_jsr):
+        for kind in ("inf", "one", "two"):
+            out.append(estimate(make(), horizon, t0s, kind, renorm_every))
+    return [est.to_json_dict() for est in out]
+
+
+@pytest.mark.parametrize("case", sorted(WALK_ORACLE_CASES))
+def test_window_walk_is_bit_identical_to_the_per_age_loop(case, monkeypatch):
+    make, horizon, t0s, renorm_every = WALK_ORACLE_CASES[case]
+    runs = walk_estimates(make, horizon, t0s, renorm_every)
+    monkeypatch.setattr(estimators, "_window_walk", per_age_window_walk)
+    ages = walk_estimates(make, horizon, t0s, renorm_every)
+    for run, age in zip(runs, ages):
+        assert run.keys() == age.keys()
+        for key in run:
+            # the bytes, so that NaN payloads and the sign of zero count
+            assert np.asarray(run[key]).tobytes() == np.asarray(age[key]).tobytes(), key
+    if case == "rank-one-member":
+        assert runs[0]["collapsed"] and min(runs[2]["curve"]) == 0.0
+
+
+@pytest.mark.parametrize("lead", [0, 4])
+def test_window_walk_keeps_a_window_dead_after_its_size_recovers(lead):
+    # the last window starts at lead from the centred probe (0, 0, 1):
+    # four steps scale it by eps each, to just under DEAD_SIZE at age 4,
+    # then a row swap alternately doubles and halves its size, so it
+    # climbs back over DEAD_SIZE at age 5.  With lead 0 that is inside
+    # the run it died in; with lead 4 a window started at 0, zero and
+    # dead throughout, is renormalised at the death, so the run ends
+    # there.  Either way no age from 4 on may score.
+    eps = 0.962e-75
+    contract = np.array([[1.0, 0.0, 0.0], [1.0, eps, 0.0], [1.0, 0.0, eps]])
+    swap = np.eye(3)[[0, 2, 1]]
+    src = PeriodicSource([swap] * lead + [contract] * 4 + [swap] * 12)
+    starts = sorted({0, lead})
+
+    def size(Y):
+        return np.abs(np.diff(Y, axis=0)).sum(axis=0)[:, 0]
+
+    X = np.zeros((3, len(starts), 1))
+    X[2, -1] = 1.0
+    curve = _window_walk(src, X.copy(), starts, 12, 8, size)
+    assert np.all(curve[3:] == NEG_INF) and np.all(np.isfinite(curve[:3]))
+    assert curve.tobytes() == per_age_window_walk(src, X.copy(), starts, 12, 8, size).tobytes()
+
+
+def test_window_walk_memory_over_the_buffer_cap():
+    # a block of 16 windows at m = 300 is 11 MB, far over half the cap:
+    # the walk steps it in place, one age at a time, and holds at most
+    # one more block besides the cap
+    rng = np.random.default_rng(1)
+    src = FiniteSetIIDSource([make_stochastic(rng.random((300, 300)) + 0.1) for _ in range(2)], seed=1)
+    eye = np.eye(300)
+    X = np.repeat((eye - eye[0])[:, None, :], 16, axis=1)
+    block = X.nbytes
+    assert 2 * block > WALK_BUFFER_BYTES
+    tracemalloc.start()
+    try:
+        curve = _window_walk(src, X, [0] * 16, 8, 8, lambda Y: diam(Y, "inf"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(curve))
+    assert peak <= block + WALK_BUFFER_BYTES, f"walk peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_window_walk_skips_uncovered_times():

@@ -218,6 +218,17 @@ def test_blinking_wraps_as_driven_source():
     assert is_stochastic(src.at(0))
 
 
+def test_blinking_emits_int32_indices():
+    # int32 indices and indptr while the entries fit: half the index
+    # bytes of int64, in the emission and in the source's checked copy
+    make = lambda: BlinkingProcess.from_params(m=200, avg_degree=12, p=0.01, t_rec=3, seed=0)
+    G = make().step()
+    H = DrivenSource(make()).at(0)
+    for A in (G, H):
+        assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert np.array_equal(G.toarray(), H.toarray())
+
+
 def test_blinking_source_holds_only_edge_lists():
     # a dense base would be 2000^2 doubles = 30.5 MiB, deep-copied once
     # more by the checkpoint; the edge lists of ~26k entries are ~0.4 MiB
