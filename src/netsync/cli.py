@@ -13,12 +13,15 @@ import argparse
 import json
 import math
 import sys
+from bisect import bisect_right
 from hashlib import sha256
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .cml import make_sync_report, simulate
+# bench/child.py wraps cli.simulate by name, so it stays a module global
+from .cml import Orbit, make_sync_report, simulate  # noqa: F401
 from .config import (
     ExperimentConfig,
     _as_matrix,
@@ -111,7 +114,11 @@ def run_sync_experiment(cfg):
     """Estimate sigma1 and mu, simulate; the SyncReport and sigma1 estimate.
 
     The single code path behind both `simulate` and each `sweep` row, so
-    a one-value sweep reproduces the simulate summary exactly.
+    a one-value sweep reproduces the simulate summary exactly.  One pass
+    over time serves both, so a driven source emits each time once: sigma1
+    reads each time below its horizon once, in order, and each read also
+    steps the orbit, which then finishes on the live source.  The orbit's
+    divergence is raised after sigma1 returns, so sigma1's errors come first.
     """
     source = build_source(cfg)
     fmap = build_map(cfg)
@@ -123,12 +130,25 @@ def run_sync_experiment(cfg):
         mu_source = "estimated"
     else:
         mu_source = "supplied"
-    sig = _run_sigma1(cfg, source)
-    x0 = initial_state(cfg, source.m, fmap)
-    run = simulate(
-        source, fmap, x0, cfg.simulation.steps, cfg.simulation.record_every
-    )
-    return make_sync_report(run, sig.value, mu, mu_source), sig
+    steps = cfg.simulation.steps
+    orbit = Orbit(fmap, initial_state(cfg, source.m, fmap), steps, cfg.simulation.record_every)
+    diverged = []
+
+    def at(t):
+        G = source.at(t)
+        if t == orbit.t < steps and not diverged:
+            try:
+                orbit.step(G)
+            except StateDivergedError as exc:
+                diverged.append(exc)
+        return G
+
+    sig = _run_sigma1(cfg, SimpleNamespace(m=source.m, at=at))
+    if diverged:
+        raise diverged[0]
+    for t in range(orbit.t, steps):
+        orbit.step(source.at(t))
+    return make_sync_report(orbit.run(), sig.value, mu, mu_source), sig
 
 
 def cmd_spectrum(args) -> int:
@@ -283,34 +303,41 @@ def cmd_sweep(args) -> int:
     return _exit_code(args, all(ok for _, ok in rows), "a sigma1 estimate did not converge")
 
 
-def _union_table(source, t0: int, t_max: int):
-    """For the windows [t0, t0+T), T = 1..t_max, read in time order: a
-    table holding, per edge of the largest union, t_max + 1 - T for the
-    first T whose union holds it (0 elsewhere), and the first T whose
-    union has a spanning tree (None if none).  Unions only grow with T,
-    so the union at any T is the table's entries >= t_max + 1 - T, and
-    while the table is built up to T it holds exactly that union.  It is
-    built as a sparse CSR array and returned in whichever of that and a
-    dense array is smaller."""
+def _union_tables(source, starts, t_max: int):
+    """For each start t0 of the ascending distinct starts and the windows
+    [t0, t0+T), T = 1..t_max: a table holding, per edge of the largest
+    union, t_max + 1 - T for the first T whose union holds it (0
+    elsewhere), and the first T whose union has a spanning tree (None if
+    none).  Unions only grow with T, so the union at any T is the table's
+    entries >= t_max + 1 - T, and while the table is built up to T it
+    holds exactly that union.  One ascending pass over time reads each
+    time once, holding one matrix, into every window open at that time.
+    A table is built as a sparse CSR array and, once its window closes,
+    kept in whichever of that and a dense array is smaller."""
     from scipy.sparse import csr_array
 
     m = source.m
     dtype = np.min_scalar_type(t_max)
-    table = csr_array((m, m), dtype=dtype)
-    tree_T = None
-    for T in range(1, t_max + 1):
+    tables = dict.fromkeys(starts, csr_array((m, m), dtype=dtype))
+    tree_T = dict.fromkeys(starts)
+    for t in range(starts[0], starts[-1] + t_max):
+        open_starts = starts[bisect_right(starts, t - t_max) : bisect_right(starts, t)]
+        if not open_starts:
+            continue
         # int32 coordinates give int32 indices; scipy keeps int64 ones
-        coords = tuple(ix.astype(np.int32) for ix in (source.at(t0 + T - 1) > 0).nonzero())
-        late = np.full(coords[0].size, t_max + 1 - T, dtype=dtype)
-        table = table.maximum(csr_array((late, coords), shape=(m, m)))
-        if tree_T is None and has_spanning_tree(table) is not None:
-            tree_T = T
-    # a stored entry costs its value and an int32 index, so past about a
-    # fifth of m * m entries (uint8 values) the dense table is smaller
-    csr_bytes = table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
-    if csr_bytes > table.dtype.itemsize * m * m:
-        table = table.toarray()
-    return table, tree_T
+        coords = tuple(ix.astype(np.int32) for ix in (source.at(t) > 0).nonzero())
+        for t0 in open_starts:
+            T = t - t0 + 1
+            late = np.full(coords[0].size, t_max + 1 - T, dtype=dtype)
+            table = tables[t0] = tables[t0].maximum(csr_array((late, coords), shape=(m, m)))
+            if tree_T[t0] is None and has_spanning_tree(table) is not None:
+                tree_T[t0] = T
+            # a stored entry costs its value and an int32 index, so past about
+            # a fifth of m * m entries (uint8 values) the dense table is smaller
+            csr_bytes = table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
+            if T == t_max and csr_bytes > dtype.itemsize * m * m:
+                tables[t0] = table.toarray()
+    return {t0: (tables[t0], tree_T[t0]) for t0 in starts}
 
 
 def cmd_check(args) -> int:
@@ -320,9 +347,7 @@ def cmd_check(args) -> int:
     source = build_source(cfg)
     t0s = cfg.estimator.t0_samples or default_t0_samples(cfg.estimator.horizon)
 
-    # window starts in ascending order, so a driven source replays only
-    # where windows overlap
-    per_start = {t0: _union_table(source, t0, args.t_max) for t0 in sorted(set(t0s))}
+    per_start = _union_tables(source, sorted(set(t0s)), args.t_max)
     tree_Ts = [per_start[t0][1] for t0 in t0s]
     # having a spanning tree is monotone in T, so the smallest T at
     # which every sampled window has one is the largest first T

@@ -9,7 +9,9 @@ The update is evaluated in centered form, x' = c + G (F - c) with
 c = F[0], which is algebraically identical to G F for row stochastic G
 but keeps the diagonal {x_1 = ... = x_m} invariant to the last bit: on
 the diagonal F - c vanishes exactly, so no rounding from the matrix
-product can push the state off the synchronized orbit.
+product can push the state off the synchronized orbit.  Orbit takes one
+coupling per step, so a caller walking the sequence for another reason
+can advance it on the way; simulate steps it over a source.
 
 Synchronization is predicted by the sign of W = sigma1 + mu, where
 sigma1 is the top transverse (projected) Lyapunov exponent of the
@@ -124,61 +126,67 @@ def _spread_stat(x):
     return float(d @ d) / (x.size - 1)
 
 
-def simulate(source: MatrixSource, fmap: ScalarMap, x0, steps, record_every=1):
-    """Run the lattice for `steps` updates, recording K and diameter.
+class Orbit:
+    """The lattice stepped one coupling at a time: the state, the time t
+    of the latest update, and the records simulate reports.
 
     K at a recorded time t is the running time average of the spread
     statistic over [0, t]. The diameter is max_i x_i - min_i x_i of the
-    current state. Raises StateDivergedError when any component leaves
-    [-DIVERGE_LIMIT, DIVERGE_LIMIT] (or turns non-finite).
+    current state. step raises StateDivergedError when any component
+    leaves [-DIVERGE_LIMIT, DIVERGE_LIMIT] (or turns non-finite).
     """
-    if steps < 0:
-        raise InvalidParamsError("steps must be nonnegative")
-    if record_every < 1:
-        raise InvalidParamsError("record_every must be positive")
-    x = np.array(x0, dtype=float).reshape(-1)
-    m = x.size
-    if m == 0:
-        raise EmptyListError("empty initial state")
-    if source.m != m:
-        raise DimensionMismatchError(
-            f"source emits {source.m}x{source.m}, state has {m} components"
+
+    def __init__(self, fmap: ScalarMap, x0, steps, record_every=1):
+        if steps < 0:
+            raise InvalidParamsError("steps must be nonnegative")
+        if record_every < 1:
+            raise InvalidParamsError("record_every must be positive")
+        self.x = np.array(x0, dtype=float).reshape(-1)
+        if self.x.size == 0:
+            raise EmptyListError("empty initial state")
+        self.fmap, self.steps, self.record_every = fmap, steps, record_every
+        self.t, self.times = 0, [0]
+        v = _spread_stat(self.x)
+        self.v_values, self.v_sum, self.k_series = [v], v, [v]
+        self.diam_series = [float(self.x.max() - self.x.min())]
+
+    def step(self, G):
+        """Advance the state by one update through the coupling G(t)."""
+        F = np.asarray(self.fmap.f(self.x), dtype=float)
+        c = F[0]
+        x = self.x = c + G @ (F - c)
+        t = self.t = self.t + 1
+        if not np.max(np.abs(x)) <= DIVERGE_LIMIT:
+            raise StateDivergedError(t=t, value=float(np.max(np.abs(x))))
+        v = _spread_stat(x)
+        self.v_values.append(v)
+        self.v_sum += v
+        if t % self.record_every == 0 or t == self.steps:
+            self.times.append(t)
+            self.k_series.append(self.v_sum / (t + 1))
+            self.diam_series.append(float(x.max() - x.min()))
+
+    def run(self) -> SimRun:
+        x, v = self.x, self.v_values
+        return SimRun(
+            m=x.size, steps=self.steps, record_every=self.record_every, times=self.times,
+            k_series=self.k_series, diam_series=self.diam_series, final_state=x,
+            observed_sync=float(x.max() - x.min()) < SYNC_TOL,
+            k_final_quarter=float(np.mean(v[(3 * len(v)) // 4 :])),
         )
 
-    times = [0]
-    v_values = [_spread_stat(x)]
-    v_sum = v_values[0]
-    k_series = [v_values[0]]
-    diam_series = [float(x.max() - x.min())]
 
+def simulate(source: MatrixSource, fmap: ScalarMap, x0, steps, record_every=1):
+    """Run the lattice for `steps` updates through source.at(0..steps-1),
+    recording K and diameter as Orbit does."""
+    orbit = Orbit(fmap, x0, steps, record_every)
+    if source.m != orbit.x.size:
+        raise DimensionMismatchError(
+            f"source emits {source.m}x{source.m}, state has {orbit.x.size} components"
+        )
     for t in range(steps):
-        G = source.at(t)
-        F = np.asarray(fmap.f(x), dtype=float)
-        c = F[0]
-        x = c + G @ (F - c)
-        if not np.max(np.abs(x)) <= DIVERGE_LIMIT:
-            raise StateDivergedError(t=t + 1, value=float(np.max(np.abs(x))))
-        v = _spread_stat(x)
-        v_values.append(v)
-        v_sum += v
-        if (t + 1) % record_every == 0 or t + 1 == steps:
-            times.append(t + 1)
-            k_series.append(v_sum / (t + 2))
-            diam_series.append(float(x.max() - x.min()))
-
-    final_diam = float(x.max() - x.min())
-    quarter = v_values[(3 * len(v_values)) // 4 :]
-    return SimRun(
-        m=m,
-        steps=steps,
-        record_every=record_every,
-        times=times,
-        k_series=k_series,
-        diam_series=diam_series,
-        final_state=x,
-        observed_sync=final_diam < SYNC_TOL,
-        k_final_quarter=float(np.mean(quarter)),
-    )
+        orbit.step(source.at(t))
+    return orbit.run()
 
 
 def make_sync_report(run: SimRun, sigma1, mu, mu_source):

@@ -90,7 +90,8 @@ class BlinkingProcess:
     plus the loops, sorted into row-major order, are filtered to those
     whose endpoints are both up (loops always stay), and each kept entry
     of row i is 1 / deg(i), the same value as the dense row
-    normalization.
+    normalization.  Its data, indices and indptr are fresh and read-only,
+    so a DrivenSource holds the emission itself, without a copy.
     """
 
     def __init__(self, m, edges, p, t_rec, seed):
@@ -139,9 +140,10 @@ class BlinkingProcess:
         rows = self._rows[keep]
         deg = np.bincount(rows, minlength=self.m)
         indptr = np.cumsum(np.concatenate(([0], deg)), dtype=self._indices.dtype)
-        return csr_array(
-            (1.0 / deg[rows], self._indices[keep], indptr), shape=(self.m, self.m)
-        )
+        G = csr_array((1.0 / deg[rows], self._indices[keep], indptr), shape=(self.m, self.m))
+        for a in (G.data, G.indices, G.indptr):
+            a.flags.writeable = False
+        return G
 
 
 class BlurringProcess:

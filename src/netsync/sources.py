@@ -6,10 +6,13 @@ times at once and keeps that one block.  The driven variant wraps a
 stateful topology process and holds only its last emission: a query for
 an earlier time replays the process from a deep copy taken at
 construction, so repeated queries are consistent and memory does not
-grow with the horizon.
+grow with the horizon.  A caller that reads a time again pays that
+replay (spectrum's diameter pass does); simulate and check do not.
 
 A matrix is a float ndarray or, when a process emits scipy.sparse, a
-CSR array; either is validated as row stochastic and frozen.
+CSR array; either is validated as row stochastic and frozen.  Input is
+copied first, except a canonical float64 CSR array already frozen by its
+maker (as blinking emissions are), which is checked and kept as is.
 """
 
 import copy
@@ -69,13 +72,19 @@ def _philox_uniforms(seed: int, t: np.ndarray) -> np.ndarray:
 
 
 def _validated(G, what: str = "matrix"):
-    """A frozen copy of G, checked row stochastic; scipy.sparse input
-    becomes a canonical CSR array, checked on its stored entries."""
+    """G checked row stochastic and frozen; scipy.sparse input becomes a
+    canonical CSR array, checked on its stored entries.  A float64 CSR
+    array whose data, indices and indptr are already read-only and that
+    is in canonical format is taken as is; any other input is copied, so
+    the caller's arrays are never frozen or reordered."""
     if issparse(G):
         from scipy.sparse import csr_array
 
-        G = csr_array(G, dtype=float, copy=True)
-        G.sum_duplicates()
+        as_is = isinstance(G, csr_array) and G.dtype == np.float64 and not any(
+            a.flags.writeable for a in (G.data, G.indices, G.indptr))
+        if not (as_is and G.has_canonical_format):
+            G = csr_array(G, dtype=float, copy=True)
+            G.sum_duplicates()
         frozen = G.data
     else:
         G = frozen = np.array(G, dtype=float)
@@ -198,7 +207,9 @@ class DrivenSource(MatrixSource):
     before the last one emitted restarts the live process from a fresh
     copy of the checkpoint and replays, so at(t) is consistent across
     calls whatever the order of queries.  Consumers that walk time in
-    order pay no replay; memory is one process and one matrix.
+    order pay no replay, and a consumer reading a time before the last
+    one pays a replay from t = 0; memory is one process and one matrix.
+    A frozen canonical CSR emission is held without a copy.
     """
 
     def __init__(self, process):

@@ -10,12 +10,16 @@ import pytest
 from scipy.sparse import issparse
 
 from graph_oracles import support, union, window_has_spanning_tree
-from netsync.cli import _union_table, _write_csv, main
-from netsync.config import ExperimentConfig, build_source
+import netsync.cli as cli
+from netsync.cli import _run_sigma1, _union_tables, _write_csv, main, run_sync_experiment
+from netsync.cml import ScalarMap, simulate
+from netsync.config import ExperimentConfig, build_source, initial_state
+from netsync.errors import ProcessExhaustedError, StateDivergedError
 from netsync.estimators import default_t0_samples
 from netsync.hajnal import has_spanning_tree, is_scrambling
 from netsync.processes import BlinkingProcess
 from netsync.sources import DrivenSource, StaticSource
+from test_sources import A2, ListProcess
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -274,6 +278,100 @@ def test_write_csv_reads_numpy_scalars_as_python_ones(tmp_path):
     assert (tmp_path / "t.csv").read_text() == "# k=v\nn,x,ok\n3,0.5,true\n3,0.5,true\n"
 
 
+# ------------------------------------------------------ one pass over time
+
+
+@pytest.fixture
+def blinking_steps(monkeypatch):
+    """A list that gains an entry at every BlinkingProcess.step, also in
+    the deep copies a DrivenSource replays."""
+    calls = []
+    step = BlinkingProcess.step
+
+    def counted(self):
+        calls.append(None)
+        return step(self)
+
+    monkeypatch.setattr(BlinkingProcess, "step", counted)
+    return calls
+
+
+def experiment(source, horizon, steps, record_every=1, x0_policy="near_diagonal"):
+    doc = {
+        "seed": 4,
+        "source": source,
+        "map": {"name": "logistic", "alpha": 3.9, "mu": 0.5},
+        "estimator": {"horizon": horizon, "renorm_every": 4},
+        "simulation": {"steps": steps, "record_every": record_every, "x0_policy": x0_policy},
+    }
+    return ExperimentConfig.from_json_dict(doc)
+
+
+def two_passes(cfg):
+    """The run and sigma1 estimate as sigma1 followed by simulate, each
+    reading the source from t = 0."""
+    source, fmap = cli.build_source(cfg), cli.build_map(cfg)
+    sig = _run_sigma1(cfg, source)
+    x0 = initial_state(cfg, source.m, fmap)
+    return simulate(source, fmap, x0, cfg.simulation.steps, cfg.simulation.record_every), sig
+
+
+BLINKING_30 = {"variant": "blinking", "m": 30, "avg_degree": 4, "p": 0.2, "t_rec": 2}
+BLURRING_12 = {"variant": "blurring", "m": 12, "r": 0.2}
+
+
+@pytest.mark.parametrize("source", [BLINKING_30, BLURRING_12], ids=["blinking", "blurring"])
+@pytest.mark.parametrize("horizon, steps, record_every", [
+    (40, 100, 1), (40, 40, 1), (100, 40, 1), (40, 100, 7), (100, 40, 3), (40, 0, 1),
+])
+def test_run_sync_experiment_matches_two_passes(
+    blinking_steps, source, horizon, steps, record_every
+):
+    cfg = experiment(source, horizon, steps, record_every)
+    expected_run, expected_sig = two_passes(cfg)
+    two_pass_steps = len(blinking_steps)
+    blinking_steps.clear()
+    report, sig = run_sync_experiment(cfg)
+    assert sig == expected_sig
+    run = report.run
+    for name in ("m", "steps", "record_every", "times", "k_series", "diam_series",
+                 "observed_sync", "k_final_quarter"):
+        assert repr(getattr(run, name)) == repr(getattr(expected_run, name)), name
+    assert run.final_state.tobytes() == expected_run.final_state.tobytes()
+    if source is BLINKING_30:
+        # sigma1 and the orbit share one emission per time
+        assert len(blinking_steps) == max(horizon, steps)
+        assert two_pass_steps == horizon + steps
+
+
+GROW = ScalarMap(name="grow", f=lambda s: 5.0 * s, df=lambda s: 5.0, params={})
+
+
+@pytest.mark.parametrize("horizon, steps", [(40, 100), (10, 100)])
+def test_run_sync_experiment_raises_the_orbits_divergence(monkeypatch, horizon, steps):
+    # x0 in [0, 1), so 5^t x0 passes 1e12 at t = 18: inside sigma1's
+    # pass, or after it
+    cfg = experiment(BLURRING_12, horizon, steps, x0_policy="random")
+    monkeypatch.setattr(cli, "build_map", lambda c: GROW)
+    with pytest.raises(StateDivergedError) as expected:
+        two_passes(cfg)
+    with pytest.raises(StateDivergedError) as raised:
+        run_sync_experiment(cfg)
+    assert raised.value.t == expected.value.t == 18
+    assert raised.value.value == expected.value.value
+
+
+def test_run_sync_experiment_raises_sigma1_errors_before_divergence(monkeypatch):
+    # the orbit diverges at t = 18, sigma1 runs out of matrices at t = 30
+    cfg = experiment(BLURRING_12, 40, 100, x0_policy="random")
+    monkeypatch.setattr(cli, "build_map", lambda c: GROW)
+    monkeypatch.setattr(cli, "build_source", lambda c: DrivenSource(ListProcess([A2] * 30)))
+    with pytest.raises(ProcessExhaustedError):
+        two_passes(cfg)
+    with pytest.raises(ProcessExhaustedError):
+        run_sync_experiment(cfg)
+
+
 # -------------------------------------------------------------------- check
 
 
@@ -375,6 +473,21 @@ def test_check_blinking_matches_window_by_window_oracle(tmp_path, source, t_max,
     assert 0 < sum(w["has_tree"] for w in windows) <= len(windows)
 
 
+def test_check_reads_each_time_once(tmp_path, blinking_steps):
+    # horizon 16 puts 16 starts 2 apart, so windows of length 8 overlap;
+    # reading start by start replayed the process for every later start
+    doc = {"seed": 1, "source": BLINKING_30,
+           "map": {"name": "logistic", "alpha": 3.9, "mu": 0.5},
+           "estimator": {"horizon": 16}}
+    out = tmp_path / "o"
+    assert main(["check", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    t0s = default_t0_samples(16)
+    assert len(blinking_steps) == max(t0s) + 8
+    found, windows = check_oracle(doc, 8)
+    blob = json.loads((out / "check_report.json").read_text())
+    assert (blob["t_found"], blob["windows"]) == (found, windows)
+
+
 def test_check_windows_read_sparse_supports_without_densifying():
     # the table is sparse over the union's entries; a dense m x m uint8
     # table alone would be 3.8 MiB, and a dense float copy of a single
@@ -387,7 +500,7 @@ def test_check_windows_read_sparse_supports_without_densifying():
     src.at(0)
     tracemalloc.start()
     try:
-        table, tree_T = _union_table(src, 0, 8)
+        table, tree_T = _union_tables(src, [0], 8)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -397,7 +510,7 @@ def test_check_windows_read_sparse_supports_without_densifying():
 
 def test_check_dense_union_is_held_dense():
     # a stored CSR entry costs an int32 index besides its uint8 value
-    table, tree_T = _union_table(StaticSource(np.full((50, 50), 0.02)), 0, 8)
+    table, tree_T = _union_tables(StaticSource(np.full((50, 50), 0.02)), [0], 8)[0]
     assert isinstance(table, np.ndarray) and table.dtype == np.uint8
     assert tree_T == 1 and (table == 8).all()
 

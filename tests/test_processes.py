@@ -229,6 +229,14 @@ def test_blinking_emits_int32_indices():
     assert np.array_equal(G.toarray(), H.toarray())
 
 
+def test_blinking_emissions_are_frozen():
+    # a source can hold the emission itself, with no copy to protect it
+    G = BlinkingProcess(8, small_base(), p=0.3, t_rec=2, seed=9).step()
+    for a in (G.data, G.indices, G.indptr):
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
 def test_blinking_source_holds_only_edge_lists():
     # a dense base would be 2000^2 doubles = 30.5 MiB, deep-copied once
     # more by the checkpoint; the edge lists of ~26k entries are ~0.4 MiB

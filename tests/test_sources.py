@@ -270,6 +270,37 @@ def test_driven_validates_sparse_output():
     assert G.data.flags.writeable
 
 
+def frozen(G):
+    for a in (G.data, G.indices, G.indptr):
+        a.flags.writeable = False
+    return G
+
+
+def test_driven_takes_a_frozen_canonical_emission_as_is():
+    G = frozen(csr_array(A2))
+    assert DrivenSource(ListProcess([G])).at(0) is G
+
+
+def test_driven_copies_a_frozen_emission_out_of_canonical_form():
+    # row 0 lists column 1 before column 0, and column 1 twice
+    G = frozen(csr_array(
+        (np.array([0.25, 0.5, 0.25, 0.5, 0.5]), np.array([1, 0, 1, 0, 1]), np.array([0, 3, 5])),
+        shape=(2, 2),
+    ))
+    before = [a.copy() for a in (G.data, G.indices, G.indptr)]
+    out = DrivenSource(ListProcess([G])).at(0)
+    assert out is not G and out.has_canonical_format and out.nnz == 4
+    assert np.array_equal(out.toarray(), [[0.5, 0.5], [0.5, 0.5]])
+    for a, b in zip((G.data, G.indices, G.indptr), before):
+        assert np.array_equal(a, b)
+
+
+def test_driven_checks_a_frozen_emission():
+    bad = frozen(csr_array(np.array([[0.5, 0.5], [0.0, 0.9]])))
+    with pytest.raises(InvalidParamsError, match="t=0"):
+        DrivenSource(ListProcess([bad])).at(0)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
