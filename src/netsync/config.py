@@ -1,5 +1,14 @@
 """Experiment configuration: JSON documents in, validated objects out.
 
+The schema is written once, as one field table per section: the top
+level, map, estimator, simulation, and each source variant.  A table
+maps a field name to its converter, which also checks the field's range,
+and its default (_REQUIRED for a field the document must give).  The
+tables drive parsing (_expect), the EstimatorParams and SimulationParams
+dataclasses, the dotted paths apply_parameter resolves for sweeps, and
+build_source, which passes a variant's fields to the builder its table
+names.
+
 One master seed determines every stochastic choice in a run. Child
 streams (source randomness, initial condition, probe vectors) are
 derived from it through SeedSequence spawn keys, so adding a consumer
@@ -8,8 +17,9 @@ never reshuffles the others.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional
+import math
+from dataclasses import asdict, dataclass, field, make_dataclass
+from typing import Any, Optional
 
 import numpy as np
 
@@ -24,9 +34,6 @@ from .sources import (
     StaticSource,
 )
 
-SOURCE_VARIANTS = ("static", "periodic", "finite_set", "blinking", "blurring")
-X0_POLICIES = ("diagonal", "near_diagonal", "random")
-
 _SEED_CHILD_SOURCE = 0
 _SEED_CHILD_X0 = 1
 _SEED_CHILD_PROBES = 2
@@ -37,23 +44,25 @@ def child_seed(master: int, tag: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0] & (2**63 - 1))
 
 
-def _expect(d: dict, where: str, required: dict, optional: dict) -> dict:
-    """Type-check a mapping against required/optional field tables."""
+_REQUIRED = object()  # the default of a field the document must give
+
+
+def _expect(d: dict, where: str, table: dict) -> dict:
+    """Convert a mapping by its field table, name -> (converter, default):
+    a field left out or null takes its default, which a required field
+    lacks, and a field the table does not name is an error."""
     if not isinstance(d, dict):
         raise ConfigError(where, f"expected an object, got {type(d).__name__}")
     out = {}
-    for key, conv in required.items():
-        if key not in d:
-            raise ConfigError(f"{where}.{key}", "missing required field")
-        out[key] = _coerce(d[key], conv, f"{where}.{key}")
-    for key, (conv, default) in optional.items():
-        if d.get(key) is None:
+    for key, (conv, default) in table.items():
+        if d.get(key) is None and default is not _REQUIRED:
             out[key] = default
+        elif key not in d:
+            raise ConfigError(f"{where}.{key}", "missing required field")
         else:
             out[key] = _coerce(d[key], conv, f"{where}.{key}")
-    known = set(required) | set(optional)
     for key in d:
-        if key not in known:
+        if key not in table:
             raise ConfigError(f"{where}.{key}", "unknown field")
     return out
 
@@ -63,12 +72,14 @@ def _coerce(value, conv, where: str):
         return conv(value)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(where, str(exc)) from exc
 
 
 def _as_int(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+    if isinstance(v, bool) or not (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    ):
         raise ValueError(f"expected an integer, got {v!r}")
     return int(v)
 
@@ -116,33 +127,115 @@ def _as_int_list(v):
     return [_as_int(x) for x in v]
 
 
-@dataclass(frozen=True)
-class EstimatorParams:
-    horizon: int = 1000
-    t0_samples: Optional[List[int]] = None
-    renorm_every: int = 8
-    n_vectors: int = 8
-    mu_burn: int = 1000
-    mu_horizon: int = 100_000
+def _checked(conv, test, rule: str):
+    """conv, then a range check: a value failing test is rejected with rule."""
+    def check(v):
+        v = conv(v)
+        if not test(v):
+            raise ValueError(rule)
+        return v
+    return check
 
 
-@dataclass(frozen=True)
-class SimulationParams:
-    steps: int = 1000
-    record_every: int = 1
-    x0_policy: str = "near_diagonal"
-    x0_eps: float = 1e-3
+def _at_least(lo: int):
+    return _checked(_as_int, lambda v: v >= lo, f"must be >= {lo}")
 
 
-# converter for each annotation used by a section dataclass
-_CONVERTERS = {int: _as_int, float: _as_float, str: _as_str, Optional[List[int]]: _as_int_list}
+def _one_of(options: tuple):
+    def check(v):
+        if v not in options:
+            raise ValueError(f"must be one of {options}, got {v!r}")
+        return v
+    return check
 
 
-def _section(cls, d, where: str):
-    """An instance of the section dataclass cls from its JSON object;
-    the dataclass fields name every key and give its default."""
-    optional = {f.name: (_CONVERTERS[f.type], f.default) for f in fields(cls)}
-    return cls(**_expect(d, where, required={}, optional=optional))
+def _nested(where: str, table: dict, make=dict):
+    """The converter of the section at where: its table's fields, passed to make."""
+    return lambda d: make(**_expect(d, where, table))
+
+
+def _source(d: dict) -> dict:
+    """The source section: the variant it names picks the table of its other fields."""
+    rest = dict(_as_dict(d))
+    variant = _coerce(
+        rest.pop("variant", None), _one_of(tuple(_SOURCES)), "config.source.variant"
+    )
+    return {"variant": variant, **_expect(rest, "config.source", _SOURCES[variant][1])}
+
+
+def _params(name: str, table: dict):
+    """A frozen dataclass with a field per table entry, at the table's default."""
+    return make_dataclass(
+        name,
+        [(key, Any, field(default=default)) for key, (_, default) in table.items()],
+        frozen=True,
+        namespace={"__module__": __name__},  # found by name when pickled
+    )
+
+
+_ESTIMATOR = {
+    "horizon": (_at_least(1), 1000),
+    "t0_samples": (
+        _checked(_as_int_list, lambda s: s and min(s) >= 0,
+                 "must be a nonempty list of starts >= 0"),
+        None,  # the estimators' default grid of starts
+    ),
+    "renorm_every": (_at_least(1), 8),
+    "n_vectors": (_at_least(1), 8),
+    "mu_burn": (_at_least(0), 1000),
+    "mu_horizon": (_at_least(1), 100_000),
+}
+_SIMULATION = {
+    "steps": (_at_least(0), 1000),
+    "record_every": (_at_least(1), 1),
+    "x0_policy": (_one_of(("diagonal", "near_diagonal", "random")), "near_diagonal"),
+    # the uniform draw in initial_state needs a finite width 2 * x0_eps
+    "x0_eps": (_checked(_as_float, lambda e: 0 <= e <= 1e300, "must be in [0, 1e300]"), 1e-3),
+}
+_MAP = {
+    "name": (_one_of(("logistic",)), _REQUIRED),
+    "alpha": (_checked(_as_float, lambda a: 0 < a <= 4, "must be in (0, 4]"), 3.9),
+    "mu": (_checked(_as_float, math.isfinite, "must be finite"), None),  # None: estimated
+}
+_SEED = (_at_least(0), None)  # None: build_source derives it from the master seed
+# each source variant: the builder its fields are passed to, and its field
+# table; the processes' builders check the ranges of their own parameters
+_SOURCES = {
+    "static": (StaticSource, {"matrix": (_as_matrix, _REQUIRED)}),
+    "periodic": (PeriodicSource, {"matrices": (_as_matrix_list, _REQUIRED)}),
+    "finite_set": (FiniteSetIIDSource, {
+        "matrices": (_as_matrix_list, _REQUIRED),
+        "weights": (_as_float_list, None),  # None: uniform
+        "seed": _SEED,
+    }),
+    "blinking": (lambda **kw: DrivenSource(BlinkingProcess.from_params(**kw)), {
+        "m": (_as_int, _REQUIRED),
+        "avg_degree": (_as_int, _REQUIRED),
+        "p": (_as_float, _REQUIRED),
+        "t_rec": (_as_int, _REQUIRED),
+        "seed": _SEED,
+    }),
+    "blurring": (lambda **kw: DrivenSource(BlurringProcess(**kw)), {
+        "m": (_as_int, _REQUIRED),
+        "r": (_as_float, _REQUIRED),
+        "seed": _SEED,
+    }),
+}
+# the sections besides the source, whose fields depend on its variant
+_SECTIONS = {"map": _MAP, "estimator": _ESTIMATOR, "simulation": _SIMULATION}
+
+EstimatorParams = _params("EstimatorParams", _ESTIMATOR)
+SimulationParams = _params("SimulationParams", _SIMULATION)
+
+
+_TOP = {
+    "source": (_source, _REQUIRED),
+    "map": (_nested("config.map", _MAP), _REQUIRED),
+    "seed": (_at_least(0), 0),
+    "estimator": (_nested("config.estimator", _ESTIMATOR, EstimatorParams), EstimatorParams()),
+    "simulation": (_nested("config.simulation", _SIMULATION, SimulationParams), SimulationParams()),
+    "out": (_as_str, None),
+}
 
 
 @dataclass(frozen=True)
@@ -150,58 +243,14 @@ class ExperimentConfig:
     seed: int
     source: dict
     map_spec: dict
-    estimator: EstimatorParams = field(default_factory=EstimatorParams)
-    simulation: SimulationParams = field(default_factory=SimulationParams)
-    out: Optional[str] = None
+    estimator: EstimatorParams
+    simulation: SimulationParams
+    out: Optional[str]
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
-        top = _expect(
-            d,
-            "config",
-            required={"source": _as_dict, "map": _as_dict},
-            optional={
-                "seed": (_as_int, 0),
-                "estimator": (_as_dict, {}),
-                "simulation": (_as_dict, {}),
-                "out": (_as_str, None),
-            },
-        )
-        if top["seed"] < 0:
-            raise ConfigError("config.seed", "seed must be >= 0")
-        source = _validate_source(top["source"])
-        map_spec = _validate_map(top["map"])
-        est = _section(EstimatorParams, top["estimator"], "config.estimator")
-        for key in ("horizon", "renorm_every", "n_vectors", "mu_horizon"):
-            if getattr(est, key) < 1:
-                raise ConfigError(f"config.estimator.{key}", "must be >= 1")
-        if est.mu_burn < 0:
-            raise ConfigError("config.estimator.mu_burn", "must be >= 0")
-        if est.t0_samples is not None and (
-            not est.t0_samples or min(est.t0_samples) < 0
-        ):
-            raise ConfigError(
-                "config.estimator.t0_samples", "must be a nonempty list of starts >= 0"
-            )
-        sim = _section(SimulationParams, top["simulation"], "config.simulation")
-        if sim.steps < 0:
-            raise ConfigError("config.simulation.steps", "must be >= 0")
-        if sim.record_every < 1:
-            raise ConfigError("config.simulation.record_every", "must be >= 1")
-        if sim.x0_policy not in X0_POLICIES:
-            raise ConfigError(
-                "config.simulation.x0_policy", f"must be one of {X0_POLICIES}"
-            )
-        if not sim.x0_eps >= 0:
-            raise ConfigError("config.simulation.x0_eps", "must be >= 0")
-        return ExperimentConfig(
-            seed=top["seed"],
-            source=source,
-            map_spec=map_spec,
-            estimator=est,
-            simulation=sim,
-            out=top["out"],
-        )
+        top = _expect(d, "config", _TOP)
+        return ExperimentConfig(map_spec=top.pop("map"), **top)
 
     def _document(self) -> dict:
         """The config's JSON document, sharing its source and map."""
@@ -219,57 +268,6 @@ class ExperimentConfig:
         return json.loads(json.dumps(self._document()))
 
 
-# required and optional fields of each source variant
-_SOURCE_TABLES = {
-    "static": ({"matrix": _as_matrix}, {}),
-    "periodic": ({"matrices": _as_matrix_list}, {}),
-    "finite_set": (
-        {"matrices": _as_matrix_list},
-        {"weights": (_as_float_list, None), "seed": (_as_int, None)},
-    ),
-    "blinking": (
-        {
-            "m": _as_int,
-            "avg_degree": _as_int,
-            "p": _as_float,
-            "t_rec": _as_int,
-        },
-        {"seed": (_as_int, None)},
-    ),
-    "blurring": (
-        {"m": _as_int, "r": _as_float},
-        {"seed": (_as_int, None)},
-    ),
-}
-_MAP_REQUIRED = {"name": _as_str}
-_MAP_OPTIONAL = {"alpha": (_as_float, 3.9), "mu": (_as_float, None)}
-
-
-def _validate_source(d: dict) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError("config.source", "expected an object")
-    variant = d.get("variant")
-    if variant not in SOURCE_VARIANTS:
-        raise ConfigError(
-            "config.source.variant", f"must be one of {SOURCE_VARIANTS}, got {variant!r}"
-        )
-    required, optional = _SOURCE_TABLES[variant]
-    rest = {k: v for k, v in d.items() if k != "variant"}
-    out = _expect(rest, "config.source", required, optional)
-    return {"variant": variant, **out}
-
-
-def _validate_map(d: dict) -> dict:
-    out = _expect(d, "config.map", _MAP_REQUIRED, _MAP_OPTIONAL)
-    if out["name"] != "logistic":
-        raise ConfigError("config.map.name", f"unknown map {out['name']!r}")
-    if not (0.0 < out["alpha"] <= 4.0):
-        raise ConfigError("config.map.alpha", "must be in (0, 4]")
-    if out["mu"] is not None and not np.isfinite(out["mu"]):
-        raise ConfigError("config.map.mu", "must be finite")
-    return out
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     # the document need not be copied to be hashed
     blob = json.dumps(cfg._document(), sort_keys=True, separators=(",", ":"))
@@ -277,32 +275,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def build_source(cfg: ExperimentConfig) -> MatrixSource:
-    spec = cfg.source
-    variant = spec["variant"]
-    seed = spec.get("seed")
-    if seed is None:
-        seed = child_seed(cfg.seed, _SEED_CHILD_SOURCE)
-    if variant == "static":
-        return StaticSource(np.array(spec["matrix"]))
-    if variant == "periodic":
-        return PeriodicSource([np.array(M) for M in spec["matrices"]])
-    if variant == "finite_set":
-        return FiniteSetIIDSource(
-            [np.array(M) for M in spec["matrices"]],
-            weights=spec.get("weights"),
-            seed=seed,
-        )
-    if variant == "blinking":
-        return DrivenSource(
-            BlinkingProcess.from_params(
-                m=spec["m"],
-                avg_degree=spec["avg_degree"],
-                p=spec["p"],
-                t_rec=spec["t_rec"],
-                seed=seed,
-            )
-        )
-    return DrivenSource(BlurringProcess(m=spec["m"], r=spec["r"], seed=seed))
+    spec = dict(cfg.source)
+    builder, table = _SOURCES[spec.pop("variant")]
+    if "seed" in table and spec.get("seed") is None:
+        spec["seed"] = child_seed(cfg.seed, _SEED_CHILD_SOURCE)
+    return builder(**spec)
 
 
 def build_map(cfg: ExperimentConfig) -> ScalarMap:
@@ -332,21 +309,6 @@ def probe_seed(cfg: ExperimentConfig) -> int:
     return child_seed(cfg.seed, _SEED_CHILD_PROBES)
 
 
-def _schema_fields(d: dict, section: str) -> set:
-    """The field names a config section may hold; the source's depend
-    on the variant the document names."""
-    if section == "estimator":
-        return {f.name for f in fields(EstimatorParams)}
-    if section == "simulation":
-        return {f.name for f in fields(SimulationParams)}
-    if section == "map":
-        return set(_MAP_REQUIRED) | set(_MAP_OPTIONAL)
-    source = d.get("source")
-    variant = source.get("variant") if isinstance(source, dict) else None
-    required, optional = _SOURCE_TABLES.get(variant, ({}, {}))
-    return {"variant", *required, *optional}
-
-
 def apply_parameter(config_dict: dict, name: str, value) -> dict:
     """Return a copy of the raw config document with one field replaced.
 
@@ -359,16 +321,21 @@ def apply_parameter(config_dict: dict, name: str, value) -> dict:
     d = json.loads(json.dumps(config_dict))
     if "." in name:
         section, key = name.split(".", 1)
-        if section in ("source", "map", "estimator", "simulation") and key in _schema_fields(
-            d, section
-        ):
+        if section == "source":
+            source = d.get("source")
+            variant = source.get("variant") if isinstance(source, dict) else None
+            # a tuple, as the document's variant may be unhashable
+            names = {"variant", *(_SOURCES[variant][1] if variant in tuple(_SOURCES) else ())}
+        else:
+            names = _SECTIONS.get(section, ())
+        if key in names:
             if d.get(section) is None:
                 d[section] = {}
             if isinstance(d[section], dict):
                 d[section][key] = value
                 return d
         raise UnknownParameterError(f"no config field at {name!r}")
-    for section in ("source", "map", "estimator", "simulation"):
+    for section in ("source", *_SECTIONS):
         block = d.get(section)
         if isinstance(block, dict) and name in block:
             block[name] = value

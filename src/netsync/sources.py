@@ -94,6 +94,20 @@ def _validated(G, what: str = "matrix"):
     return G
 
 
+def _validated_set(matrices: Sequence, empty: Exception) -> list:
+    """The matrices, each validated, all of one dimension; raises empty
+    when there are none."""
+    mats = [_validated(G, f"matrix {k}") for k, G in enumerate(matrices)]
+    if not mats:
+        raise empty
+    for k, G in enumerate(mats):
+        if G.shape[0] != mats[0].shape[0]:
+            raise InvalidParamsError(
+                f"matrix {k} has dimension {G.shape[0]}, expected {mats[0].shape[0]}"
+            )
+    return mats
+
+
 def _check_time(t: int) -> int:
     t = int(t)
     if t < 0:
@@ -111,8 +125,8 @@ class MatrixSource:
 
 
 class StaticSource(MatrixSource):
-    def __init__(self, G):
-        self.G = _validated(G)
+    def __init__(self, matrix):
+        self.G = _validated(matrix)
         self.m = self.G.shape[0]
 
     def at(self, t: int) -> np.ndarray:
@@ -122,16 +136,10 @@ class StaticSource(MatrixSource):
 
 class PeriodicSource(MatrixSource):
     def __init__(self, matrices: Sequence):
-        mats = [_validated(G, f"matrix {k}") for k, G in enumerate(matrices)]
-        if not mats:
-            raise InvalidParamsError("periodic source needs at least one matrix")
-        self.m = mats[0].shape[0]
-        for k, G in enumerate(mats):
-            if G.shape[0] != self.m:
-                raise InvalidParamsError(
-                    f"matrix {k} has dimension {G.shape[0]}, expected {self.m}"
-                )
-        self.matrices = mats
+        self.matrices = _validated_set(
+            matrices, InvalidParamsError("periodic source needs at least one matrix")
+        )
+        self.m = self.matrices[0].shape[0]
 
     def at(self, t: int) -> np.ndarray:
         t = _check_time(t)
@@ -153,16 +161,10 @@ class FiniteSetIIDSource(MatrixSource):
     """
 
     def __init__(self, matrices: Sequence, weights: Optional[Sequence[float]] = None, seed: int = 0):
-        mats = [_validated(G, f"matrix {k}") for k, G in enumerate(matrices)]
-        if not mats:
-            raise EmptySetError("finite iid source needs a nonempty matrix set")
+        self.matrices = mats = _validated_set(
+            matrices, EmptySetError("finite iid source needs a nonempty matrix set")
+        )
         self.m = mats[0].shape[0]
-        for k, G in enumerate(mats):
-            if G.shape[0] != self.m:
-                raise InvalidParamsError(
-                    f"matrix {k} has dimension {G.shape[0]}, expected {self.m}"
-                )
-        self.matrices = mats
         if weights is None:
             w = np.full(len(mats), 1.0 / len(mats))
         else:

@@ -605,6 +605,24 @@ def test_bad_t0_samples_exit_2(tmp_path, capsys, t0_samples):
         assert "config.estimator.t0_samples" in capsys.readouterr().err
 
 
+def test_non_finite_numbers_exit_2(tmp_path, capsys):
+    # json reads Infinity as a float, which no integer field may hold and
+    # whose uniform draw initial_state could not make
+    inf = float("inf")
+    cases = [
+        (["spectrum"], two_node_doc(estimator={"horizon": inf}), "config.estimator.horizon"),
+        (["simulate"], two_node_doc(seed=inf), "config.seed"),
+        (["simulate"], two_node_doc(simulation={"x0_eps": inf}), "config.simulation.x0_eps"),
+        (["sweep", "--parameter", "simulation.steps", "--values", "[Infinity]"],
+         two_node_doc(), "config.simulation.steps"),
+    ]
+    for args, doc, field in cases:
+        cfg = write_config(tmp_path, doc)
+        capsys.readouterr()
+        assert main(args + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_help_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "netsync.cli", "--help"],

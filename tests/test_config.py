@@ -1,11 +1,13 @@
 """Config document validation, seed derivation, and builders."""
 
 import json
+import pickle
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from netsync import config
 from netsync.config import (
     EstimatorParams,
     ExperimentConfig,
@@ -52,6 +54,8 @@ def test_round_trip_is_lossless():
     again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+    # sweep --jobs sends configs to its workers pickled
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 def test_round_trip_every_section_field_set():
@@ -118,6 +122,41 @@ def test_defaults_fill_in():
         (
             lambda d: d.update(estimator={"t0_samples": [0, -3]}),
             "config.estimator.t0_samples",
+        ),
+        # inputs that crashed instead: non-finite integers, an x0_eps whose
+        # width 2 * x0_eps overflows, a negative source seed, an integer
+        # too large for a float
+        pytest.param(
+            lambda d: d.update(estimator={"horizon": float("inf")}),
+            "config.estimator.horizon",
+            id="horizon-inf",
+        ),
+        pytest.param(lambda d: d.update(seed=float("inf")), "config.seed", id="seed-inf"),
+        pytest.param(lambda d: d.update(seed=float("nan")), "config.seed", id="seed-nan"),
+        pytest.param(
+            lambda d: d.update(simulation={"x0_eps": float("inf")}),
+            "config.simulation.x0_eps",
+            id="x0_eps-inf",
+        ),
+        pytest.param(
+            lambda d: d.update(simulation={"x0_eps": 1e308}),
+            "config.simulation.x0_eps",
+            id="x0_eps-width-inf",
+        ),
+        pytest.param(
+            lambda d: d.update(apply_parameter(d, "simulation.steps", float("inf"))),
+            "config.simulation.steps",
+            id="swept-steps-inf",
+        ),
+        pytest.param(
+            lambda d: d.update(source=dict(blinking_doc()["source"], seed=-1)),
+            "config.source.seed",
+            id="source-seed-negative",
+        ),
+        pytest.param(
+            lambda d: d["source"].update(matrix=[[10**400, 0], [0, 1]]),
+            "config.source.matrix",
+            id="matrix-int-overflow",
         ),
     ],
 )
@@ -273,28 +312,63 @@ def test_apply_parameter_bare_and_dotted():
         apply_parameter(doc, "source.nope", 1.0)
 
 
+# a valid value per schema field; a field missing here is tried at its
+# default, which must then be neither None nor required
+SAMPLES = {
+    "map": {"name": "logistic", "alpha": 3.5, "mu": 0.2},
+    "estimator": {"horizon": 50, "t0_samples": [0, 10], "renorm_every": 3,
+                  "n_vectors": 5, "mu_burn": 7, "mu_horizon": 999},
+    "simulation": {"steps": 20, "record_every": 4, "x0_policy": "random", "x0_eps": 0.01},
+    "static": {"matrix": [[0.5, 0.5], [0.25, 0.75]]},
+    "periodic": {"matrices": [[[0.5, 0.5], [0.1, 0.9]], [[1.0, 0.0], [0.3, 0.7]]]},
+    "finite_set": {"matrices": [[[0.5, 0.5], [0.1, 0.9]], [[1.0, 0.0], [0.3, 0.7]]],
+                   "weights": [0.25, 0.75], "seed": 4},
+    "blinking": {"m": 12, "avg_degree": 4, "p": 0.1, "t_rec": 3, "seed": 4},
+    "blurring": {"m": 6, "r": 0.05, "seed": 4},
+}
+
+
+def schema_fields():
+    """(variant, section, field, default) for every field of every table:
+    the source's per variant, with the variant itself, and the other
+    sections' once, under the static variant."""
+    for variant, (_, table) in config._SOURCES.items():
+        yield variant, "source", "variant", config._REQUIRED
+        for key, (_, default) in table.items():
+            yield variant, "source", key, default
+    for section, table in config._SECTIONS.items():
+        for key, (_, default) in table.items():
+            yield "static", section, key, default
+
+
 def test_apply_parameter_dotted_path_reaches_defaulted_fields():
-    # fields the document leaves at their defaults, sections omitted
+    # each field left out of a document that holds only what the schema
+    # requires, its section omitted where nothing in it is required
+    for variant, section, key, default in schema_fields():
+        samples = SAMPLES[variant if section == "source" else section]
+        value = variant if key == "variant" else samples.get(key, default)
+        assert value not in (None, config._REQUIRED), f"no sample value for {section}.{key}"
+        doc = {
+            "source": {"variant": variant, **{
+                k: SAMPLES[variant][k] for k, (_, d) in config._SOURCES[variant][1].items()
+                if d is config._REQUIRED
+            }},
+            "map": {"name": "logistic"},
+        }
+        kept = {k: v for k, v in doc.pop(section, {}).items() if k != key}
+        if kept:
+            doc[section] = kept
+        out = apply_parameter(doc, f"{section}.{key}", value)
+        assert out[section] == {**kept, key: value}
+        assert key not in doc.get(section, {})  # original untouched
+        cfg = ExperimentConfig.from_json_dict(out)
+        spec = {"source": cfg.source, "map": cfg.map_spec}.get(section)
+        got = getattr(getattr(cfg, section), key) if spec is None else spec[key]
+        assert got == value, f"{section}.{key}"
+        again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
+        assert again == cfg and config_hash(again) == config_hash(cfg)
     doc = blinking_doc()
     del doc["estimator"], doc["simulation"]
-    cases = [
-        ("map.alpha", 3.5),
-        ("map.mu", 0.2),
-        ("estimator.horizon", 50),
-        ("estimator.t0_samples", [0, 10]),
-        ("simulation.steps", 20),
-        ("source.seed", 4),
-    ]
-    for name, value in cases:
-        out = apply_parameter(doc, name, value)
-        section, key = name.split(".")
-        assert out[section][key] == value
-        cfg = ExperimentConfig.from_json_dict(out)
-        got = cfg.map_spec if section == "map" else (
-            cfg.source if section == "source" else getattr(cfg, section)
-        )
-        assert (got[key] if isinstance(got, dict) else getattr(got, key)) == value
-    assert "estimator" not in doc  # original untouched
     # a null section counts as absent
     assert apply_parameter({**doc, "estimator": None}, "estimator.horizon", 9)[
         "estimator"

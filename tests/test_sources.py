@@ -156,6 +156,11 @@ def test_finite_set_rejects_empty():
         FiniteSetIIDSource([], seed=0)
 
 
+def test_finite_set_rejects_mixed_dims():
+    with pytest.raises(InvalidParamsError, match="matrix 1 has dimension 3, expected 2"):
+        FiniteSetIIDSource([A2, make_stochastic(np.eye(3))], seed=0)
+
+
 def test_finite_set_rejects_bad_weights():
     with pytest.raises(InvalidParamsError):
         FiniteSetIIDSource([A2, B2], weights=[0.5], seed=0)
