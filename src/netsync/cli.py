@@ -15,6 +15,7 @@ import math
 import sys
 from bisect import bisect_right
 from hashlib import sha256
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -155,8 +156,9 @@ def cmd_spectrum(args) -> int:
     raw, cfg, h, out = _load_config(args)
     source = build_source(cfg)
     sig = _run_sigma1(cfg, source)
+    # a driven source reads forward only: a fresh one re-emits what sigma1 read
     diam_est = estimate_hajnal_diameter(
-        source,
+        build_source(cfg),
         horizon=cfg.estimator.horizon,
         t0_samples=cfg.estimator.t0_samples,
         renorm_every=cfg.estimator.renorm_every,
@@ -320,10 +322,10 @@ def _union_tables(source, starts, t_max: int):
     dtype = np.min_scalar_type(t_max)
     tables = dict.fromkeys(starts, csr_array((m, m), dtype=dtype))
     tree_T = dict.fromkeys(starts)
-    for t in range(starts[0], starts[-1] + t_max):
+    # each time some window covers, once: a gap between windows is skipped
+    ends = [starts[0], *(t0 + t_max for t0 in starts)]
+    for t in chain.from_iterable(range(max(t0, end), t0 + t_max) for t0, end in zip(starts, ends)):
         open_starts = starts[bisect_right(starts, t - t_max) : bisect_right(starts, t)]
-        if not open_starts:
-            continue
         # int32 coordinates give int32 indices; scipy keeps int64 ones
         coords = tuple(ix.astype(np.int32) for ix in (source.at(t) > 0).nonzero())
         for t0 in open_starts:

@@ -174,10 +174,11 @@ def _params(name: str, table: dict):
 
 
 _ESTIMATOR = {
-    "horizon": (_at_least(1), 1000),
+    # horizons up to 2**62 and starts below it keep start + horizon in int64
+    "horizon": (_checked(_as_int, lambda v: 1 <= v <= 2**62, "must be in [1, 2**62]"), 1000),
     "t0_samples": (
-        _checked(_as_int_list, lambda s: s and min(s) >= 0,
-                 "must be a nonempty list of starts >= 0"),
+        _checked(_as_int_list, lambda s: s and 0 <= min(s) and max(s) < 2**62,
+                 "must be a nonempty list of starts in [0, 2**62)"),
         None,  # the estimators' default grid of starts
     ),
     "renorm_every": (_at_least(1), 8),

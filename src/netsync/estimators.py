@@ -196,8 +196,9 @@ def _window_estimate(source, horizon, t0_samples, kind, renorm_every, size) -> D
     t0_samples = [int(t) for t in t0_samples]
     if not t0_samples:
         raise InvalidParamsError("need at least one window start")
-    if any(t < 0 for t in t0_samples):
-        raise InvalidParamsError("window starts must be >= 0")
+    if min(t0_samples) < 0 or max(t0_samples) + horizon >= 2**63:
+        # the walk counts a window's times in int64
+        raise InvalidParamsError("window starts must be >= 0, and < 2**63 with the horizon")
     m = _nodes(source)
     starts = sorted(set(t0_samples))
     eye = np.eye(m)
@@ -300,13 +301,11 @@ def lyapunov_spectrum_qr(source, horizon: int) -> List[float]:
     densified, since the frame is dense."""
     if horizon < 1:
         raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
-    A0 = as_dense(source.at(0))
-    m = A0.shape[0]
+    m = source.m
     Q = np.eye(m)
     logs = np.zeros(m)
     for t in range(horizon):
-        A = A0 if t == 0 else as_dense(source.at(t))
-        Q, R = np.linalg.qr(A @ Q)
+        Q, R = np.linalg.qr(as_dense(source.at(t)) @ Q)
         d = np.abs(np.diag(R))
         if np.any(d < 1e-300):
             raise SingularMatrixError(t)

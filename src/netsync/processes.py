@@ -11,9 +11,9 @@ Two mechanisms:
 Both expose .m and .step() -> row stochastic matrix, the interface
 DrivenSource wraps.  Blinking emits a scipy.sparse CSR array built in
 O(nnz) from the base edge list; blurring couples every pair, so it
-emits a dense ndarray.  DrivenSource replays a process from a deep copy
-taken at construction, so a process must be deep-copyable and its
-emissions determined by its state.
+emits a dense ndarray.  DrivenSource steps a process forward only, so a
+caller that reads a time twice (spectrum's diameter pass) builds a
+second process from the same seed, which emits the same matrices.
 """
 
 import numpy as np

@@ -3,11 +3,10 @@
 Static, periodic, and iid-over-a-finite-set variants are random access;
 the iid variant computes its counter-based draws for an aligned block of
 times at once and keeps that one block.  The driven variant wraps a
-stateful topology process and holds only its last emission: a query for
-an earlier time replays the process from a deep copy taken at
-construction, so repeated queries are consistent and memory does not
-grow with the horizon.  A caller that reads a time again pays that
-replay (spectrum's diameter pass does); simulate and check do not.
+stateful topology process and reads it forward only, holding its last
+emission, so memory does not grow with the horizon.  A caller that
+reads a time twice builds a second source from the same seeded config,
+as spectrum's diameter pass does; simulate and check read each once.
 
 A matrix is a float ndarray or, when a process emits scipy.sparse, a
 CSR array; either is validated as row stochastic and frozen.  Input is
@@ -15,7 +14,6 @@ copied first, except a canonical float64 CSR array already frozen by its
 maker (as blinking emissions are), which is checked and kept as is.
 """
 
-import copy
 from typing import Optional, Sequence
 
 import numpy as np
@@ -204,38 +202,36 @@ class FiniteSetIIDSource(MatrixSource):
 class DrivenSource(MatrixSource):
     """Wraps a stateful process exposing .m and .step() -> matrix.
 
-    Holds the live process, a deep copy of it taken at construction, and
-    the last emission.  at(t) steps the live process forward to t; a time
-    before the last one emitted restarts the live process from a fresh
-    copy of the checkpoint and replays, so at(t) is consistent across
-    calls whatever the order of queries.  Consumers that walk time in
-    order pay no replay, and a consumer reading a time before the last
-    one pays a replay from t = 0; memory is one process and one matrix.
-    A frozen canonical CSR emission is held without a copy.
+    Holds the live process and its last emission, which at(t) returns
+    for its own time; a later time steps the process forward, and an
+    earlier one raises, since the process cannot go back.  A failed
+    emission fails every later query the same way: stepping past it
+    would shift every later emission by one time.  A frozen canonical
+    CSR emission is held without a copy.
     """
 
     def __init__(self, process):
-        self._checkpoint = copy.deepcopy(process)
         self.process = process
         self.m = int(process.m)
-        self._t = -1  # index of the live process's last emission
-        self._G = None  # that emission validated, or None if it failed
+        self._t = -1  # index of the process's last emission
+        self._G = None  # that emission validated
+        self._error = None  # the failure that ended the source, if any
 
     def at(self, t: int):
         t = _check_time(t)
-        # after a failed emission every query replays, so times before
-        # it stay readable and later ones fail the same way again
-        if t < self._t or (self._G is None and self._t >= 0):
-            self.process = copy.deepcopy(self._checkpoint)
-            self._t = -1
-        while self._t < t:
-            self._t += 1
-            self._G = None
-            try:
-                G = self.process.step()
-            except StopIteration as exc:
-                raise ProcessExhaustedError(
-                    f"driven process ended before t={t}"
-                ) from exc
-            self._G = _validated(G, f"process output at t={self._t}")
+        if self._error is not None:
+            raise self._error.with_traceback(None)
+        if t < self._t:
+            raise InvalidParamsError(f"driven source is at t={self._t}, cannot go back to"
+                                     f" t={t}; build a fresh source to read it again")
+        try:
+            while self._t < t:
+                self._G = _validated(self.process.step(), f"process output at t={self._t + 1}")
+                self._t += 1
+        except StopIteration as exc:
+            self._error = ProcessExhaustedError(f"driven process ended before t={self._t + 1}")
+            raise self._error from exc
+        except Exception as exc:
+            self._error = exc
+            raise
         return self._G

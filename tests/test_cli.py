@@ -1,5 +1,6 @@
 """End-to-end tests of the command line harness."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from netsync.config import ExperimentConfig, build_source, initial_state
 from netsync.errors import ProcessExhaustedError, StateDivergedError
 from netsync.estimators import default_t0_samples
 from netsync.hajnal import has_spanning_tree, is_scrambling
-from netsync.processes import BlinkingProcess
+from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import DrivenSource, StaticSource
 from test_sources import A2, ListProcess
 
@@ -283,8 +284,8 @@ def test_write_csv_reads_numpy_scalars_as_python_ones(tmp_path):
 
 @pytest.fixture
 def blinking_steps(monkeypatch):
-    """A list that gains an entry at every BlinkingProcess.step, also in
-    the deep copies a DrivenSource replays."""
+    """A list that gains an entry at every BlinkingProcess.step, in every
+    process, so it counts emissions across fresh sources."""
     calls = []
     step = BlinkingProcess.step
 
@@ -309,9 +310,10 @@ def experiment(source, horizon, steps, record_every=1, x0_policy="near_diagonal"
 
 def two_passes(cfg):
     """The run and sigma1 estimate as sigma1 followed by simulate, each
-    reading the source from t = 0."""
-    source, fmap = cli.build_source(cfg), cli.build_map(cfg)
-    sig = _run_sigma1(cfg, source)
+    reading its own fresh source from t = 0."""
+    fmap = cli.build_map(cfg)
+    sig = _run_sigma1(cfg, cli.build_source(cfg))
+    source = cli.build_source(cfg)
     x0 = initial_state(cfg, source.m, fmap)
     return simulate(source, fmap, x0, cfg.simulation.steps, cfg.simulation.record_every), sig
 
@@ -372,6 +374,43 @@ def test_run_sync_experiment_raises_sigma1_errors_before_divergence(monkeypatch)
         run_sync_experiment(cfg)
 
 
+def test_spectrum_emits_each_pass_from_t0(tmp_path, blinking_steps):
+    # sigma1 reads 0..horizon-1, then the diameter pass reads a fresh
+    # source from 0 to its last window's end; a pass that reads each
+    # time once would emit max(horizon, max(t0) + horizon)
+    horizon = 16
+    doc = {"seed": 1, "source": BLINKING_30,
+           "map": {"name": "logistic", "alpha": 3.9, "mu": 0.5},
+           "estimator": {"horizon": horizon}}
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert len(blinking_steps) == horizon + max(default_t0_samples(horizon)) + horizon
+
+
+def no_copy(self, memo):
+    raise TypeError(f"{type(self).__name__} cannot be copied")
+
+
+@pytest.mark.parametrize("source", [BLINKING_30, BLURRING_12], ids=["blinking", "blurring"])
+def test_spectrum_simulate_and_check_need_no_copy_of_a_process(tmp_path, monkeypatch, source):
+    doc = {"seed": 2, "source": source,
+           "map": {"name": "logistic", "alpha": 3.9, "mu": 0.5},
+           "estimator": {"horizon": 24}, "simulation": {"steps": 40}}
+    cfg = write_config(tmp_path, doc)
+
+    def outputs(name):
+        for cmd in ("spectrum", "simulate", "check"):
+            assert main([cmd, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        return {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+    expected = outputs("copyable")
+    for cls in (BlinkingProcess, BlurringProcess):
+        monkeypatch.setattr(cls, "__deepcopy__", no_copy, raising=False)
+    with pytest.raises(TypeError, match="cannot be copied"):
+        copy.deepcopy(build_source(ExperimentConfig.from_json_dict(doc)).process)
+    assert outputs("uncopyable") == expected
+
+
 # -------------------------------------------------------------------- check
 
 
@@ -414,18 +453,18 @@ def test_check_periodic_pair_needs_two(tmp_path):
 
 def check_oracle(doc, t_max):
     """The report `check` writes, computed window length by window
-    length, each union rebuilt from a fresh source."""
+    length, each union read from a fresh source."""
     cfg = ExperimentConfig.from_json_dict(doc)
-    source = build_source(cfg)
     t0s = default_t0_samples(cfg.estimator.horizon)
     found = next(
         (T for T in range(1, t_max + 1)
-         if all(window_has_spanning_tree(source, t0, T) for t0 in t0s)),
+         if all(window_has_spanning_tree(build_source(cfg), t0, T) for t0 in t0s)),
         None,
     )
     report_T = found or t_max
     windows = []
     for t0 in t0s:
+        source = build_source(cfg)
         g = union(support(source.at(t0 + k)) for k in range(report_T))
         windows.append({"t0": t0, "T": report_T,
                         "has_tree": has_spanning_tree(g) is not None,
@@ -597,12 +636,29 @@ def test_schema_violation_exits_2(tmp_path):
     assert main(["check", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("t0_samples", [[], [0, -1]])
+@pytest.mark.parametrize("t0_samples", [
+    [], [0, -1],
+    # a start past int64 reached the window walk as an object array and
+    # died there with an IndexError; starts now stay below 2**62
+    [10**30], [2**62],
+])
 def test_bad_t0_samples_exit_2(tmp_path, capsys, t0_samples):
     cfg = write_config(tmp_path, two_node_doc(estimator={"t0_samples": t0_samples}))
     for cmd in ("check", "spectrum"):
         assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config.estimator.t0_samples" in capsys.readouterr().err
+
+
+def test_spectrum_and_check_run_window_starts_up_to_the_int64_bound(tmp_path):
+    # the last start below 2**62, far past the others: check reads only
+    # the times some window covers, not every time between the starts
+    cfg = write_config(tmp_path, two_node_doc(estimator={"t0_samples": [0, 2**62 - 1]}))
+    for cmd in ("check", "spectrum"):
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    blob = json.loads((tmp_path / "o" / "diam_estimate.json").read_text())
+    assert blob["diam"]["value"] == pytest.approx(0.5, rel=1e-2)
+    windows = json.loads((tmp_path / "o" / "check_report.json").read_text())["windows"]
+    assert [w["t0"] for w in windows] == [0, 2**62 - 1] and all(w["has_tree"] for w in windows)
 
 
 def test_non_finite_numbers_exit_2(tmp_path, capsys):

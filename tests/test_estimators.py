@@ -36,7 +36,7 @@ from netsync.estimators import (
 )
 from netsync.hajnal import diam
 from netsync.linalg import difference, lift, make_stochastic, matrix_norm
-from netsync.processes import BlinkingProcess
+from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DrivenSource,
     FiniteSetIIDSource,
@@ -194,6 +194,7 @@ class FnSource:
 
     def __init__(self, fn):
         self.at = fn
+        self.m = fn(0).shape[0]
 
 
 def test_qr_spectrum_constant_diagonal():
@@ -228,6 +229,25 @@ def test_qr_spectrum_singular_matrix():
     with pytest.raises(SingularMatrixError) as ei:
         lyapunov_spectrum_qr(FnSource(lambda t: sing), horizon=50)
     assert ei.value.t == 0
+
+
+def test_qr_spectrum_reads_a_driven_source_once():
+    # each time is read once, in order, so a forward-only source serves
+    make = lambda: BlurringProcess(m=6, r=0.2, seed=4)
+    lams = lyapunov_spectrum_qr(DrivenSource(make()), horizon=50)
+    proc = make()
+    mats = [proc.step() for _ in range(50)]
+    assert lams == lyapunov_spectrum_qr(FnSource(mats.__getitem__), horizon=50)
+
+
+def test_window_starts_keep_times_inside_int64():
+    # the walk counts a window's times in int64: start + horizon < 2**63
+    src = StaticSource(make_stochastic(np.array([[3.0, 1.0], [1.0, 3.0]])))
+    est = estimate_hajnal_diameter(src, horizon=3, t0_samples=[0, 2**63 - 4])
+    assert est.value == pytest.approx(0.5)
+    for t0s in ([2**63 - 3], [0, 10**30]):
+        with pytest.raises(InvalidParamsError, match="< 2\\*\\*63"):
+            estimate_hajnal_diameter(src, horizon=3, t0_samples=t0s)
 
 
 def test_qr_second_exponent_matches_diam_rate():

@@ -212,10 +212,17 @@ def test_blinking_accepts_an_edgeless_base():
 
 
 def test_blinking_wraps_as_driven_source():
-    src = DrivenSource(BlinkingProcess(8, small_base(), p=0.3, t_rec=2, seed=9))
+    make = lambda: BlinkingProcess(8, small_base(), p=0.3, t_rec=2, seed=9)
+    src = DrivenSource(make())
     G5 = src.at(5)
-    assert np.array_equal(src.at(5).toarray(), G5.toarray())  # consistent
-    assert is_stochastic(src.at(0))
+    assert src.at(5) is G5 and is_stochastic(G5)  # held, not stepped again
+    with pytest.raises(InvalidParamsError, match="fresh source"):
+        src.at(0)
+    # the process emits what a fresh one from the same seed emits
+    proc = make()
+    for _ in range(6):
+        G = proc.step()
+    assert np.array_equal(G.toarray(), G5.toarray())
 
 
 def test_blinking_emits_int32_indices():
@@ -238,8 +245,8 @@ def test_blinking_emissions_are_frozen():
 
 
 def test_blinking_source_holds_only_edge_lists():
-    # a dense base would be 2000^2 doubles = 30.5 MiB, deep-copied once
-    # more by the checkpoint; the edge lists of ~26k entries are ~0.4 MiB
+    # a dense base would be 2000^2 doubles = 30.5 MiB; the edge lists of
+    # ~26k entries are ~0.4 MiB
     tracemalloc.start()
     try:
         src = DrivenSource(

@@ -10,7 +10,7 @@ from scipy.sparse import csr_array
 
 from netsync.errors import EmptySetError, InvalidParamsError, ProcessExhaustedError
 from netsync.linalg import make_stochastic
-from netsync.processes import BlinkingProcess
+from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DRAW_BLOCK,
     DrivenSource,
@@ -181,33 +181,35 @@ class CountingProcess:
         return out
 
 
-def test_driven_caches_and_random_access():
+def test_driven_holds_its_time_and_steps_forward():
     proc = CountingProcess()
     src = DrivenSource(proc)
     assert np.array_equal(src.at(3), B2)
     assert src.process is proc and proc.calls == 4
-    # the last emission is held, no extra stepping
-    assert np.array_equal(src.at(3), B2) and proc.calls == 4
-    # an earlier time replays a fresh copy of the process as it was at
-    # construction, and leaves the original alone
-    assert np.array_equal(src.at(1), B2)
-    assert np.array_equal(src.at(0), A2)
-    assert src.process is not proc and src.process.calls == 1
-    assert proc.calls == 4
-    # a later time steps the live process forward
-    assert np.array_equal(src.at(2), A2) and src.process.calls == 3
+    # the held time is returned again without stepping
+    assert src.at(3) is src.at(3) and proc.calls == 4
+    # a later time steps the process forward
+    assert np.array_equal(src.at(4), A2) and proc.calls == 5
+    assert np.array_equal(src.at(7), B2) and proc.calls == 8
 
 
 def blinking(m=30, seed=3):
     return BlinkingProcess.from_params(m=m, avg_degree=4, p=0.2, t_rec=2, seed=seed)
 
 
-def test_driven_out_of_order_matches_in_order():
-    in_order = DrivenSource(blinking())
-    expected = {t: in_order.at(t).toarray() for t in range(31)}
+def test_driven_back_read_raises_and_a_fresh_source_reads_again():
     src = DrivenSource(blinking())
-    for t in (30, 5, 30, 0, 17, 17, 29, 3):
-        assert np.array_equal(src.at(t).toarray(), expected[t])
+    expected = {t: src.at(t).toarray() for t in range(31)}
+    for t in (29, 0):
+        back = rf"at t=30, cannot go back to t={t}; build a fresh source"
+        with pytest.raises(InvalidParamsError, match=back):
+            src.at(t)
+    # a failed back-read leaves the source where it was
+    assert np.array_equal(src.at(30).toarray(), expected[30])
+    # a fresh source from the same seed emits the same sequence
+    again = DrivenSource(blinking())
+    for t in (0, 3, 3, 17, 30):
+        assert np.array_equal(again.at(t).toarray(), expected[t])
 
 
 def driven_peak_bytes(horizon: int) -> int:
@@ -243,27 +245,46 @@ class ListProcess:
         return self.matrices[self.calls - 1]
 
 
-def test_driven_failed_emission_replays_consistently():
-    src = DrivenSource(ListProcess([A2, B2, np.full((2, 2), 0.7), B2, A2]))
+def test_driven_failed_emission_is_sticky():
+    proc = ListProcess([A2, B2, np.full((2, 2), 0.7), B2, A2])
+    src = DrivenSource(proc)
     assert np.array_equal(src.at(1), B2)
-    # a bad emission fails every query at or after its index, every time;
-    # earlier times stay readable
-    for t in (2, 2, 3, 4):
-        with pytest.raises(InvalidParamsError, match="t=2"):
+    # a bad emission fails its own time, every later time and every
+    # earlier one, with one message; stepping past it would shift every
+    # later emission by one time
+    for t in (2, 2, 3, 4, 9, 1, 0):
+        with pytest.raises(InvalidParamsError) as err:
             src.at(t)
-    assert np.array_equal(src.at(1), B2)
-    assert np.array_equal(src.at(0), A2)
-    with pytest.raises(InvalidParamsError, match="t=2"):
-        src.at(9)
+        assert str(err.value) == "process output at t=2 is not row stochastic"
+    assert proc.calls == 3
 
 
 def test_driven_exhausted_process():
-    src = DrivenSource(ListProcess([A2, B2]))
+    proc = ListProcess([A2, B2])
+    src = DrivenSource(proc)
     assert np.array_equal(src.at(1), B2)
-    for _ in range(2):
-        with pytest.raises(ProcessExhaustedError):
-            src.at(2)
-    assert np.array_equal(src.at(0), A2)
+    # the message names the first time the process could not emit
+    for t in (5, 2, 2, 0):
+        with pytest.raises(ProcessExhaustedError) as err:
+            src.at(t)
+        assert str(err.value) == "driven process ended before t=2"
+    assert proc.calls == 2
+
+
+def test_driven_holds_one_emission():
+    # the process's own 300 x 300 weights are allocated before tracing;
+    # the source holds the checked copy of one 8 m^2-byte emission
+    m = 300
+    proc = BlurringProcess(m=m, r=0.05, seed=1)
+    tracemalloc.start()
+    try:
+        src = DrivenSource(proc)
+        src.at(0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert src.at(0).nbytes == 8 * m * m
+    assert held < 1.5 * 8 * m * m
 
 
 def test_driven_validates_sparse_output():
