@@ -13,9 +13,7 @@ import argparse
 import json
 import math
 import sys
-from bisect import bisect_right
 from hashlib import sha256
-from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -46,6 +44,7 @@ from .estimators import (
     estimate_hajnal_diameter,
     estimate_scalar_lyapunov,
     estimate_sigma1,
+    window_schedule,
 )
 from .hajnal import has_spanning_tree, is_scrambling
 from .jsr import DEFAULT_MAX_LEN, DEFAULT_TOL, gripenberg
@@ -322,23 +321,21 @@ def _union_tables(source, starts, t_max: int):
     dtype = np.min_scalar_type(t_max)
     tables = dict.fromkeys(starts, csr_array((m, m), dtype=dtype))
     tree_T = dict.fromkeys(starts)
-    # each time some window covers, once: a gap between windows is skipped
-    ends = [starts[0], *(t0 + t_max for t0 in starts)]
-    for t in chain.from_iterable(range(max(t0, end), t0 + t_max) for t0, end in zip(starts, ends)):
-        open_starts = starts[bisect_right(starts, t - t_max) : bisect_right(starts, t)]
-        # int32 coordinates give int32 indices; scipy keeps int64 ones
-        coords = tuple(ix.astype(np.int32) for ix in (source.at(t) > 0).nonzero())
-        for t0 in open_starts:
-            T = t - t0 + 1
-            late = np.full(coords[0].size, t_max + 1 - T, dtype=dtype)
-            table = tables[t0] = tables[t0].maximum(csr_array((late, coords), shape=(m, m)))
-            if tree_T[t0] is None and has_spanning_tree(table) is not None:
-                tree_T[t0] = T
-            # a stored entry costs its value and an int32 index, so past about
-            # a fifth of m * m entries (uint8 values) the dense table is smaller
-            csr_bytes = table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
-            if T == t_max and csr_bytes > dtype.itemsize * m * m:
-                tables[t0] = table.toarray()
+    for a, b, lo, hi in window_schedule(starts, t_max):
+        for t in range(a, b):
+            # int32 coordinates give int32 indices; scipy keeps int64 ones
+            coords = tuple(ix.astype(np.int32) for ix in (source.at(t) > 0).nonzero())
+            for t0 in starts[lo:hi]:
+                T = t - t0 + 1
+                late = np.full(coords[0].size, t_max + 1 - T, dtype=dtype)
+                table = tables[t0] = tables[t0].maximum(csr_array((late, coords), shape=(m, m)))
+                if tree_T[t0] is None and has_spanning_tree(table) is not None:
+                    tree_T[t0] = T
+                # a stored entry costs its value and an int32 index, so past about
+                # a fifth of m * m entries (uint8 values) the dense table is smaller
+                csr_bytes = table.data.nbytes + table.indices.nbytes + table.indptr.nbytes
+                if T == t_max and csr_bytes > dtype.itemsize * m * m:
+                    tables[t0] = table.toarray()
     return {t0: (tables[t0], tree_T[t0]) for t0 in starts}
 
 

@@ -19,7 +19,7 @@ resolvable far below the floating-point floor.
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -63,7 +63,7 @@ class DiamEstimate:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class LyapunovEstimate:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
+        d = dict(vars(self))
         d["curve"] = d.pop("trace")
         return d
 
@@ -103,6 +103,17 @@ def _nodes(source) -> int:
     return m
 
 
+def window_schedule(starts: Sequence[int], length: int):
+    """For windows [s, s + length) at the ascending starts: each maximal
+    range [a, b) of time over which starts[lo:hi] are the open windows,
+    as (a, b, lo, hi) in ascending order; no range covers a gap."""
+    bounds = sorted({*starts, *(s + length for s in starts)})
+    for a, b in zip(bounds, bounds[1:]):
+        lo, hi = bisect_right(starts, a - length), bisect_right(starts, a)
+        if lo < hi:
+            yield a, b, lo, hi
+
+
 def _window_walk(
     source,
     X: np.ndarray,
@@ -118,36 +129,35 @@ def _window_walk(
     X is an (m, K, w) block of K windows of width w, and window k starts
     at time starts[k] (ascending ints) from X[:, k].  At age t it holds
     Y_k = G(starts[k] + t - 1) ... G(starts[k]) X[:, k] relative to its
-    row 0, so rows never coalesce below the float floor.  The windows
-    covering a time form one contiguous block, which that time's matrix
-    advances with a single matmul into a buffer of WALK_BUFFER_BYTES, or
-    in place in X if two ages of the block exceed it.  A run of ages ends
-    where a window is renormalised, the buffer is full or the block
-    changes, and is scored at once: size maps an (m, r*n, w) view of r
-    ages of n windows to their sizes.  Every renorm_every ages a window
-    is divided by its size after it is scored, and a log scale keeps what
-    was divided out.  A window whose size falls to DEAD_SIZE is zeroed
-    and never scores again.
+    row 0, so rows never coalesce below the float floor.  Only the open
+    windows are held, as one contiguous block: where they change the walk
+    keeps those still open and appends those opening from X, or steps X's
+    own block if none is kept and it is contiguous and writeable.  Each
+    time's matrix advances the block with one matmul into a buffer of
+    WALK_BUFFER_BYTES, or in place if two ages of the block exceed it.  A
+    run of ages ends where a window is renormalised, the buffer is full or
+    the block changes, and is scored at once: size maps an (m, r*n, w) view
+    of r ages of n windows to their sizes.  Every renorm_every ages a scored
+    window is divided by its size, which a log scale keeps; a window whose
+    size falls to DEAD_SIZE is zeroed and never scores again.
     """
-    if horizon < 1 or renorm_every < 1:
+    # numpy refuses a curve of 2**60 floats or more: its byte count overflows int64
+    if not 1 <= horizon < 2**60 - 1 or renorm_every < 1:
         raise InvalidParamsError(
-            f"need horizon >= 1 and renorm_every >= 1, got {horizon}, {renorm_every}"
+            f"need horizon in [1, 2**60 - 1) and renorm_every >= 1, got {horizon}, {renorm_every}"
         )
-    X = np.ascontiguousarray(X)  # so that a block's slice reshapes to a view
     m, K, w = X.shape
     first = np.asarray(starts)
     logscale = np.zeros(K)
     curve = np.full(horizon + 1, NEG_INF)
-    # the windows covering tau change only where one starts or ends
-    bounds = sorted({*starts, *(s + horizon for s in starts)})
+    Y, held, phi = None, 0, 0  # Y holds the windows starts[held:phi]
     with np.errstate(divide="ignore"):
-        for a, b in zip(bounds, bounds[1:]):
-            lo = bisect_right(starts, a - horizon)
-            hi = bisect_right(starts, a)
-            if lo == hi:
-                continue
-            n = hi - lo
-            Y = X[:, lo:hi]
+        for a, b, lo, hi in window_schedule(starts, horizon):
+            if lo < phi:
+                Y = np.concatenate((Y[:, lo - held :], X[:, phi:hi]), axis=1)
+            else:
+                Y = np.require(X[:, lo:hi], requirements=["C", "W"])
+            n, held, phi = hi - lo, lo, hi
             scale = logscale[lo:hi]
             age = a - first[lo:hi]
             due = [
@@ -184,7 +194,6 @@ def _window_walk(
                     Y[:, k] /= d[-1, k][:, None]
                     scale[k] += logd[-1, k]
                 r = 0
-            X[:, lo:hi] = Y
     return curve[1:]
 
 
@@ -202,7 +211,7 @@ def _window_estimate(source, horizon, t0_samples, kind, renorm_every, size) -> D
     m = _nodes(source)
     starts = sorted(set(t0_samples))
     eye = np.eye(m)
-    X = np.repeat((eye - eye[0])[:, None, :], len(starts), axis=1)
+    X = np.broadcast_to((eye - eye[0])[:, None, :], (m, len(starts), m))
     curve = np.exp(_window_walk(source, X, starts, horizon, renorm_every, size)).tolist()
     converged = _tail_converged_multiplicative(curve)
     return DiamEstimate(curve[-1], horizon, t0_samples, curve, kind, converged)

@@ -38,7 +38,7 @@ Only this fallback and the polytope above 2x2 load scipy.
 
 import heapq
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,7 +84,7 @@ class JsrBounds:
     vertex_count: int = 0
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "witness": list(self.witness)}
+        return {**vars(self), "witness": list(self.witness)}
 
 
 def _validated_set(matrices: Sequence) -> List[np.ndarray]:

@@ -661,6 +661,21 @@ def test_spectrum_and_check_run_window_starts_up_to_the_int64_bound(tmp_path):
     assert [w["t0"] for w in windows] == [0, 2**62 - 1] and all(w["has_tree"] for w in windows)
 
 
+def test_oversized_horizon_exits_2_before_any_matrix_is_read(tmp_path, capsys, monkeypatch):
+    # the config takes horizons up to 2**62, whose curve numpy refuses to
+    # allocate; only 2**62 is tried, since a smaller curve could be allocated
+    reads = []
+    at = StaticSource.at
+    monkeypatch.setattr(StaticSource, "at", lambda self, t: reads.append(t) or at(self, t))
+    cfg = write_config(tmp_path, two_node_doc(estimator={"horizon": 2**62}))
+    for cmd in ("spectrum", "simulate"):
+        capsys.readouterr()
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "horizon" in err and str(2**62) in err
+    assert reads == []
+
+
 def test_non_finite_numbers_exit_2(tmp_path, capsys):
     # json reads Infinity as a float, which no integer field may hold and
     # whose uniform draw initial_state could not make

@@ -33,6 +33,7 @@ from netsync.estimators import (
     estimate_scalar_lyapunov,
     estimate_sigma1,
     lyapunov_spectrum_qr,
+    window_schedule,
 )
 from netsync.hajnal import diam
 from netsync.linalg import difference, lift, make_stochastic, matrix_norm
@@ -582,7 +583,9 @@ def test_sigma1_scoring_at_read_ages_equals_full_scoring(horizon):
 
 def per_age_window_walk(source, X, starts, horizon, renorm_every, size):
     """The window walk one age at a time: every age's block is advanced,
-    sized, checked for deaths and scored before the next is stepped."""
+    sized, checked for deaths and scored before the next is stepped.
+    It steps its own copy of X, which the estimators pass read-only."""
+    X = np.array(X)
     m, K, w = X.shape
     first = np.asarray(starts)
     logscale = np.zeros(K)
@@ -721,6 +724,42 @@ def test_window_walk_memory_over_the_buffer_cap():
         tracemalloc.stop()
     assert np.all(np.isfinite(curve))
     assert peak <= block + WALK_BUFFER_BYTES, f"walk peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_diameter_walk_memory_holds_only_the_open_windows():
+    # 32 starts 2 apart with horizon 16 open at most 8 windows at once;
+    # holding all 32 would peak near 41 window blocks of m * m floats
+    m = 300
+    rng = np.random.default_rng(1)
+    src = FiniteSetIIDSource([make_stochastic(rng.random((m, m)) + 0.1) for _ in range(2)], seed=1)
+    open_block = 8 * m * m * 8
+    tracemalloc.start()
+    try:
+        est = estimate_hajnal_diameter(src, horizon=16, t0_samples=range(0, 64, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(est.curve))
+    assert peak <= 3 * open_block + WALK_BUFFER_BYTES, f"walk peaked at {peak / 2**20:.1f} MiB"
+
+
+@given(
+    starts=st.lists(st.integers(0, 40), min_size=1, max_size=10).map(sorted),
+    length=st.integers(1, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_window_schedule_matches_a_per_time_scan(starts, length):
+    ranges = list(window_schedule(starts, length))
+    for (a, b, lo, hi), after in zip(ranges, ranges[1:]):
+        # ascending and disjoint; touching ranges hold different windows
+        assert b <= after[0] and (b < after[0] or (lo, hi) != after[2:])
+    assert all(a < b and lo < hi for a, b, lo, hi in ranges)
+    scan = {}
+    for t in range(max(starts) + length + 1):
+        open_ = [k for k, s in enumerate(starts) if s <= t < s + length]
+        if open_:
+            scan[t] = open_
+    assert {t: list(range(lo, hi)) for a, b, lo, hi in ranges for t in range(a, b)} == scan
 
 
 def test_window_walk_skips_uncovered_times():
