@@ -15,7 +15,6 @@ import math
 import sys
 from hashlib import sha256
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -114,11 +113,10 @@ def run_sync_experiment(cfg):
     """Estimate sigma1 and mu, simulate; the SyncReport and sigma1 estimate.
 
     The single code path behind both `simulate` and each `sweep` row, so
-    a one-value sweep reproduces the simulate summary exactly.  One pass
-    over time serves both, so a driven source emits each time once: sigma1
-    reads each time below its horizon once, in order, and each read also
-    steps the orbit, which then finishes on the live source.  The orbit's
-    divergence is raised after sigma1 returns, so sigma1's errors come first.
+    a one-value sweep reproduces the simulate summary exactly.  sigma1
+    reads its source through the orbit, which steps on each read and then
+    runs on, so a driven source emits each time once and sigma1's errors
+    come before the orbit's divergence.
     """
     source = build_source(cfg)
     fmap = build_map(cfg)
@@ -130,24 +128,9 @@ def run_sync_experiment(cfg):
         mu_source = "estimated"
     else:
         mu_source = "supplied"
-    steps = cfg.simulation.steps
-    orbit = Orbit(fmap, initial_state(cfg, source.m, fmap), steps, cfg.simulation.record_every)
-    diverged = []
-
-    def at(t):
-        G = source.at(t)
-        if t == orbit.t < steps and not diverged:
-            try:
-                orbit.step(G)
-            except StateDivergedError as exc:
-                diverged.append(exc)
-        return G
-
-    sig = _run_sigma1(cfg, SimpleNamespace(m=source.m, at=at))
-    if diverged:
-        raise diverged[0]
-    for t in range(orbit.t, steps):
-        orbit.step(source.at(t))
+    x0 = initial_state(cfg, source.m, fmap)
+    orbit = Orbit(source, fmap, x0, cfg.simulation.steps, cfg.simulation.record_every)
+    sig = _run_sigma1(cfg, orbit)
     return make_sync_report(orbit.run(), sig.value, mu, mu_source), sig
 
 
@@ -276,6 +259,8 @@ def _parse_values(text: str):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("jobs", f"must be >= 1, got {args.jobs}")
     raw, cfg, h, out = _load_config(args)
     values = _parse_values(args.values)
     if not values:
@@ -376,6 +361,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_jsr(args) -> int:
+    if args.mu is not None and not math.isfinite(args.mu):
+        raise ConfigError("mu", f"must be finite, got {args.mu}")
     data = _read_json(args.matrix_set, "matrix_set")
     mats_raw = data.get("matrices") if isinstance(data, dict) else data
     if not isinstance(mats_raw, list) or not mats_raw:

@@ -9,9 +9,9 @@ The update is evaluated in centered form, x' = c + G (F - c) with
 c = F[0], which is algebraically identical to G F for row stochastic G
 but keeps the diagonal {x_1 = ... = x_m} invariant to the last bit: on
 the diagonal F - c vanishes exactly, so no rounding from the matrix
-product can push the state off the synchronized orbit.  Orbit takes one
-coupling per step, so a caller walking the sequence for another reason
-can advance it on the way; simulate steps it over a source.
+product can push the state off the synchronized orbit.  An Orbit steps
+as its source is read through it, so a caller walking the sequence for
+another reason advances it on the way; simulate only reads it through.
 
 Synchronization is predicted by the sign of W = sigma1 + mu, where
 sigma1 is the top transverse (projected) Lyapunov exponent of the
@@ -119,46 +119,41 @@ class SyncReport:
     mu_source: str
 
 
-def _spread_stat(x):
-    if x.size < 2:
-        return 0.0
-    d = x - x.mean()
-    return float(d @ d) / (x.size - 1)
-
-
 class Orbit:
-    """The lattice stepped one coupling at a time: the state, the time t
-    of the latest update, and the records simulate reports.
+    """The lattice stepped through its source as the source is read.
 
-    K at a recorded time t is the running time average of the spread
-    statistic over [0, t]. The diameter is max_i x_i - min_i x_i of the
-    current state. step raises StateDivergedError when any component
-    leaves [-DIVERGE_LIMIT, DIVERGE_LIMIT] (or turns non-finite).
+    at(t) returns source.at(t) and, when t is the orbit's next time below
+    steps, also steps the state through it; run reads on through steps.
+    K at a recorded time t is the time average over [0, t] of the spread
+    sum_i (x_i - mean x)^2 / (m - 1), the diameter max_i x_i - min_i x_i.
+    A state leaving [-DIVERGE_LIMIT, DIVERGE_LIMIT] (or turning
+    non-finite) stops the orbit, and run raises it as StateDivergedError.
     """
 
-    def __init__(self, fmap: ScalarMap, x0, steps, record_every=1):
+    def __init__(self, source: MatrixSource, fmap: ScalarMap, x0, steps, record_every=1):
         if steps < 0:
             raise InvalidParamsError("steps must be nonnegative")
         if record_every < 1:
             raise InvalidParamsError("record_every must be positive")
-        self.x = np.array(x0, dtype=float).reshape(-1)
-        if self.x.size == 0:
+        x = np.array(x0, dtype=float).reshape(-1)
+        if x.size == 0:
             raise EmptyListError("empty initial state")
-        self.fmap, self.steps, self.record_every = fmap, steps, record_every
-        self.t, self.times = 0, [0]
-        v = _spread_stat(self.x)
-        self.v_values, self.v_sum, self.k_series = [v], v, [v]
-        self.diam_series = [float(self.x.max() - self.x.min())]
+        if source.m != x.size:
+            raise DimensionMismatchError(
+                f"source emits {source.m}x{source.m}, state has {x.size} components"
+            )
+        self.source, self.m, self.fmap = source, source.m, fmap
+        self.steps, self.record_every = steps, record_every
+        self.t, self.v_sum, self.diverged = 0, 0.0, None
+        self.times, self.v_values, self.k_series, self.diam_series = [], [], [], []
+        self._record(x)
 
-    def step(self, G):
-        """Advance the state by one update through the coupling G(t)."""
-        F = np.asarray(self.fmap.f(self.x), dtype=float)
-        c = F[0]
-        x = self.x = c + G @ (F - c)
-        t = self.t = self.t + 1
-        if not np.max(np.abs(x)) <= DIVERGE_LIMIT:
-            raise StateDivergedError(t=t, value=float(np.max(np.abs(x))))
-        v = _spread_stat(x)
+    def _record(self, x):
+        """Take x as the state at time t."""
+        self.x, t = x, self.t
+        with np.errstate(over="ignore"):  # a huge x0 gives K = inf
+            d = x - x.mean()
+            v = float(d @ d) / (x.size - 1) if x.size > 1 else 0.0
         self.v_values.append(v)
         self.v_sum += v
         if t % self.record_every == 0 or t == self.steps:
@@ -166,7 +161,25 @@ class Orbit:
             self.k_series.append(self.v_sum / (t + 1))
             self.diam_series.append(float(x.max() - x.min()))
 
+    def at(self, t):
+        G = self.source.at(t)
+        if t == self.t < self.steps and self.diverged is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                F = np.asarray(self.fmap.f(self.x), dtype=float)
+                c = F[0]
+                x = c + G @ (F - c)
+            self.t += 1
+            if np.max(np.abs(x)) <= DIVERGE_LIMIT:
+                self._record(x)
+            else:
+                self.diverged = StateDivergedError(t=self.t, value=float(np.max(np.abs(x))))
+        return G
+
     def run(self) -> SimRun:
+        while self.t < self.steps and self.diverged is None:
+            self.at(self.t)
+        if self.diverged is not None:
+            raise self.diverged
         x, v = self.x, self.v_values
         return SimRun(
             m=x.size, steps=self.steps, record_every=self.record_every, times=self.times,
@@ -177,16 +190,8 @@ class Orbit:
 
 
 def simulate(source: MatrixSource, fmap: ScalarMap, x0, steps, record_every=1):
-    """Run the lattice for `steps` updates through source.at(0..steps-1),
-    recording K and diameter as Orbit does."""
-    orbit = Orbit(fmap, x0, steps, record_every)
-    if source.m != orbit.x.size:
-        raise DimensionMismatchError(
-            f"source emits {source.m}x{source.m}, state has {orbit.x.size} components"
-        )
-    for t in range(steps):
-        orbit.step(source.at(t))
-    return orbit.run()
+    """Run the lattice for `steps` updates through source.at(0..steps-1)."""
+    return Orbit(source, fmap, x0, steps, record_every).run()
 
 
 def make_sync_report(run: SimRun, sigma1, mu, mu_source):

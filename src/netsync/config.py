@@ -25,6 +25,7 @@ import numpy as np
 
 from .cml import ScalarMap, logistic
 from .errors import ConfigError, UnknownParameterError
+from .estimators import DEFAULT_N_VECTORS, DEFAULT_RENORM_EVERY
 from .processes import BlinkingProcess, BlurringProcess
 from .sources import (
     DrivenSource,
@@ -181,8 +182,8 @@ _ESTIMATOR = {
                  "must be a nonempty list of starts in [0, 2**62)"),
         None,  # the estimators' default grid of starts
     ),
-    "renorm_every": (_at_least(1), 8),
-    "n_vectors": (_at_least(1), 8),
+    "renorm_every": (_at_least(1), DEFAULT_RENORM_EVERY),
+    "n_vectors": (_at_least(1), DEFAULT_N_VECTORS),
     "mu_burn": (_at_least(0), 1000),
     "mu_horizon": (_at_least(1), 100_000),
 }

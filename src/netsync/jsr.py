@@ -386,8 +386,8 @@ def gripenberg(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> JsrBounds:
     mats = _validated_set(matrices)
-    if tol <= 0:
-        raise InvalidParamsError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidParamsError(f"tol must be in (0, inf), got {tol}")
     if max_len < 1:
         raise InvalidParamsError(f"max_len must be >= 1, got {max_len}")
 

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,28 @@ def test_sweep_rejects_empty_and_unknown(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_jobs_write_the_serial_sweep(tmp_path):
+    # the worker pool pickles each row's config to its worker
+    cfg = write_config(tmp_path, blinking_sweep_doc())
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", cfg, "--parameter", "p", "--values",
+                     "[0.9, 0.01, 0.001]", "--jobs", jobs, "--out", str(out)]) == 0
+        written.append((out / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, blinking_sweep_doc())
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--parameter", "p", "--values", "[0.01]",
+                 "--jobs", jobs, "--out", str(out)]) == 2
+    assert "'jobs'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_dotted_parameter_left_at_its_default(tmp_path):
     # the document names neither alpha nor a simulation section
     doc = two_node_doc(map={"name": "logistic", "mu": 0.5})
@@ -372,6 +395,16 @@ def test_run_sync_experiment_raises_sigma1_errors_before_divergence(monkeypatch)
         two_passes(cfg)
     with pytest.raises(ProcessExhaustedError):
         run_sync_experiment(cfg)
+
+
+def test_diverging_simulate_exits_3_with_no_numpy_warnings(tmp_path, capsys):
+    # an x0 spread by up to 1e200 overflows the map in the first update
+    cfg = write_config(tmp_path, two_node_doc(simulation={"steps": 60, "x0_eps": 1e200}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: node state exceeded 1e12 at step 1 (max |x|=nan)\n"
 
 
 def test_spectrum_emits_each_pass_from_t0(tmp_path, blinking_steps):
@@ -592,6 +625,20 @@ def test_jsr_malformed_inputs(tmp_path, capsys):
         capsys.readouterr()
         assert main(["jsr", str(bad)]) == 2
         assert "matrix_set.matrices[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--mu", "nan", "'mu'"), ("--mu", "inf", "'mu'"), ("--mu", "-inf", "'mu'"),
+    ("--tol", "nan", "tol"), ("--tol", "inf", "tol"),
+])
+def test_jsr_rejects_non_finite_flags(tmp_path, capsys, flag, value, field):
+    # a NaN mu was written as NaN, which is not JSON
+    mats = tmp_path / "set.json"
+    mats.write_text(json.dumps([[[0.8, 0.2], [0.4, 0.6]]]))
+    out = tmp_path / "o"
+    assert main(["jsr", str(mats), f"{flag}={value}", "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "jsr_bounds.json").exists()
 
 
 def test_jsr_strict_escalates_wide_gap(tmp_path):

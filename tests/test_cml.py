@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netsync.cml import (
+    Orbit,
     ScalarMap,
     criterion,
     logistic,
@@ -159,6 +160,48 @@ def test_simulate_diverging_state():
     grow = ScalarMap(name="grow", f=lambda s: 5.0 * s, df=lambda s: 5.0, params={})
     with pytest.raises(StateDivergedError):
         simulate(StaticSource(np.eye(2)), grow, x0=np.array([1.0, 2.0]), steps=100)
+
+
+class ReadLog:
+    """A source that logs the times read from it."""
+
+    def __init__(self, source):
+        self.source, self.m, self.reads = source, source.m, []
+
+    def at(self, t):
+        self.reads.append(t)
+        return self.source.at(t)
+
+
+def test_orbit_steps_only_on_a_read_of_its_next_time():
+    src = ReadLog(two_node_coupling(0.25))
+    x0 = np.array([0.2, 0.7])
+    orbit = Orbit(src, logistic(3.9), x0, steps=3)
+    assert orbit.m == 2
+    for t in (1, 0, 0, 2, 1, 2, 3, 4):
+        assert orbit.at(t) is src.source.at(t)
+    assert orbit.t == 3
+    run = orbit.run()
+    assert src.reads == [1, 0, 0, 2, 1, 2, 3, 4]  # run had nothing left to read
+    expected = simulate(two_node_coupling(0.25), logistic(3.9), x0, steps=3)
+    assert run.final_state.tobytes() == expected.final_state.tobytes()
+    assert (run.times, run.k_series, run.diam_series) == (
+        expected.times, expected.k_series, expected.diam_series
+    )
+
+
+def test_orbit_divergence_stops_it_and_run_raises_it():
+    # 5^t * 2 first passes 1e12 at t = 17
+    grow = ScalarMap(name="grow", f=lambda s: 5.0 * s, df=lambda s: 5.0, params={})
+    src = ReadLog(StaticSource(np.eye(2)))
+    orbit = Orbit(src, grow, np.array([1.0, 2.0]), steps=100)
+    for t in range(30):
+        orbit.at(t)  # a divergence does not raise in the middle of a read
+    assert orbit.t == 17
+    with pytest.raises(StateDivergedError) as raised:
+        orbit.run()
+    assert raised.value.t == 17
+    assert src.reads == list(range(30))
 
 
 def test_simulate_records_at_cadence():

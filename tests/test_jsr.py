@@ -135,8 +135,9 @@ def test_gripenberg_validates_inputs():
         gripenberg([])
     with pytest.raises(DimensionMismatchError):
         gripenberg([np.eye(2), np.eye(3)])
-    with pytest.raises(InvalidParamsError):
-        gripenberg([np.eye(2)], tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParamsError, match="tol"):
+            gripenberg([np.eye(2)], tol=tol)
 
 
 def test_gripenberg_balancing_changes_nothing_semantically(monkeypatch):
