@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 config or input error, 3 numeric failure
 """
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -69,12 +71,11 @@ def _load_config(args):
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     cfg = ExperimentConfig.from_json_dict(raw)
-    out = Path(args.out or cfg.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return raw, cfg, config_hash(cfg), out
+    return raw, cfg, config_hash(cfg), Path(args.out or cfg.out or ".")
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
@@ -89,6 +90,7 @@ def _write_csv(path: Path, meta: dict, header, rows) -> None:
             str(v).lower() if isinstance(v, (int, np.integer, np.bool_)) else repr(float(v))
             for v in row
         ))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -396,7 +398,6 @@ def cmd_jsr(args) -> int:
         obj["verdict"] = verdict
         line += f" | W bound {W_bound:.6g} -> {verdict}"
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "jsr_bounds.json", obj)
     print(line)
     print(f"wrote {out / 'jsr_bounds.json'}")
@@ -450,6 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # freeze the heap at exit so shutdown collections skip what the OS frees
+    # anyway: outputs are closed by then and no resource needs a finalizer
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         return args.handler(args)
     except (StateDivergedError, OrbitDivergedError, SingularMatrixError) as exc:

@@ -127,7 +127,8 @@ class Orbit:
     K at a recorded time t is the time average over [0, t] of the spread
     sum_i (x_i - mean x)^2 / (m - 1), the diameter max_i x_i - min_i x_i.
     A state leaving [-DIVERGE_LIMIT, DIVERGE_LIMIT] (or turning
-    non-finite) stops the orbit, and run raises it as StateDivergedError.
+    non-finite), the initial state included, stops the orbit, and run
+    raises it as StateDivergedError.
     """
 
     def __init__(self, source: MatrixSource, fmap: ScalarMap, x0, steps, record_every=1):
@@ -149,11 +150,14 @@ class Orbit:
         self._record(x)
 
     def _record(self, x):
-        """Take x as the state at time t."""
+        """Take x as the state at time t, or hold its divergence."""
+        size = float(np.max(np.abs(x)))
+        if not size <= DIVERGE_LIMIT:
+            self.diverged = StateDivergedError(t=self.t, value=size)
+            return
         self.x, t = x, self.t
-        with np.errstate(over="ignore"):  # a huge x0 gives K = inf
-            d = x - x.mean()
-            v = float(d @ d) / (x.size - 1) if x.size > 1 else 0.0
+        d = x - x.mean()
+        v = float(d @ d) / (x.size - 1) if x.size > 1 else 0.0
         self.v_values.append(v)
         self.v_sum += v
         if t % self.record_every == 0 or t == self.steps:
@@ -169,10 +173,7 @@ class Orbit:
                 c = F[0]
                 x = c + G @ (F - c)
             self.t += 1
-            if np.max(np.abs(x)) <= DIVERGE_LIMIT:
-                self._record(x)
-            else:
-                self.diverged = StateDivergedError(t=self.t, value=float(np.max(np.abs(x))))
+            self._record(x)
         return G
 
     def run(self) -> SimRun:

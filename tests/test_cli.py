@@ -398,13 +398,36 @@ def test_run_sync_experiment_raises_sigma1_errors_before_divergence(monkeypatch)
 
 
 def test_diverging_simulate_exits_3_with_no_numpy_warnings(tmp_path, capsys):
-    # an x0 spread by up to 1e200 overflows the map in the first update
+    # an x0 spread by up to 1e200 is past the divergence limit before any update
     cfg = write_config(tmp_path, two_node_doc(simulation={"steps": 60, "x0_eps": 1e200}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err == "numeric failure: node state exceeded 1e12 at step 1 (max |x|=nan)\n"
+    assert err == "numeric failure: node state exceeded 1e12 at step 0 (max |x|=7.433e+199)\n"
+
+
+def test_simulate_rejects_a_diverged_initial_state_without_steps(tmp_path, capsys):
+    # with no update to overflow, K = inf was written into summary.json as
+    # Infinity, which is not JSON
+    cfg = write_config(tmp_path, two_node_doc(simulation={"steps": 0, "x0_eps": 1e200}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "at step 0" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("doc, args, code", [
+    (two_node_doc(), ["check", "--t-max", "0"], 2),
+    (blinking_sweep_doc(), ["sweep", "--parameter", "p", "--values", "[]"], 2),
+    (blinking_sweep_doc(), ["sweep", "--parameter", "warp", "--values", "[1]"], 2),
+    (two_node_doc(simulation={"steps": 60, "x0_eps": 1e200}), ["simulate"], 3),
+], ids=["check-t-max-0", "sweep-no-values", "sweep-unknown-parameter", "simulate-diverged"])
+def test_rejected_and_failed_runs_leave_no_output_directory(tmp_path, doc, args, code):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, doc)
+    assert main([*args, "--config", cfg, "--out", str(out)]) == code
+    assert not out.exists()
 
 
 def test_spectrum_emits_each_pass_from_t0(tmp_path, blinking_steps):

@@ -6,8 +6,14 @@ search fallback, the `one`/`two` diameter norms), so short runs on dense
 inputs, and `jsr` on a 2x2 set its invariant polytope certifies, start
 with numpy alone.  Each boundary test runs in a fresh interpreter, since
 this test process has long since imported scipy.
+
+A command also leaves its heap to the OS at exit: `main` registers
+`gc.freeze` with atexit, so the interpreter's shutdown collections skip
+every object the command left.  That too shows only in a fresh
+interpreter, at its exit.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -16,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from netsync.cli import main
 from netsync.jsr import _balanced
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -26,19 +33,43 @@ REPORT_SCIPY = (
 )
 
 
-def loaded_scipy_modules(code: str) -> list:
-    """Run code in a fresh interpreter and list the scipy modules it left
-    loaded."""
+PAIR = {"matrices": [
+    [[0.6, 0.4, 0.0], [0.0, 0.7, 0.3], [0.2, 0.0, 0.8]],
+    [[0.5, 0.0, 0.5], [0.3, 0.7, 0.0], [0.0, 0.4, 0.6]],
+]}
+
+
+def fresh_stdout(code: str) -> list:
+    """Run code in a fresh interpreter; the lines it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", "import json\n" + code + "\n" + REPORT_SCIPY],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout.strip().splitlines()
+
+
+def loaded_scipy_modules(code: str) -> list:
+    """Run code in a fresh interpreter and list the scipy modules it left
+    loaded."""
+    return json.loads(fresh_stdout("import json\n" + code + "\n" + REPORT_SCIPY)[-1])
+
+
+def jsr_args(tmp_path) -> list:
+    """Arguments of `netsync jsr` on PAIR, written to tmp_path/out."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(PAIR))
+    return ["jsr", str(pair), "--out", str(tmp_path / "out")]
+
+
+def jsr_main(tmp_path) -> str:
+    """Code that runs `netsync jsr` on PAIR and asserts it succeeded."""
+    args = jsr_args(tmp_path)
+    return f"import netsync.cli\nrc = netsync.cli.main({args!r})\nassert rc == 0, rc\n"
 
 
 def run_cli(tmp_path, command: str, doc: dict) -> list:
@@ -83,20 +114,36 @@ def test_simulate_on_static_loads_no_scipy(tmp_path):
 
 
 def test_jsr_certified_by_polytope_loads_no_scipy(tmp_path):
-    pair = tmp_path / "pair.json"
-    pair.write_text(json.dumps({"matrices": [
-        [[0.6, 0.4, 0.0], [0.0, 0.7, 0.3], [0.2, 0.0, 0.8]],
-        [[0.5, 0.0, 0.5], [0.3, 0.7, 0.0], [0.0, 0.4, 0.6]],
-    ]}))
-    out = tmp_path / "out"
-    loaded = loaded_scipy_modules(
-        "import netsync.cli\n"
-        f"rc = netsync.cli.main({['jsr', str(pair), '--out', str(out)]!r})\n"
-        "assert rc == 0, rc"
-    )
-    bounds = json.loads((out / "jsr_bounds.json").read_text())
+    loaded = loaded_scipy_modules(jsr_main(tmp_path))
+    bounds = json.loads((tmp_path / "out" / "jsr_bounds.json").read_text())
     assert bounds["certificate"] == "polytope"
     assert loaded == []
+
+
+def test_command_freezes_its_heap_once_at_exit(tmp_path):
+    # the probe counts calls to gc.freeze; atexit runs its handlers last
+    # in, first out, so the probe registered before main reports after
+    # netsync's handler has run
+    probe = (
+        "import atexit, gc\n"
+        "calls, freeze = [], gc.freeze\n"
+        "gc.freeze = lambda: calls.append(freeze())\n"
+        "atexit.register(lambda: print('frozen', len(calls), gc.get_freeze_count()))\n"
+    )
+    lines = fresh_stdout(probe + jsr_main(tmp_path) * 2)
+    assert sum(line.startswith("jsr bounds: [") for line in lines) == 2
+    assert (tmp_path / "out" / "jsr_bounds.json").exists()
+    word, calls, count = lines[-1].split()
+    assert word == "frozen"
+    assert int(calls) == 1  # two main calls leave one registration
+    assert int(count) > 0
+
+
+def test_main_freezes_nothing_in_process(tmp_path):
+    # the freeze waits for the process to exit, so a test session that
+    # calls main is never frozen mid-run
+    assert main(jsr_args(tmp_path)) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_balanced_leaves_non_finite_input_unchanged():
