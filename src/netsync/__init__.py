@@ -6,11 +6,10 @@ from .estimators import (
     estimate_projection_jsr,
     estimate_scalar_lyapunov,
     estimate_sigma1,
-    lyapunov_spectrum_qr,
 )
-from .hajnal import diam, eta, hajnal_bound_check, is_scrambling
-from .jsr import JsrBounds, brute_force_jsr, gripenberg
-from .linalg import make_stochastic, project, spectral_radius
+from .hajnal import diam, is_scrambling
+from .jsr import JsrBounds, gripenberg
+from .linalg import project, spectral_radius
 from .processes import BlinkingProcess, BlurringProcess
 from .sources import DrivenSource, FiniteSetIIDSource, PeriodicSource, StaticSource
 
@@ -24,20 +23,15 @@ __all__ = [
     "JsrBounds",
     "PeriodicSource",
     "StaticSource",
-    "brute_force_jsr",
     "criterion",
     "diam",
     "estimate_hajnal_diameter",
     "estimate_projection_jsr",
     "estimate_scalar_lyapunov",
     "estimate_sigma1",
-    "eta",
     "gripenberg",
-    "hajnal_bound_check",
     "is_scrambling",
     "logistic",
-    "lyapunov_spectrum_qr",
-    "make_stochastic",
     "project",
     "simulate",
     "spectral_radius",

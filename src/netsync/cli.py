@@ -37,7 +37,6 @@ from .errors import (
     ConfigError,
     NetsyncError,
     OrbitDivergedError,
-    SingularMatrixError,
     StateDivergedError,
 )
 from .estimators import (
@@ -457,10 +456,11 @@ def main(argv=None) -> int:
     atexit.register(gc.freeze)
     try:
         return args.handler(args)
-    except (StateDivergedError, OrbitDivergedError, SingularMatrixError) as exc:
+    except (StateDivergedError, OrbitDivergedError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except NetsyncError as exc:
+    except (NetsyncError, MemoryError) as exc:
+        # numpy's MemoryError names the size and shape a config asked for
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -19,9 +19,6 @@ coupling sequence and mu the Lyapunov exponent of the scalar map, and
 observed by the final state diameter falling below SYNC_TOL.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,14 +36,13 @@ DIVERGE_LIMIT = 1e12
 INDETERMINATE_BAND = 0.05
 
 
-@dataclass(frozen=True)
-class ScalarMap:
+class ScalarMap(NamedTuple):
     """Scalar map with derivative. f and df must accept numpy arrays."""
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def check_derivative(self, lo=0.0, hi=1.0, n=100, seed=0, h=1e-6):
         """Max scaled error of df against central differences of f."""
@@ -93,8 +89,7 @@ def criterion(sigma1, mu):
     return SyncCriterion(W, W < 0.0)
 
 
-@dataclass(frozen=True)
-class SimRun:
+class SimRun(NamedTuple):
     m: int
     steps: int
     record_every: int
@@ -106,8 +101,7 @@ class SimRun:
     k_final_quarter: float
 
 
-@dataclass(frozen=True)
-class SyncReport:
+class SyncReport(NamedTuple):
     """A finished run with the analytic criterion attached."""
 
     run: SimRun
@@ -146,7 +140,10 @@ class Orbit:
         self.source, self.m, self.fmap = source, source.m, fmap
         self.steps, self.record_every = steps, record_every
         self.t, self.v_sum, self.diverged = 0, 0.0, None
-        self.times, self.v_values, self.k_series, self.diam_series = [], [], [], []
+        self.times, self.k_series, self.diam_series = [], [], []
+        # the spreads of the last quarter of times 0..steps, which run averages
+        self.quarter = (3 * (steps + 1)) // 4
+        self.v_tail = np.empty(steps + 1 - self.quarter)
         self._record(x)
 
     def _record(self, x):
@@ -158,7 +155,8 @@ class Orbit:
         self.x, t = x, self.t
         d = x - x.mean()
         v = float(d @ d) / (x.size - 1) if x.size > 1 else 0.0
-        self.v_values.append(v)
+        if t >= self.quarter:
+            self.v_tail[t - self.quarter] = v
         self.v_sum += v
         if t % self.record_every == 0 or t == self.steps:
             self.times.append(t)
@@ -181,12 +179,12 @@ class Orbit:
             self.at(self.t)
         if self.diverged is not None:
             raise self.diverged
-        x, v = self.x, self.v_values
+        x = self.x
         return SimRun(
             m=x.size, steps=self.steps, record_every=self.record_every, times=self.times,
             k_series=self.k_series, diam_series=self.diam_series, final_state=x,
             observed_sync=float(x.max() - x.min()) < SYNC_TOL,
-            k_final_quarter=float(np.mean(v[(3 * len(v)) // 4 :])),
+            k_final_quarter=float(np.mean(self.v_tail)),
         )
 
 

@@ -5,7 +5,7 @@ level, map, estimator, simulation, and each source variant.  A table
 maps a field name to its converter, which also checks the field's range,
 and its default (_REQUIRED for a field the document must give).  The
 tables drive parsing (_expect), the EstimatorParams and SimulationParams
-dataclasses, the dotted paths apply_parameter resolves for sweeps, and
+named tuples, the dotted paths apply_parameter resolves for sweeps, and
 build_source, which passes a variant's fields to the builder its table
 names.
 
@@ -18,8 +18,8 @@ never reshuffles the others.
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, make_dataclass
-from typing import Any, Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -165,13 +165,9 @@ def _source(d: dict) -> dict:
 
 
 def _params(name: str, table: dict):
-    """A frozen dataclass with a field per table entry, at the table's default."""
-    return make_dataclass(
-        name,
-        [(key, Any, field(default=default)) for key, (_, default) in table.items()],
-        frozen=True,
-        namespace={"__module__": __name__},  # found by name when pickled
-    )
+    """A named tuple with a field per table entry, at the table's default."""
+    defaults = [default for _, default in table.values()]
+    return namedtuple(name, table, defaults=defaults, module=__name__)  # pickled by name
 
 
 _ESTIMATOR = {
@@ -240,8 +236,7 @@ _TOP = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     seed: int
     source: dict
     map_spec: dict
@@ -260,8 +255,8 @@ class ExperimentConfig:
             "seed": self.seed,
             "source": self.source,
             "map": self.map_spec,
-            "estimator": asdict(self.estimator),
-            "simulation": asdict(self.simulation),
+            "estimator": self.estimator._asdict(),
+            "simulation": self.simulation._asdict(),
             "out": self.out,
         }
 

@@ -10,18 +10,6 @@ class NetsyncError(ValueError):
     """Base class for all library errors."""
 
 
-class ZeroRowError(NetsyncError):
-    def __init__(self, row: int):
-        self.row = row
-        super().__init__(f"row {row} sums to zero; cannot normalize")
-
-
-class NegativeEntryError(NetsyncError):
-    def __init__(self, row: int, col: int, value: float):
-        self.row, self.col, self.value = row, col, value
-        super().__init__(f"entry ({row},{col}) = {value} is negative")
-
-
 class DimensionTooSmallError(NetsyncError):
     pass
 
@@ -44,16 +32,6 @@ class EmptySetError(NetsyncError):
 
 class ProcessExhaustedError(NetsyncError):
     pass
-
-
-class BudgetExceededError(NetsyncError):
-    pass
-
-
-class SingularMatrixError(NetsyncError):
-    def __init__(self, t: int):
-        self.t = t
-        super().__init__(f"numerically rank-deficient frame at step {t}")
 
 
 class OrbitDivergedError(NetsyncError):

@@ -19,8 +19,7 @@ resolvable far below the floating-point floor.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +27,9 @@ from .errors import (
     DimensionTooSmallError,
     InvalidParamsError,
     OrbitDivergedError,
-    SingularMatrixError,
 )
 from .hajnal import diam
-from .linalg import as_dense, compress, difference, lift, norm_ord
+from .linalg import compress, difference, lift, norm_ord
 
 # value of a collapsed estimate: every probe direction was annihilated
 NEG_INF = -math.inf
@@ -53,8 +51,7 @@ def default_t0_samples(horizon: int, n: int = DEFAULT_T0_COUNT) -> List[int]:
     return [k * s for k in range(n)]
 
 
-@dataclass(frozen=True)
-class DiamEstimate:
+class DiamEstimate(NamedTuple):
     value: float
     horizon: int
     t0_samples: List[int]
@@ -63,11 +60,10 @@ class DiamEstimate:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(NamedTuple):
     value: float
     horizon: int
     renorm_every: int
@@ -76,7 +72,7 @@ class LyapunovEstimate:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        d = dict(vars(self))
+        d = self._asdict()
         d["curve"] = d.pop("trace")
         return d
 
@@ -302,24 +298,6 @@ def estimate_sigma1(
     # so only a collapsed trace holds -inf
     converged = collapsed or _tail_converged_log(trace)
     return LyapunovEstimate(value, horizon, renorm_every, trace, collapsed, converged)
-
-
-def lyapunov_spectrum_qr(source, horizon: int) -> List[float]:
-    """All Lyapunov exponents of a square-matrix sequence, descending,
-    via QR reorthonormalization of a full frame.  Sparse matrices are
-    densified, since the frame is dense."""
-    if horizon < 1:
-        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
-    m = source.m
-    Q = np.eye(m)
-    logs = np.zeros(m)
-    for t in range(horizon):
-        Q, R = np.linalg.qr(as_dense(source.at(t)) @ Q)
-        d = np.abs(np.diag(R))
-        if np.any(d < 1e-300):
-            raise SingularMatrixError(t)
-        logs += np.log(d)
-    return sorted((logs / horizon).tolist(), reverse=True)
 
 
 def estimate_scalar_lyapunov(

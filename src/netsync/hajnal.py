@@ -1,23 +1,21 @@
-"""Hajnal diameter, scramblingness eta, the contraction inequality, and
-the graph predicates behind the criteria.
+"""Hajnal diameter and the graph predicates behind the criteria.
 
 Orientation convention: the matrix entry G[i, j] > 0 means vertex j
 influences vertex i, drawn as the edge j -> i, so row i of a support
 lists the in-neighbors of i.
 """
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParamsError
+from .errors import InvalidParamsError
 from .linalg import issparse
 
 # entries at or below this count as zero when testing scramblingness,
 # matching the row-normalization tolerance
 POSITIVITY_THRESHOLD = 1e-12
 
-BOUND_SLACK = 1e-10
 SCRAMBLING_BLOCK = 2**18
 
 # scipy.spatial.distance metric of each non-inf row-difference norm
@@ -60,35 +58,15 @@ def _stacked_diam(L: np.ndarray, kind: str) -> np.ndarray:
     return np.array([pdist(L[:, k], metric=metric).max() for k in range(L.shape[1])])
 
 
-def eta(G) -> float:
-    """Scramblingness: min over row pairs i,j of sum_k min(G_ik, G_jk).
-
-    Entries at or below POSITIVITY_THRESHOLD are treated as zero so that
-    eta > 0 coincides exactly with the combinatorial scrambling test.
-    """
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2:
-        raise InvalidParamsError(f"expected a 2-d array, got ndim={G.ndim}")
-    m = G.shape[0]
-    if m < 2:
-        return 1.0
-    X = np.where(G > POSITIVITY_THRESHOLD, G, 0.0)
-    best = np.inf
-    for i in range(m - 1):
-        pair_sums = np.minimum(X[i], X[i + 1 :]).sum(axis=1)
-        best = min(best, float(pair_sums.min()))
-    return min(max(best, 0.0), 1.0)
-
-
 def is_scrambling(G) -> bool:
     """True iff every row pair shares a positively supported column.
 
     With S = G > POSITIVITY_THRESHOLD, every off-diagonal entry of
-    S S^T is nonzero; that is exactly eta(G) > 0.  G is an ndarray or a
-    scipy.sparse matrix.  A bool support is read as is: its True
-    entries, self-loops included, are the edges.  S S^T is formed
-    sparse, SCRAMBLING_BLOCK entries at a time, up to the first pair
-    that shares no column.
+    S S^T is nonzero, exactly when the scrambling coefficient eta(G) is
+    positive.  G is an ndarray or a scipy.sparse matrix.  A bool support
+    is read as is: its True entries, self-loops included, are the edges.
+    S S^T is formed sparse, SCRAMBLING_BLOCK entries at a time, up to the
+    first pair that shares no column.
     """
     if not issparse(G):
         G = np.asarray(G)
@@ -145,22 +123,3 @@ def has_spanning_tree(S) -> Optional[int]:
     if sources.size != 1:
         return None
     return int(np.flatnonzero(labels == sources[0]).min())
-
-
-class HajnalBound(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def hajnal_bound_check(G, H, kind: str = "inf") -> HajnalBound:
-    """Evaluate both sides of diam(G H) <= (1 - eta(G)) * diam(H)."""
-    G = np.asarray(G, dtype=float)
-    H = np.asarray(H, dtype=float)
-    if G.shape != H.shape or G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DimensionMismatchError(
-            f"need square matrices of equal shape, got {G.shape} and {H.shape}"
-        )
-    lhs = diam(G @ H, kind)
-    rhs = (1.0 - eta(G)) * diam(H, kind)
-    return HajnalBound(lhs, rhs, lhs <= rhs + BOUND_SLACK)

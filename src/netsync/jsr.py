@@ -38,13 +38,11 @@ Only this fallback and the polytope above 2x2 load scipy.
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     EmptySetError,
     InvalidParamsError,
@@ -54,7 +52,6 @@ from .linalg import matrix_norm, spectral_radius
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_LEN = 24
 DEFAULT_MAX_NODES = 200_000
-BRUTE_FORCE_BUDGET = 10**7
 
 # skip the adapted norm when the witness eigenbasis is this ill-conditioned
 ADAPT_COND_LIMIT = 1e10
@@ -71,8 +68,7 @@ PARALLEL_TOL = 1e-9
 DOMINANCE = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class JsrBounds:
+class JsrBounds(NamedTuple):
     lower: float
     upper: float
     depth_reached: int
@@ -84,7 +80,7 @@ class JsrBounds:
     vertex_count: int = 0
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "witness": list(self.witness)}
+        return {**self._asdict(), "witness": list(self.witness)}
 
 
 def _validated_set(matrices: Sequence) -> List[np.ndarray]:
@@ -454,27 +450,3 @@ def gripenberg(
         lower = spectral_radius(_word_product(mats, witness)) ** (1.0 / len(witness))
     upper, certificate = min((upper, {}), best, key=lambda b: b[0])
     return bounds(lower, max(upper, lower), **certificate)
-
-
-def brute_force_jsr(matrices: Sequence, max_len: int) -> float:
-    """Exhaustive max over all words up to max_len of rho^(1/length); a
-    certified lower bound on the JSR and the oracle for gripenberg."""
-    mats = _validated_set(matrices)
-    if max_len < 1:
-        raise InvalidParamsError(f"max_len must be >= 1, got {max_len}")
-    k = len(mats)
-    if k**max_len > BRUTE_FORCE_BUDGET:
-        raise BudgetExceededError(
-            f"{k}^{max_len} words exceeds the {BRUTE_FORCE_BUDGET:.0e} budget"
-        )
-    best = 0.0
-    stack = [(mats[a], 1) for a in range(k)]
-    while stack:
-        P, length = stack.pop()
-        rate = spectral_radius(P) ** (1.0 / length)
-        if rate > best:
-            best = rate
-        if length < max_len:
-            for A in mats:
-                stack.append((A @ P, length + 1))
-    return best

@@ -1,11 +1,10 @@
-"""Dense matrix kernel: row normalization, skew projection, norms.
+"""Dense matrix kernel: the stochastic check, skew projection, norms.
 
 Everything operates on plain numpy float arrays.  A "stochastic matrix"
 is an ndarray or a scipy.sparse matrix validated by is_stochastic
-(nonnegative, unit row sums within 1e-12); dense-only readers take it
-through as_dense.  The transverse frame, off the all-ones direction,
-is the difference frame, applied in closed form without forming P or
-its right inverse.
+(nonnegative, unit row sums within 1e-12).  The transverse frame, off
+the all-ones direction, is the difference frame, applied in closed form
+without forming P or its right inverse.
 """
 
 import sys
@@ -16,10 +15,8 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
     InvalidParamsError,
-    NegativeEntryError,
     NotRowSumConstantError,
     UnknownParameterError,
-    ZeroRowError,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -42,11 +39,6 @@ def issparse(G) -> bool:
     return sparse is not None and sparse.issparse(G)
 
 
-def as_dense(G) -> np.ndarray:
-    """G as a float ndarray; a scipy.sparse matrix is densified."""
-    return np.asarray(G.toarray() if issparse(G) else G, dtype=float)
-
-
 def is_stochastic(G, tol: float = ROW_SUM_TOL) -> bool:
     """Square, finite, entries >= -tol and row sums within tol of 1.
 
@@ -62,28 +54,6 @@ def is_stochastic(G, tol: float = ROW_SUM_TOL) -> bool:
         return False
     sums = np.asarray(G.sum(axis=1)).ravel()
     return bool(np.max(np.abs(sums - 1.0)) <= tol)
-
-
-def make_stochastic(raw) -> np.ndarray:
-    """Row-normalize a nonnegative square matrix.
-
-    Returns the input (copied) untouched when it already satisfies the
-    stochastic invariants, which makes the operation exactly idempotent.
-    """
-    A = _as_matrix(raw)
-    if A.shape[0] != A.shape[1]:
-        raise InvalidParamsError(f"matrix must be square, got shape {A.shape}")
-    neg = np.argwhere(A < 0)
-    if neg.size:
-        i, j = map(int, neg[0])
-        raise NegativeEntryError(i, j, float(A[i, j]))
-    if is_stochastic(A):
-        return A.copy()
-    sums = A.sum(axis=1)
-    zero = np.flatnonzero(sums == 0)
-    if zero.size:
-        raise ZeroRowError(int(zero[0]))
-    return A / sums[:, None]
 
 
 # The transverse frame is the difference frame: P is the (m-1) x m

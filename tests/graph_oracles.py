@@ -8,7 +8,8 @@ from functools import reduce
 import numpy as np
 
 from netsync.hajnal import has_spanning_tree, is_scrambling
-from netsync.linalg import as_dense, is_stochastic
+from netsync.linalg import is_stochastic
+from oracles import as_dense
 
 
 def support(G):

@@ -19,17 +19,23 @@ from netsync.estimators import (
     estimate_projection_jsr,
     estimate_scalar_lyapunov,
     estimate_sigma1,
-    lyapunov_spectrum_qr,
 )
-from netsync.hajnal import diam, eta, hajnal_bound_check, is_scrambling
-from netsync.jsr import brute_force_jsr, gripenberg
-from netsync.linalg import make_stochastic, project, spectral_radius
+from netsync.hajnal import diam, is_scrambling
+from netsync.jsr import gripenberg
+from netsync.linalg import project, spectral_radius
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DrivenSource,
     FiniteSetIIDSource,
     PeriodicSource,
     StaticSource,
+)
+from oracles import (
+    brute_force_jsr,
+    eta,
+    hajnal_bound_check,
+    lyapunov_spectrum_qr,
+    make_stochastic,
 )
 
 ALPHA = 3.9

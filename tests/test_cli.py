@@ -2,10 +2,12 @@
 
 import copy
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -744,6 +746,40 @@ def test_oversized_horizon_exits_2_before_any_matrix_is_read(tmp_path, capsys, m
         err = capsys.readouterr().err
         assert "horizon" in err and str(2**62) in err
     assert reads == []
+
+
+# the main of a process whose address space is capped at 4 GiB, so that
+# an oversized allocation fails even on a host that overcommits memory
+CAPPED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+    "from netsync.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("doc, asked", [
+    # the scalar orbit estimate_scalar_lyapunov averages
+    (two_node_doc(map={"name": "logistic"}, estimator={"mu_horizon": 10**12}), "7.28 TiB"),
+    # sigma1's probes
+    (two_node_doc(estimator={"n_vectors": 10**12}), "7.28 TiB"),
+    # the pair mask np.triu_indices forms in BlurringProcess.__init__
+    (two_node_doc(source={"variant": "blurring", "m": 10**7, "r": 0.1}), "90.9 TiB"),
+], ids=["mu_horizon", "n_vectors", "blurring-m"])
+def test_oversized_allocation_exits_2_with_numpys_message(tmp_path, doc, asked):
+    out = tmp_path / "o"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "simulate", "--config", write_config(tmp_path, doc),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"config error: Unable to allocate {asked}")
+    assert not out.exists()
 
 
 def test_non_finite_numbers_exit_2(tmp_path, capsys):

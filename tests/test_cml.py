@@ -1,5 +1,7 @@
 """Oracle tests for the coupled-map-lattice simulator and diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,8 @@ from netsync.errors import (
     StateDivergedError,
 )
 from netsync.estimators import NEG_INF
-from netsync.linalg import make_stochastic
 from netsync.sources import FiniteSetIIDSource, StaticSource
+from oracles import make_stochastic
 
 
 def two_node_coupling(a):
@@ -188,6 +190,36 @@ def test_orbit_steps_only_on_a_read_of_its_next_time():
     assert (run.times, run.k_series, run.diam_series) == (
         expected.times, expected.k_series, expected.diam_series
     )
+
+
+def test_k_final_quarter_averages_the_last_quarter_of_spreads():
+    # times 0..41: the last quarter starts at (3 * 42) // 4 = 31
+    orbit = Orbit(two_node_coupling(0.05), logistic(3.9), np.array([0.3, 0.31]), steps=41)
+    states = [orbit.x]
+    for t in range(41):
+        orbit.at(t)
+        states.append(orbit.x)
+    run = orbit.run()
+    spreads = [float((x - x.mean()) @ (x - x.mean())) for x in states]  # m - 1 = 1
+    assert run.k_final_quarter == float(np.mean(spreads[31:])) > 0.0
+
+
+def test_orbit_holds_only_the_quarter_it_averages():
+    # one float64 per time of the last quarter, not a Python float per step
+    steps = 20_000
+    tracemalloc.start()
+    try:
+        orbit = Orbit(
+            two_node_coupling(0.05), logistic(3.9), np.array([0.3, 0.31]), steps,
+            record_every=10**4,
+        )
+        run = orbit.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.k_final_quarter > 0.0
+    quarter_bytes = 8 * (steps + 1 - (3 * (steps + 1)) // 4)
+    assert peak < quarter_bytes + 256 * 1024
 
 
 def test_orbit_divergence_stops_it_and_run_raises_it():

@@ -20,7 +20,6 @@ from netsync.errors import (
     DimensionTooSmallError,
     InvalidParamsError,
     OrbitDivergedError,
-    SingularMatrixError,
 )
 from netsync.estimators import (
     DEAD_SIZE,
@@ -32,11 +31,10 @@ from netsync.estimators import (
     estimate_projection_jsr,
     estimate_scalar_lyapunov,
     estimate_sigma1,
-    lyapunov_spectrum_qr,
     window_schedule,
 )
 from netsync.hajnal import diam
-from netsync.linalg import difference, lift, make_stochastic, matrix_norm
+from netsync.linalg import difference, lift, matrix_norm
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DrivenSource,
@@ -45,6 +43,7 @@ from netsync.sources import (
     PeriodicSource,
     StaticSource,
 )
+from oracles import SingularMatrixError, lyapunov_spectrum_qr, make_stochastic
 
 SYM2 = np.array([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1 and 0.5
 RANK1 = np.tile([0.3, 0.7], (2, 1))
@@ -842,6 +841,29 @@ def test_estimates_do_not_depend_on_array_allocation():
         estimate_projection_jsr(fresh, horizon=200).value
         == estimate_projection_jsr(shared, horizon=200).value
     )
+
+
+def test_estimates_do_not_depend_on_sparse_or_dense_storage():
+    # one blinking sequence, read as its CSR emissions and as their dense
+    # twins: the products differ only in rounding
+    proc = BlinkingProcess.from_params(m=120, avg_degree=12, p=0.05, t_rec=3, seed=2)
+    csr = [proc.step() for _ in range(200)]
+
+    class Stored(MatrixSource):
+        m = 120
+
+        def __init__(self, dense):
+            self.dense = dense
+
+        def at(self, t):
+            return csr[t].toarray() if self.dense else csr[t]
+
+    sparse, dense = Stored(False), Stored(True)
+    a, b = estimate_sigma1(sparse, horizon=200), estimate_sigma1(dense, horizon=200)
+    np.testing.assert_allclose(b.trace, a.trace, rtol=1e-12, atol=0)
+    a = estimate_hajnal_diameter(sparse, horizon=160, t0_samples=[0, 40])
+    b = estimate_hajnal_diameter(dense, horizon=160, t0_samples=[0, 40])
+    np.testing.assert_allclose(b.curve, a.curve, rtol=1e-12, atol=0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())

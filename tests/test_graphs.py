@@ -10,9 +10,9 @@ from graph_oracles import (
     union,
     window_has_spanning_tree,
 )
-from netsync.hajnal import POSITIVITY_THRESHOLD, eta, has_spanning_tree, is_scrambling
-from netsync.linalg import make_stochastic
+from netsync.hajnal import POSITIVITY_THRESHOLD, has_spanning_tree, is_scrambling
 from netsync.sources import PeriodicSource, StaticSource
+from oracles import eta, make_stochastic
 
 
 def edges_graph(m, edges):

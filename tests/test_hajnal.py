@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from netsync.errors import DimensionMismatchError, InvalidParamsError
 from netsync import hajnal
-from netsync.hajnal import diam, eta, hajnal_bound_check, is_scrambling
-from netsync.linalg import make_stochastic
+from netsync.hajnal import diam, is_scrambling
+from oracles import eta, hajnal_bound_check, make_stochastic
 
 ETA_EXAMPLE = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 

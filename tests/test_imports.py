@@ -1,4 +1,5 @@
-"""Import boundaries: the package and its common commands load no scipy.
+"""Import boundaries: the package and its common commands load no scipy,
+and the package loads no dataclasses.
 
 scipy is imported inside the few functions that need it (sparse blinking
 emission and `check`, the `jsr` command's polytope above 2x2 and its
@@ -85,6 +86,15 @@ def run_cli(tmp_path, command: str, doc: dict) -> list:
 
 def test_import_loads_no_scipy():
     assert loaded_scipy_modules("import netsync, netsync.cli") == []
+
+
+def test_import_loads_numpy_but_no_dataclasses():
+    # records are named tuples, so no command builds a dataclass
+    loaded = fresh_stdout(
+        "import sys, netsync, netsync.cli\n"
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules)"
+    )
+    assert loaded == ["True False"]
 
 
 def test_spectrum_on_finite_set_loads_no_scipy(tmp_path):

@@ -15,21 +15,16 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from netsync.errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    EmptySetError,
-    InvalidParamsError,
-)
+from netsync.errors import DimensionMismatchError, EmptySetError, InvalidParamsError
 from netsync import jsr
 from netsync.jsr import (
     JsrBounds,
     _balanced,
     _invariant_polytope,
-    brute_force_jsr,
     gripenberg,
 )
-from netsync.linalg import make_stochastic, project, spectral_radius
+from netsync.linalg import project, spectral_radius
+from oracles import BudgetExceededError, brute_force_jsr, make_stochastic
 
 
 def word_product(mats, word):

@@ -8,22 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netsync.errors import (
-    DimensionTooSmallError,
-    NegativeEntryError,
-    NotRowSumConstantError,
-    ZeroRowError,
-)
+from netsync.errors import DimensionTooSmallError, NotRowSumConstantError
 from netsync.linalg import (
     compress,
     difference,
     is_stochastic,
     lift,
-    make_stochastic,
     matrix_norm,
     project,
     spectral_radius,
 )
+from oracles import NegativeEntryError, ZeroRowError, make_stochastic
 
 
 def rand_nonneg(rng, m, density=1.0):

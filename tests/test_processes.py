@@ -8,9 +8,10 @@ from scipy.sparse import csr_array
 
 from netsync.errors import InvalidParamsError
 from netsync.hajnal import has_spanning_tree
-from netsync.linalg import is_stochastic, make_stochastic
+from netsync.linalg import is_stochastic
 from netsync.processes import BlinkingProcess, BlurringProcess, scale_free_graph
 from netsync.sources import DrivenSource
+from oracles import make_stochastic
 
 
 def adjacency(m, edges):

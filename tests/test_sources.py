@@ -9,7 +9,6 @@ import pytest
 from scipy.sparse import csr_array
 
 from netsync.errors import EmptySetError, InvalidParamsError, ProcessExhaustedError
-from netsync.linalg import make_stochastic
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DRAW_BLOCK,
@@ -18,6 +17,7 @@ from netsync.sources import (
     PeriodicSource,
     StaticSource,
 )
+from oracles import make_stochastic
 
 A2 = make_stochastic(np.array([[0.5, 0.5], [0.25, 0.75]]))
 B2 = make_stochastic(np.array([[1.0, 0.0], [0.5, 0.5]]))
