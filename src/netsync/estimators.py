@@ -29,7 +29,7 @@ from .errors import (
     OrbitDivergedError,
 )
 from .hajnal import diam
-from .linalg import compress, difference, lift, norm_ord
+from .linalg import compress, difference, lift
 
 # value of a collapsed estimate: every probe direction was annihilated
 NEG_INF = -math.inf
@@ -56,7 +56,7 @@ class DiamEstimate(NamedTuple):
     horizon: int
     t0_samples: List[int]
     curve: List[float]
-    norm_kind: str
+    norm_kind: str  # always "inf", kept as a field of diam_estimate.json
     converged: bool
 
     def to_json_dict(self) -> dict:
@@ -193,7 +193,7 @@ def _window_walk(
     return curve[1:]
 
 
-def _window_estimate(source, horizon, t0_samples, kind, renorm_every, size) -> DiamEstimate:
+def _window_estimate(source, horizon, t0_samples, renorm_every, size) -> DiamEstimate:
     """Curve of sup over window starts of size(window product)^(1/t),
     one identity window per distinct start."""
     if t0_samples is None:
@@ -210,14 +210,13 @@ def _window_estimate(source, horizon, t0_samples, kind, renorm_every, size) -> D
     X = np.broadcast_to((eye - eye[0])[:, None, :], (m, len(starts), m))
     curve = np.exp(_window_walk(source, X, starts, horizon, renorm_every, size)).tolist()
     converged = _tail_converged_multiplicative(curve)
-    return DiamEstimate(curve[-1], horizon, t0_samples, curve, kind, converged)
+    return DiamEstimate(curve[-1], horizon, t0_samples, curve, "inf", converged)
 
 
 def estimate_hajnal_diameter(
     source,
     horizon: int,
     t0_samples: Optional[Sequence[int]] = None,
-    kind: str = "inf",
     renorm_every: int = DEFAULT_RENORM_EVERY,
 ) -> DiamEstimate:
     """Estimate diam of the sequence: sup over sampled window starts of
@@ -226,29 +225,26 @@ def estimate_hajnal_diameter(
     The diameter of a window product B is read off its rows relative to
     row 0, which the shared window walk carries in node space.
     """
-    return _window_estimate(
-        source, horizon, t0_samples, kind, renorm_every, lambda Y: diam(Y, kind)
-    )
+    return _window_estimate(source, horizon, t0_samples, renorm_every, diam)
 
 
 def estimate_projection_jsr(
     source,
     horizon: int = 500,
     t0_samples: Optional[Sequence[int]] = None,
-    kind: str = "inf",
     renorm_every: int = DEFAULT_RENORM_EVERY,
 ) -> DiamEstimate:
     """Estimate the projection joint spectral radius:
-    sup over sampled window starts of ||prod Ghat||^(1/t).
+    sup over sampled window starts of ||prod Ghat||_inf^(1/t).
 
     The norm is read in the difference frame, where the projected
     window product P B P+ is compress(B) in closed form.
     """
 
     def size(Y):
-        return np.linalg.norm(compress(Y), norm_ord(kind), axis=(0, 2))
+        return np.linalg.norm(compress(Y), np.inf, axis=(0, 2))
 
-    return _window_estimate(source, horizon, t0_samples, kind, renorm_every, size)
+    return _window_estimate(source, horizon, t0_samples, renorm_every, size)
 
 
 def estimate_sigma1(

@@ -18,9 +18,6 @@ POSITIVITY_THRESHOLD = 1e-12
 
 SCRAMBLING_BLOCK = 2**18
 
-# scipy.spatial.distance metric of each non-inf row-difference norm
-_PDIST_METRIC = {"one": "cityblock", "two": "euclidean"}
-
 
 def _rows(L) -> np.ndarray:
     L = np.asarray(L, dtype=float)
@@ -31,8 +28,8 @@ def _rows(L) -> np.ndarray:
     return L
 
 
-def diam(L, kind: str = "inf"):
-    """Max over row pairs of the norm of the row difference.
+def diam(L):
+    """Max over row pairs of the max norm of the row difference.
 
     For a column vector this is the spread max_i x_i - min_i x_i, the
     state diameter.  A stacked block of shape (m, K, n) holds K matrices
@@ -40,22 +37,15 @@ def diam(L, kind: str = "inf"):
     """
     L = np.asarray(L, dtype=float)
     if L.ndim == 3:
-        return _stacked_diam(L, kind)
-    return float(_stacked_diam(_rows(L)[:, None, :], kind)[0])
+        return _stacked_diam(L)
+    return float(_stacked_diam(_rows(L)[:, None, :])[0])
 
 
-def _stacked_diam(L: np.ndarray, kind: str) -> np.ndarray:
-    if kind != "inf" and kind not in _PDIST_METRIC:
-        raise InvalidParamsError(f"unknown norm kind {kind!r}")
+def _stacked_diam(L: np.ndarray) -> np.ndarray:
     if L.shape[0] < 2:
         return np.zeros(L.shape[1])
-    if kind == "inf":
-        # max_{i,j} max_c |L_ic - L_jc| decomposes columnwise
-        return (L.max(axis=0) - L.min(axis=0)).max(axis=1)
-    from scipy.spatial.distance import pdist
-
-    metric = _PDIST_METRIC[kind]
-    return np.array([pdist(L[:, k], metric=metric).max() for k in range(L.shape[1])])
+    # max_{i,j} max_c |L_ic - L_jc| decomposes columnwise
+    return (L.max(axis=0) - L.min(axis=0)).max(axis=1)
 
 
 def is_scrambling(G) -> bool:

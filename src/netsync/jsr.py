@@ -409,14 +409,13 @@ def gripenberg(
         witness, node_count, depth_reached = (int(np.argmax(rates)),), len(mats), 1
         return bounds(max(rates), max(rates))
 
-    inf_norm = lambda P: matrix_norm(P, "inf")
     lower, best = 0.0, (math.inf, {})
     for budget in sorted({min(max_nodes, b) for b in WITNESS_PASS_NODES}):
         polytope = None
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 lower, witness, _, nodes, depth = _search(
-                    mats, tol, max_len, budget, inf_norm
+                    mats, tol, max_len, budget, matrix_norm
                 )
                 node_count += nodes
                 depth_reached = max(depth_reached, depth)
@@ -436,7 +435,7 @@ def gripenberg(
     work = _balanced(mats)
     adapted = _adapted_set(work, witness) if witness else None
     if adapted is None:
-        norm_fn = inf_norm
+        norm_fn = matrix_norm
     else:
         work, norm_fn = adapted, lambda P: float(np.linalg.norm(P, 2))
     lower, witness, upper, nodes, depth = _search(

@@ -1,4 +1,4 @@
-"""Dense matrix kernel: the stochastic check, skew projection, norms.
+"""Dense matrix kernel: the stochastic check, skew projection, the norm.
 
 Everything operates on plain numpy float arrays.  A "stochastic matrix"
 is an ndarray or a scipy.sparse matrix validated by is_stochastic
@@ -16,7 +16,6 @@ from .errors import (
     DimensionTooSmallError,
     InvalidParamsError,
     NotRowSumConstantError,
-    UnknownParameterError,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -101,23 +100,12 @@ def project(L) -> np.ndarray:
     return compress(L)
 
 
-_NORM_ORD = {"inf": np.inf, "one": 1, "two": 2}
-
-
-def norm_ord(kind: str):
-    """numpy `ord` of the induced matrix norm named kind."""
-    try:
-        return _NORM_ORD[kind]
-    except KeyError:
-        raise UnknownParameterError(f"unknown norm kind {kind!r}") from None
-
-
-def matrix_norm(M, kind: str = "inf") -> float:
+def matrix_norm(M) -> float:
+    """The induced infinity norm: the largest absolute row sum."""
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
-    order = norm_ord(kind)
-    return float(np.linalg.norm(M, order)) if M.size else 0.0
+    return float(np.linalg.norm(M, np.inf)) if M.size else 0.0
 
 
 def spectral_radius(M) -> float:

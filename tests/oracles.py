@@ -1,17 +1,23 @@
 """Reference routines the tests check the package against, with the
-errors only they raise: row normalisation, the scrambling coefficient
-eta and the contraction inequality, brute-force JSR, the full Lyapunov
-spectrum by QR, and densifying a coupling matrix.  No netsync command
-runs them."""
+errors only they raise: row normalisation, the row-difference diameter
+and the induced matrix norm in the one and two norms besides the
+package's infinity norm, the scrambling coefficient eta and the
+contraction inequality, brute-force JSR, the full Lyapunov spectrum by
+QR, and densifying a coupling matrix.  No netsync command runs them."""
 
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from netsync.errors import DimensionMismatchError, InvalidParamsError, NetsyncError
-from netsync.hajnal import POSITIVITY_THRESHOLD, diam
+from netsync.errors import (
+    DimensionMismatchError,
+    InvalidParamsError,
+    NetsyncError,
+    UnknownParameterError,
+)
+from netsync.hajnal import POSITIVITY_THRESHOLD, _rows, diam
 from netsync.jsr import _validated_set
-from netsync.linalg import _as_matrix, is_stochastic, issparse, spectral_radius
+from netsync.linalg import _as_matrix, is_stochastic, issparse, matrix_norm, spectral_radius
 
 BOUND_SLACK = 1e-10
 BRUTE_FORCE_BUDGET = 10**7
@@ -42,6 +48,43 @@ class SingularMatrixError(NetsyncError):
 def as_dense(G) -> np.ndarray:
     """G as a float ndarray; a scipy.sparse matrix is densified."""
     return np.asarray(G.toarray() if issparse(G) else G, dtype=float)
+
+
+# the norms besides the package's infinity norm: the scipy.spatial.distance
+# metric of the row-difference norm, and numpy's `ord` of the induced norm
+PDIST_METRIC = {"one": "cityblock", "two": "euclidean"}
+NORM_ORD = {"one": 1, "two": 2}
+
+
+def diam_in(L, kind: str):
+    """diam with the named norm of the row differences: the package's
+    diam for "inf", the largest pdist distance otherwise.  A stacked
+    block of shape (m, K, n) gives the array of its K diameters."""
+    if kind == "inf":
+        return diam(L)
+    if kind not in PDIST_METRIC:
+        raise InvalidParamsError(f"unknown norm kind {kind!r}")
+    L = np.asarray(L, dtype=float)
+    if L.ndim == 3:
+        return np.array([diam_in(L[:, k], kind) for k in range(L.shape[1])])
+    L = _rows(L)
+    if L.shape[0] < 2:
+        return 0.0
+    from scipy.spatial.distance import pdist
+
+    return float(pdist(L, metric=PDIST_METRIC[kind]).max())
+
+
+def matrix_norm_in(M, kind: str) -> float:
+    """The induced matrix norm named kind; "inf" is the package's matrix_norm."""
+    if kind == "inf":
+        return matrix_norm(M)
+    if kind not in NORM_ORD:
+        raise UnknownParameterError(f"unknown norm kind {kind!r}")
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        M = M[:, None]
+    return float(np.linalg.norm(M, NORM_ORD[kind])) if M.size else 0.0
 
 
 def make_stochastic(raw) -> np.ndarray:
@@ -100,8 +143,8 @@ def hajnal_bound_check(G, H, kind: str = "inf") -> HajnalBound:
         raise DimensionMismatchError(
             f"need square matrices of equal shape, got {G.shape} and {H.shape}"
         )
-    lhs = diam(G @ H, kind)
-    rhs = (1.0 - eta(G)) * diam(H, kind)
+    lhs = diam_in(G @ H, kind)
+    rhs = (1.0 - eta(G)) * diam_in(H, kind)
     return HajnalBound(lhs, rhs, lhs <= rhs + BOUND_SLACK)
 
 

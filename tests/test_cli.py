@@ -652,6 +652,19 @@ def test_jsr_malformed_inputs(tmp_path, capsys):
         assert "matrix_set.matrices[1]" in capsys.readouterr().err
 
 
+def test_jsr_accepts_row_sums_within_its_own_tolerance(tmp_path, capsys):
+    # each row sum is within 1e-9 of 1, the tolerance `jsr` checks, but
+    # they spread by 1.8e-9; a second, tighter spread check rejected the
+    # set with no field path
+    mats = tmp_path / "set.json"
+    mats.write_text(json.dumps({"matrices": [
+        [[0.5000000009, 0.5], [0.4999999991, 0.5]], [[1, 0], [0, 1]],
+    ]}))
+    assert main(["jsr", str(mats), "--out", str(tmp_path / "o")]) == 0, capsys.readouterr().err
+    blob = json.loads((tmp_path / "o" / "jsr_bounds.json").read_text())
+    assert (blob["lower"], blob["upper"]) == (1.0, 1.0)
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--mu", "nan", "'mu'"), ("--mu", "inf", "'mu'"), ("--mu", "-inf", "'mu'"),
     ("--tol", "nan", "tol"), ("--tol", "inf", "tol"),

@@ -23,6 +23,7 @@ from netsync.errors import (
 )
 from netsync.estimators import (
     DEAD_SIZE,
+    DEFAULT_RENORM_EVERY,
     NEG_INF,
     WALK_BUFFER_BYTES,
     _window_walk,
@@ -34,7 +35,7 @@ from netsync.estimators import (
     window_schedule,
 )
 from netsync.hajnal import diam
-from netsync.linalg import difference, lift, matrix_norm
+from netsync.linalg import compress, difference, lift
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DrivenSource,
@@ -43,7 +44,14 @@ from netsync.sources import (
     PeriodicSource,
     StaticSource,
 )
-from oracles import SingularMatrixError, lyapunov_spectrum_qr, make_stochastic
+from oracles import (
+    NORM_ORD,
+    SingularMatrixError,
+    diam_in,
+    lyapunov_spectrum_qr,
+    make_stochastic,
+    matrix_norm_in,
+)
 
 SYM2 = np.array([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1 and 0.5
 RANK1 = np.tile([0.3, 0.7], (2, 1))
@@ -380,7 +388,7 @@ def ref_hajnal_diameter(source, horizon, t0_samples, kind="inf"):
 
     def size(D):
         # rows of B relative to row 0 are prefix sums of D = P B
-        return diam(np.vstack([np.zeros(m), np.cumsum(D, axis=0)]), kind)
+        return diam_in(np.vstack([np.zeros(m), np.cumsum(D, axis=0)]), kind)
 
     return ref_window_curve(source, basis, basis[0], size, horizon, t0_samples)
 
@@ -394,7 +402,7 @@ def ref_projection_jsr(source, basis, horizon, t0_samples, kind="inf"):
     Sinv = D @ basis[1]
 
     def size(M):
-        return matrix_norm(Sinv @ M @ S, kind)
+        return matrix_norm_in(Sinv @ M @ S, kind)
 
     return ref_window_curve(source, basis, np.eye(m - 1), size, horizon, t0_samples)
 
@@ -433,12 +441,35 @@ def random_finite_source(seed):
 ORACLE_RTOL = 1e-12
 
 
+# The estimators measure in the infinity norm; the one and two norms run
+# the same window walk through its size hook, so the walk is also checked
+# on sizes other than the infinity norm's.
+def diameter_in(source, horizon, t0_samples=None, kind="inf", renorm_every=DEFAULT_RENORM_EVERY):
+    if kind == "inf":
+        return estimate_hajnal_diameter(source, horizon, t0_samples, renorm_every)
+
+    def size(Y):
+        return diam_in(Y, kind)
+
+    return estimators._window_estimate(source, horizon, t0_samples, renorm_every, size)
+
+
+def projection_jsr_in(source, horizon, t0_samples=None, kind="inf", renorm_every=DEFAULT_RENORM_EVERY):
+    if kind == "inf":
+        return estimate_projection_jsr(source, horizon, t0_samples, renorm_every)
+
+    def size(Y):
+        return np.linalg.norm(compress(Y), NORM_ORD[kind], axis=(0, 2))
+
+    return estimators._window_estimate(source, horizon, t0_samples, renorm_every, size)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["inf", "one", "two"])
 def test_diameter_matches_projected_reference(seed, kind):
     src = random_finite_source(seed)
     t0s = default_t0_samples(120)
-    est = estimate_hajnal_diameter(src, horizon=120, kind=kind)
+    est = diameter_in(src, horizon=120, kind=kind)
     ref = ref_hajnal_diameter(src, 120, t0s, kind)
     np.testing.assert_allclose(est.curve, ref, rtol=ORACLE_RTOL, atol=0)
     assert est.value == est.curve[-1]
@@ -450,7 +481,7 @@ def test_diameter_matches_projected_reference(seed, kind):
 def test_projection_jsr_matches_projected_reference(seed, kind, frame_kind):
     src = random_finite_source(seed)
     t0s = [0, 7, 30, 31]
-    est = estimate_projection_jsr(src, horizon=120, t0_samples=t0s, kind=kind)
+    est = projection_jsr_in(src, horizon=120, t0_samples=t0s, kind=kind)
     ref = ref_projection_jsr(src, frame(src.m, frame_kind), 120, t0s, kind)
     np.testing.assert_allclose(est.curve, ref, rtol=ORACLE_RTOL, atol=0)
 
@@ -576,7 +607,7 @@ def test_sigma1_scoring_at_read_ages_equals_full_scoring(horizon):
     assert np.all(np.isfinite(full))
     eye = np.eye(src.m)
     windows = np.repeat((eye - eye[0])[:, None, :], 3, axis=1)
-    diameter = _window_walk(src, windows, [0, 7, 50], horizon, 8, lambda Y: diam(Y, "inf"))
+    diameter = _window_walk(src, windows, [0, 7, 50], horizon, 8, diam)
     assert np.all(np.isfinite(diameter))
 
 
@@ -659,7 +690,7 @@ def walk_estimates(make, horizon, t0s, renorm_every):
         estimate_sigma1(make(), horizon=horizon, renorm_every=renorm_every, n_vectors=n, seed=3)
         for n in (1, 8)
     ]
-    for estimate in (estimate_hajnal_diameter, estimate_projection_jsr):
+    for estimate in (diameter_in, projection_jsr_in):
         for kind in ("inf", "one", "two"):
             out.append(estimate(make(), horizon, t0s, kind, renorm_every))
     return [est.to_json_dict() for est in out]
@@ -717,7 +748,7 @@ def test_window_walk_memory_over_the_buffer_cap():
     assert 2 * block > WALK_BUFFER_BYTES
     tracemalloc.start()
     try:
-        curve = _window_walk(src, X, [0] * 16, 8, 8, lambda Y: diam(Y, "inf"))
+        curve = _window_walk(src, X, [0] * 16, 8, 8, diam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -176,6 +176,16 @@ def test_scrambling_graph_matches_eta_route(seed, m, density):
     assert is_scrambling(G) == is_scrambling(csr_array(G))
 
 
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), density=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_scrambling_support_has_a_spanning_tree(seed, m, density):
+    # `check` tests scrambling only where the pass found a tree: two
+    # source components would share an in-neighbour, lying in both
+    S = rand_digraph(np.random.default_rng(seed), m, density)
+    if is_scrambling(S):
+        assert has_spanning_tree(S) is not None
+
+
 # ---------------------------------------------------------------- windows
 
 
