@@ -9,7 +9,7 @@ from .estimators import (
 )
 from .hajnal import diam, is_scrambling
 from .jsr import JsrBounds, gripenberg
-from .linalg import project, spectral_radius
+from .linalg import spectral_radius
 from .processes import BlinkingProcess, BlurringProcess
 from .sources import DrivenSource, FiniteSetIIDSource, PeriodicSource, StaticSource
 
@@ -32,7 +32,6 @@ __all__ = [
     "gripenberg",
     "is_scrambling",
     "logistic",
-    "project",
     "simulate",
     "spectral_radius",
 ]

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EmptyListError,
     InvalidParamsError,
     StateDivergedError,
 )
@@ -43,15 +42,6 @@ class ScalarMap(NamedTuple):
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     params: dict
-
-    def check_derivative(self, lo=0.0, hi=1.0, n=100, seed=0, h=1e-6):
-        """Max scaled error of df against central differences of f."""
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(lo + h, hi - h, size=n)
-        fd = (np.asarray(self.f(pts + h)) - np.asarray(self.f(pts - h))) / (2 * h)
-        claimed = np.asarray(self.df(pts))
-        scale = np.maximum(1.0, np.abs(claimed))
-        return float(np.max(np.abs(fd - claimed) / scale))
 
 
 def logistic(alpha):
@@ -127,9 +117,7 @@ class Orbit:
         if record_every < 1:
             raise InvalidParamsError("record_every must be positive")
         x = np.array(x0, dtype=float).reshape(-1)
-        if x.size == 0:
-            raise EmptyListError("empty initial state")
-        if source.m != x.size:
+        if x.size == 0 or source.m != x.size:
             raise DimensionMismatchError(
                 f"source emits {source.m}x{source.m}, state has {x.size} components"
             )

@@ -18,14 +18,6 @@ class DimensionMismatchError(NetsyncError):
     pass
 
 
-class NotRowSumConstantError(NetsyncError):
-    pass
-
-
-class EmptyListError(NetsyncError):
-    pass
-
-
 class EmptySetError(NetsyncError):
     pass
 

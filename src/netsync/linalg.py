@@ -1,4 +1,4 @@
-"""Dense matrix kernel: the stochastic check, skew projection, the norm.
+"""Dense matrix kernel: the stochastic check, the difference frame, the norm.
 
 Everything operates on plain numpy float arrays.  A "stochastic matrix"
 is an ndarray or a scipy.sparse matrix validated by is_stochastic
@@ -11,24 +11,9 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DimensionTooSmallError,
-    InvalidParamsError,
-    NotRowSumConstantError,
-)
+from .errors import InvalidParamsError
 
 ROW_SUM_TOL = 1e-12
-PROJECT_ROW_SUM_TOL = 1e-9
-
-
-def _as_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise InvalidParamsError(f"expected a 2-d array, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidParamsError("matrix has non-finite entries")
-    return A
 
 
 def issparse(G) -> bool:
@@ -74,30 +59,12 @@ def lift(V: np.ndarray) -> np.ndarray:
 
 
 def compress(L: np.ndarray) -> np.ndarray:
-    """P L P+, unchecked, for L of shape (m, ..., m): the row
-    differences of L summed cumulatively along the last axis.  Any axes
-    between the first and the last index a stack of matrices."""
+    """P L P+ for L of shape (m, ..., m): the row differences of L
+    summed cumulatively along the last axis.  Any axes between the first
+    and the last index a stack of matrices.  It is the unique Lhat with
+    P L = Lhat P only when L has constant row sums, which the caller
+    checks (is_stochastic); compress does not."""
     return np.cumsum(difference(L), axis=-1)[..., :-1]
-
-
-def project(L) -> np.ndarray:
-    """Compress L to the (m-1)-dimensional complement of the all-ones
-    direction: the unique Lhat with P L = Lhat P, valid whenever L has
-    constant row sums."""
-    L = _as_matrix(L)
-    m = L.shape[0]
-    if L.shape != (m, m):
-        raise DimensionMismatchError(f"expected a square matrix, got {L.shape}")
-    if m < 2:
-        raise DimensionTooSmallError(f"need m >= 2, got {m}")
-    sums = L.sum(axis=1)
-    spread = float(sums.max() - sums.min())
-    scale = max(1.0, float(np.max(np.abs(L).sum(axis=1))))
-    if spread > PROJECT_ROW_SUM_TOL * scale:
-        raise NotRowSumConstantError(
-            f"row sums vary by {spread:.3e} (tol {PROJECT_ROW_SUM_TOL:.0e} x {scale:.3e})"
-        )
-    return compress(L)
 
 
 def matrix_norm(M) -> float:

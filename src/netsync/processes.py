@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import InvalidParamsError
 
+# the most int64 or float64 entries one numpy array can address
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
 
 def scale_free_graph(m, avg_degree, seed):
     """Preferential-attachment graph as an (E, 2) array of undirected
@@ -40,6 +43,11 @@ def scale_free_graph(m, avg_degree, seed):
         raise InvalidParamsError(f"need m > avg_degree, got m={m}, avg_degree={avg_degree}")
     k = avg_degree // 2
     m0 = k + 1
+    E = m0 * k // 2 + (m - m0) * k  # the clique's edges, then k per arrival
+    if 2 * E > MAX_ENTRIES:
+        raise InvalidParamsError(f"m={m} is too large: numpy cannot address its {E} edges")
+    # allocated first, so that an m numpy cannot allocate fails before the loop
+    edges = np.empty((E, 2), dtype=np.intp)
     rng = np.random.default_rng(seed)
     stubs = []
     for i in range(m0):
@@ -51,7 +59,8 @@ def scale_free_graph(m, avg_degree, seed):
             targets.add(stubs[rng.integers(len(stubs))])
         for u in targets:
             stubs.extend((v, u))
-    return np.array(stubs, dtype=np.intp).reshape(-1, 2)
+    edges.reshape(-1)[:] = stubs
+    return edges
 
 
 def _validated_edges(m, edges):
@@ -101,8 +110,8 @@ class BlinkingProcess:
         a, b = _validated_edges(m, edges)
         if not 0.0 <= p <= 1.0:
             raise InvalidParamsError(f"failure probability must be in [0, 1], got {p}")
-        if int(t_rec) < 1:
-            raise InvalidParamsError(f"recovery time must be >= 1, got {t_rec}")
+        if not 1 <= int(t_rec) < 2**63:
+            raise InvalidParamsError(f"recovery time must be in [1, 2**63), got {t_rec}")
         self.p = float(p)
         self.t_rec = int(t_rec)
         self.m = m
@@ -161,6 +170,8 @@ class BlurringProcess:
         m = int(m)
         if m < 2:
             raise InvalidParamsError(f"need at least two vertices, got {m}")
+        if m * m > MAX_ENTRIES:
+            raise InvalidParamsError(f"m={m} is too large: numpy cannot address m x m weights")
         if not r >= 0.0:
             raise InvalidParamsError(f"step deviation must be >= 0, got {r}")
         self.m = m

@@ -171,9 +171,11 @@ class FiniteSetIIDSource(MatrixSource):
                 raise InvalidParamsError(
                     f"got {w.size} weights for {len(mats)} matrices"
                 )
-            if np.any(w < 0) or not np.all(np.isfinite(w)) or w.sum() <= 0:
-                raise InvalidParamsError("weights must be nonnegative with positive sum")
-            w = w / w.sum()
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = w.sum()
+            if np.any(w < 0) or not 0 < total < np.inf:
+                raise InvalidParamsError("weights must be nonnegative with a positive finite sum")
+            w = w / total
         self.weights = w
         self._cum = np.cumsum(w)
         self.seed = int(seed)

@@ -1,9 +1,10 @@
 """Reference routines the tests check the package against, with the
-errors only they raise: row normalisation, the row-difference diameter
-and the induced matrix norm in the one and two norms besides the
-package's infinity norm, the scrambling coefficient eta and the
-contraction inequality, brute-force JSR, the full Lyapunov spectrum by
-QR, and densifying a coupling matrix.  No netsync command runs them."""
+errors only they raise: row normalisation (with its matrix check), the
+row-difference diameter and the induced matrix norm in the one and two
+norms besides the package's infinity norm, the scrambling coefficient
+eta and the contraction inequality, brute-force JSR, the full Lyapunov
+spectrum by QR, a scalar map's derivative against central differences,
+and densifying a coupling matrix.  No netsync command runs them."""
 
 from typing import List, NamedTuple, Sequence
 
@@ -17,7 +18,7 @@ from netsync.errors import (
 )
 from netsync.hajnal import POSITIVITY_THRESHOLD, _rows, diam
 from netsync.jsr import _validated_set
-from netsync.linalg import _as_matrix, is_stochastic, issparse, matrix_norm, spectral_radius
+from netsync.linalg import is_stochastic, issparse, matrix_norm, spectral_radius
 
 BOUND_SLACK = 1e-10
 BRUTE_FORCE_BUDGET = 10**7
@@ -85,6 +86,15 @@ def matrix_norm_in(M, kind: str) -> float:
     if M.ndim == 1:
         M = M[:, None]
     return float(np.linalg.norm(M, NORM_ORD[kind])) if M.size else 0.0
+
+
+def _as_matrix(A) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise InvalidParamsError(f"expected a 2-d array, got ndim={A.ndim}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidParamsError("matrix has non-finite entries")
+    return A
 
 
 def make_stochastic(raw) -> np.ndarray:
@@ -188,3 +198,14 @@ def lyapunov_spectrum_qr(source, horizon: int) -> List[float]:
             raise SingularMatrixError(t)
         logs += np.log(d)
     return sorted((logs / horizon).tolist(), reverse=True)
+
+
+def check_derivative(fmap, lo=0.0, hi=1.0, n=100, seed=0, h=1e-6):
+    """Max scaled error of a scalar map's df against central differences
+    of its f."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(lo + h, hi - h, size=n)
+    fd = (np.asarray(fmap.f(pts + h)) - np.asarray(fmap.f(pts - h))) / (2 * h)
+    claimed = np.asarray(fmap.df(pts))
+    scale = np.maximum(1.0, np.abs(claimed))
+    return float(np.max(np.abs(fd - claimed) / scale))

@@ -22,7 +22,7 @@ from netsync.estimators import (
 )
 from netsync.hajnal import diam, is_scrambling
 from netsync.jsr import gripenberg
-from netsync.linalg import project, spectral_radius
+from netsync.linalg import compress, spectral_radius
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DrivenSource,
@@ -267,7 +267,7 @@ def test_criterion_09_jsr_bracket(capsys):
     worst_single = 0.0
     for _ in range(10):
         m = int(rng.integers(2, 7))
-        B = project(make_stochastic(rng.random((m, m)) + 0.05))
+        B = compress(make_stochastic(rng.random((m, m)) + 0.05))
         res = gripenberg([B], tol=1e-3, max_len=24)
         rho = spectral_radius(B)
         worst_single = max(worst_single, abs(res.lower - rho), abs(res.upper - rho))
@@ -276,7 +276,7 @@ def test_criterion_09_jsr_bracket(capsys):
     worst_gap = 0.0
     for _ in range(20):
         mats = [
-            project(make_stochastic(rng.random((3, 3)) + 0.05)) for _ in range(2)
+            compress(make_stochastic(rng.random((3, 3)) + 0.05)) for _ in range(2)
         ]
         res = gripenberg(mats, tol=1e-3, max_len=24)
         bf = brute_force_jsr(mats, max_len=12)

@@ -771,6 +771,19 @@ CAPPED_MAIN = (
 )
 
 
+def capped_simulate(tmp_path, doc):
+    """`simulate` on doc in a process capped as CAPPED_MAIN caps it."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "simulate", "--config", write_config(tmp_path, doc),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("doc, asked", [
     # the scalar orbit estimate_scalar_lyapunov averages
     (two_node_doc(map={"name": "logistic"}, estimator={"mu_horizon": 10**12}), "7.28 TiB"),
@@ -778,21 +791,45 @@ CAPPED_MAIN = (
     (two_node_doc(estimator={"n_vectors": 10**12}), "7.28 TiB"),
     # the pair mask np.triu_indices forms in BlurringProcess.__init__
     (two_node_doc(source={"variant": "blurring", "m": 10**7, "r": 0.1}), "90.9 TiB"),
-], ids=["mu_horizon", "n_vectors", "blurring-m"])
+    # the base graph's edges, which scale_free_graph allocates before its loop
+    (two_node_doc(source={"variant": "blinking", "m": 10**12, "avg_degree": 12, "p": 0.1,
+                          "t_rec": 2}), "87.3 TiB"),
+], ids=["mu_horizon", "n_vectors", "blurring-m", "blinking-m"])
 def test_oversized_allocation_exits_2_with_numpys_message(tmp_path, doc, asked):
-    out = tmp_path / "o"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", CAPPED_MAIN, "simulate", "--config", write_config(tmp_path, doc),
-         "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = capped_simulate(tmp_path, doc)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"config error: Unable to allocate {asked}")
-    assert not out.exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", [
+    # np.triu_indices raised numpy's ValueError, which exited 1
+    {"variant": "blurring", "m": 10**20, "r": 0.1},
+    # scale_free_graph looped in Python and never allocated
+    {"variant": "blinking", "m": 10**20, "avg_degree": 4, "p": 0.1, "t_rec": 2},
+], ids=["blurring", "blinking"])
+def test_m_numpy_cannot_address_exits_2_naming_it(tmp_path, source):
+    proc = capped_simulate(tmp_path, two_node_doc(source=source))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"config error: m={10**20} is too large")
+
+
+@pytest.mark.parametrize("source, expected", [
+    # the weights summed to inf with an overflow warning and were normalised
+    # to [0, 0], so every draw fell to the last matrix
+    ({"variant": "finite_set", "matrices": [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]],
+      "weights": [1e308, 1e308]}, "weights must be nonnegative with a positive finite sum"),
+    # the first step wrote t_rec into the int64 timers and raised OverflowError
+    ({"variant": "blinking", "m": 30, "avg_degree": 4, "p": 0.2, "t_rec": 2**63},
+     "recovery time must be in [1, 2**63)"),
+], ids=["weights-sum-overflows", "t_rec-beyond-int64"])
+def test_unrunnable_source_parameters_exit_2_without_warnings(tmp_path, capsys, source, expected):
+    cfg = write_config(tmp_path, two_node_doc(source=source))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_numbers_exit_2(tmp_path, capsys):

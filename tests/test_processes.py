@@ -186,6 +186,12 @@ def test_blinking_validates_inputs():
         BlinkingProcess(8, base, p=1.5, t_rec=1, seed=0)
     with pytest.raises(InvalidParamsError):
         BlinkingProcess(8, base, p=0.5, t_rec=0, seed=0)
+    # the timers are int64: 2**63 raised OverflowError at the first step
+    with pytest.raises(InvalidParamsError):
+        BlinkingProcess(8, base, p=1.0, t_rec=2**63, seed=0)
+    proc = BlinkingProcess(8, base, p=1.0, t_rec=2**63 - 1, seed=0)
+    proc.step()
+    assert np.all(proc.down_timers == 2**63 - 1)
     with pytest.raises(InvalidParamsError):
         BlinkingProcess(0, np.empty((0, 2), dtype=int), p=0.5, t_rec=1, seed=0)
 

@@ -166,6 +166,9 @@ def test_finite_set_rejects_bad_weights():
         FiniteSetIIDSource([A2, B2], weights=[0.5], seed=0)
     with pytest.raises(InvalidParamsError):
         FiniteSetIIDSource([A2, B2], weights=[-0.1, 1.1], seed=0)
+    # the sum overflowed to inf, which normalised the weights to [0, 0]
+    with pytest.raises(InvalidParamsError, match="positive finite sum"):
+        FiniteSetIIDSource([A2, B2], weights=[1e308, 1e308], seed=0)
 
 
 class CountingProcess:
