@@ -48,7 +48,7 @@ from .estimators import (
 )
 from .hajnal import has_spanning_tree, is_scrambling
 from .jsr import DEFAULT_MAX_LEN, DEFAULT_TOL, gripenberg
-from .linalg import compress, is_stochastic
+from .linalg import CSR, compress, is_stochastic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -309,8 +309,15 @@ def _union_tables(source, starts, t_max: int):
     tree_T = dict.fromkeys(starts)
     for a, b, lo, hi in window_schedule(starts, t_max):
         for t in range(a, b):
+            G = source.at(t)
+            if isinstance(G, CSR):
+                positive = G.data > 0
+                rows = np.repeat(np.arange(m), np.diff(G.indptr))
+                coords = (rows[positive], G.indices[positive])
+            else:
+                coords = (G > 0).nonzero()
             # int32 coordinates give int32 indices; scipy keeps int64 ones
-            coords = tuple(ix.astype(np.int32) for ix in (source.at(t) > 0).nonzero())
+            coords = tuple(ix.astype(np.int32) for ix in coords)
             for t0 in starts[lo:hi]:
                 T = t - t0 + 1
                 late = np.full(coords[0].size, t_max + 1 - T, dtype=dtype)

@@ -10,13 +10,23 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParamsError
-from .linalg import issparse
+from .linalg import CSR, issparse
 
 # entries at or below this count as zero when testing scramblingness,
 # matching the row-normalization tolerance
 POSITIVITY_THRESHOLD = 1e-12
 
 SCRAMBLING_BLOCK = 2**18
+
+
+def _matrix(G):
+    """G as an ndarray or a scipy.sparse matrix; a CSR record becomes a
+    csr_array over its own arrays."""
+    if isinstance(G, CSR):
+        from scipy.sparse import csr_array
+
+        return csr_array(G[:3], shape=G.shape)
+    return G if issparse(G) else np.asarray(G)
 
 
 def _rows(L) -> np.ndarray:
@@ -53,13 +63,12 @@ def is_scrambling(G) -> bool:
 
     With S = G > POSITIVITY_THRESHOLD, every off-diagonal entry of
     S S^T is nonzero, exactly when the scrambling coefficient eta(G) is
-    positive.  G is an ndarray or a scipy.sparse matrix.  A bool support
-    is read as is: its True entries, self-loops included, are the edges.
-    S S^T is formed sparse, SCRAMBLING_BLOCK entries at a time, up to the
-    first pair that shares no column.
+    positive.  G is an ndarray, a CSR record or a scipy.sparse matrix.
+    A bool support is read as is: its True entries, self-loops included,
+    are the edges.  S S^T is formed sparse, SCRAMBLING_BLOCK entries at
+    a time, up to the first pair that shares no column.
     """
-    if not issparse(G):
-        G = np.asarray(G)
+    G = _matrix(G)
     if G.ndim != 2:
         raise InvalidParamsError(f"expected a 2-d array, got ndim={G.ndim}")
     from scipy.sparse import csr_array
@@ -83,14 +92,13 @@ def is_scrambling(G) -> bool:
 def has_spanning_tree(S) -> Optional[int]:
     """Smallest vertex from which every vertex is reachable, or None.
 
-    S is a square support: a bool or float ndarray or a scipy.sparse
-    matrix, where a nonzero S[i, j] is the edge j -> i and explicitly
-    stored zeros are not edges.  A root exists iff the strongly
+    S is a square support: a bool or float ndarray, a CSR record or a
+    scipy.sparse matrix, where a nonzero S[i, j] is the edge j -> i and
+    explicitly stored zeros are not edges.  A root exists iff the strongly
     connected condensation has exactly one source component; the valid
     roots are exactly that component.
     """
-    if not issparse(S):
-        S = np.asarray(S)
+    S = _matrix(S)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidParamsError(f"need a square support, got shape {S.shape}")
     m = S.shape[0]

@@ -1,13 +1,20 @@
-"""Dense matrix kernel: the stochastic check, the difference frame, the norm.
+"""Matrix kernel: the stochastic check, the CSR record, the difference
+frame, the norm.
 
 Everything operates on plain numpy float arrays.  A "stochastic matrix"
-is an ndarray or a scipy.sparse matrix validated by is_stochastic
-(nonnegative, unit row sums within 1e-12).  The transverse frame, off
-the all-ones direction, is the difference frame, applied in closed form
-without forming P or its right inverse.
+is an ndarray, a CSR record or a scipy.sparse matrix validated by
+is_stochastic (nonnegative, unit row sums within 1e-12).  The CSR record
+multiplies with scipy's compiled CSR kernels, loaded without
+scipy.sparse.  The transverse frame, off the all-ones direction, is the
+difference frame, applied in closed form without forming P or its
+right inverse.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,28 +22,112 @@ from .errors import InvalidParamsError
 
 ROW_SUM_TOL = 1e-12
 
+SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def sparsetools():
+    """scipy's compiled CSR kernels, the extension scipy.sparse itself
+    imports.  Loaded on first use from its file beside scipy, after a
+    plain `import scipy`, and registered under its own name, so that a
+    later `import scipy.sparse` reuses the same module; importing
+    scipy.sparse would also load scipy's array-API shim, which costs
+    most of that import.  Where the file is not found beside scipy, it
+    comes through scipy.sparse."""
+    module = sys.modules.get(SPARSETOOLS)
+    if module is None:
+        import scipy
+
+        where = os.path.join(os.path.dirname(scipy.__file__), "sparse")
+        spec = importlib.machinery.PathFinder.find_spec(SPARSETOOLS, [where])
+        if spec is None:
+            from scipy.sparse import _sparsetools as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[SPARSETOOLS] = module
+            spec.loader.exec_module(module)
+    return module
+
+
+class CSR(NamedTuple):
+    """A square m x m matrix in compressed sparse row form: row i holds
+    data[indptr[i]:indptr[i+1]] in the columns indices[indptr[i]:indptr[i+1]].
+
+    `G @ X` for a real X of m rows runs scipy's own csr_matvec (X of one
+    column) or csr_matvecs (any wider X) exactly as scipy.sparse's
+    csr_array dispatches them, so the products are its products bit for
+    bit.  The kernels trust the structure: index arrays of one integer
+    dtype, a nondecreasing indptr of m + 1 entries from 0 to len(data),
+    and every index in [0, m), which sources._validated checks before a
+    record is used.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    m: int
+
+    @property
+    def shape(self):
+        return (self.m, self.m)
+
+    def __matmul__(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim not in (1, 2) or X.shape[0] != self.m:
+            raise ValueError(f"matmul: dimension mismatch, {self.shape} @ {X.shape}")
+        out = np.zeros(X.shape)
+        # ravel copies a non-contiguous X into C order and views a contiguous one
+        if X.ndim == 1 or X.shape[1] == 1:
+            sparsetools().csr_matvec(
+                self.m, self.m, self.indptr, self.indices, self.data, X.ravel(), out.ravel())
+        else:
+            sparsetools().csr_matvecs(
+                self.m, self.m, X.shape[1], self.indptr, self.indices, self.data,
+                X.ravel(), out.ravel())
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix, through scipy's own csr_todense."""
+        out = np.zeros(self.shape)
+        sparsetools().csr_todense(self.m, self.m, self.indptr, self.indices, self.data, out)
+        return out
+
 
 def issparse(G) -> bool:
-    """scipy.sparse.issparse, without importing scipy: a sparse matrix
-    can only exist once scipy.sparse has been imported."""
+    """True for a CSR record or a scipy.sparse matrix, without importing
+    scipy: a scipy.sparse matrix can only exist once scipy.sparse has
+    been imported."""
+    if isinstance(G, CSR):
+        return True
     sparse = sys.modules.get("scipy.sparse")
     return sparse is not None and sparse.issparse(G)
 
 
 def is_stochastic(G, tol: float = ROW_SUM_TOL) -> bool:
-    """Square, finite, entries >= -tol and row sums within tol of 1.
+    """Square and nonempty, finite, entries >= -tol and row sums within
+    tol of 1.
 
-    A scipy.sparse matrix is checked on its stored entries, in O(nnz).
+    A sparse matrix is checked on its stored entries, in O(nnz).  Its
+    nonempty rows are summed by np.add.reduceat over the stored entries,
+    the reduction scipy.sparse runs for a CSR array's row sums, so a
+    verdict does not depend on which of the two holds the matrix.
     """
-    if issparse(G):
-        entries = G.data
-    else:
-        G = entries = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+    sparse = issparse(G)
+    if not sparse:
+        G = np.asarray(G, dtype=float)
+    if len(G.shape) != 2 or G.shape[0] != G.shape[1] or not G.shape[0]:
         return False
+    if sparse and not isinstance(G, CSR):
+        G = G.tocsr()
+    entries = G.data if sparse else G
     if entries.size and (not np.all(np.isfinite(entries)) or np.min(entries) < -tol):
         return False
-    sums = np.asarray(G.sum(axis=1)).ravel()
+    if sparse:
+        sums = np.zeros(G.shape[0])
+        rows = np.flatnonzero(np.diff(G.indptr))
+        if rows.size:
+            sums[rows] = np.add.reduceat(entries, G.indptr[rows])
+    else:
+        sums = G.sum(axis=1)
     return bool(np.max(np.abs(sums - 1.0)) <= tol)
 
 

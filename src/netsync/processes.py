@@ -9,9 +9,10 @@ Two mechanisms:
   negative reverses its orientation with the overflow magnitude.
 
 Both expose .m and .step() -> row stochastic matrix, the interface
-DrivenSource wraps.  Blinking emits a scipy.sparse CSR array built in
-O(nnz) from the base edge list; blurring couples every pair, so it
-emits a dense ndarray.  DrivenSource steps a process forward only, so a
+DrivenSource wraps.  Blinking emits a linalg.CSR record built in O(nnz)
+from the base edge list; blurring couples every pair, so it emits a
+dense ndarray.  Both emit fresh read-only arrays, which a DrivenSource
+holds without a copy.  DrivenSource steps a process forward only, so a
 caller that reads a time twice (spectrum's diameter pass) builds a
 second process from the same seed, which emits the same matrices.
 """
@@ -19,6 +20,7 @@ second process from the same seed, which emits the same matrices.
 import numpy as np
 
 from .errors import InvalidParamsError
+from .linalg import CSR
 
 # the most int64 or float64 entries one numpy array can address
 MAX_ENTRIES = np.iinfo(np.intp).max // 8
@@ -95,7 +97,7 @@ class BlinkingProcess:
 
     The base graph is m vertices and an (E, 2) array of undirected
     edges, each listed once in either orientation.  The emission is a
-    CSR array: the entries of base + I, both orientations of every edge
+    CSR record: the entries of base + I, both orientations of every edge
     plus the loops, sorted into row-major order, are filtered to those
     whose endpoints are both up (loops always stay), and each kept entry
     of row i is 1 / deg(i), the same value as the dense row
@@ -138,8 +140,6 @@ class BlinkingProcess:
         return self._timers.copy()
 
     def step(self):
-        from scipy.sparse import csr_array
-
         self._timers = np.maximum(self._timers - 1, 0)
         up = self._timers == 0
         fails = up & (self._rng.random(self.m) < self.p)
@@ -149,7 +149,7 @@ class BlinkingProcess:
         rows = self._rows[keep]
         deg = np.bincount(rows, minlength=self.m)
         indptr = np.cumsum(np.concatenate(([0], deg)), dtype=self._indices.dtype)
-        G = csr_array((1.0 / deg[rows], self._indices[keep], indptr), shape=(self.m, self.m))
+        G = CSR(1.0 / deg[rows], self._indices[keep], indptr, self.m)
         for a in (G.data, G.indices, G.indptr):
             a.flags.writeable = False
         return G
@@ -202,4 +202,6 @@ class BlurringProcess:
         if dead.size:
             A[dead, dead] = 1.0
             sums = A.sum(axis=1)
-        return A / sums[:, None]
+        A /= sums[:, None]
+        A.flags.writeable = False
+        return A

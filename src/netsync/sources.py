@@ -8,10 +8,11 @@ emission, so memory does not grow with the horizon.  A caller that
 reads a time twice builds a second source from the same seeded config,
 as spectrum's diameter pass does; simulate and check read each once.
 
-A matrix is a float ndarray or, when a process emits scipy.sparse, a
-CSR array; either is validated as row stochastic and frozen.  Input is
-copied first, except a canonical float64 CSR array already frozen by its
-maker (as blinking emissions are), which is checked and kept as is.
+A matrix is a float ndarray or a CSR record (linalg.CSR), validated as
+row stochastic and frozen; a scipy.sparse input becomes a CSR record.
+Input is copied first, except arrays already frozen by their maker, as
+process emissions are: a float64 ndarray, or a canonical float64 record,
+that owns its C-contiguous, read-only arrays is checked and kept as is.
 """
 
 from typing import Optional, Sequence
@@ -23,7 +24,7 @@ from .errors import (
     InvalidParamsError,
     ProcessExhaustedError,
 )
-from .linalg import is_stochastic, issparse
+from .linalg import CSR, is_stochastic, issparse, sparsetools
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
 # 1, 2, 3", SC 2011): round multipliers and key increments.  Every
@@ -69,26 +70,75 @@ def _philox_uniforms(seed: int, t: np.ndarray) -> np.ndarray:
     return (c0 >> _SHIFT11) * 2.0**-53
 
 
-def _validated(G, what: str = "matrix"):
-    """G checked row stochastic and frozen; scipy.sparse input becomes a
-    canonical CSR array, checked on its stored entries.  A float64 CSR
-    array whose data, indices and indptr are already read-only and that
-    is in canonical format is taken as is; any other input is copied, so
-    the caller's arrays are never frozen or reordered."""
-    if issparse(G):
-        from scipy.sparse import csr_array
+def _frozen(a) -> bool:
+    """Whether a is a read-only ndarray that owns its C-contiguous
+    memory: frozen by its maker, not a read-only view of an array that
+    its owner may still write."""
+    return (type(a) is np.ndarray and a.flags.c_contiguous and a.flags.owndata
+            and not a.flags.writeable)
 
-        as_is = isinstance(G, csr_array) and G.dtype == np.float64 and not any(
-            a.flags.writeable for a in (G.data, G.indices, G.indptr))
-        if not (as_is and G.has_canonical_format):
-            G = csr_array(G, dtype=float, copy=True)
-            G.sum_duplicates()
-        frozen = G.data
+
+def _in_canonical_order(G: CSR, what: str) -> bool:
+    """Whether G's indices rise strictly within each row, by scipy's own
+    compiled check.  First checks that G holds an m x m CSR structure,
+    as scipy's constructor does, with int32 or int64 indices, the index
+    types the kernels are compiled for, and that every index lies in
+    [0, m), so that they read within bounds; raises InvalidParamsError
+    where it does not."""
+    data, indices, indptr, m = G
+    if not (isinstance(m, (int, np.integer))
+            and all(isinstance(a, np.ndarray) and a.ndim == 1 for a in (data, indices, indptr))
+            and indptr.dtype in (np.int32, np.int64) and indices.dtype == indptr.dtype
+            and indptr.size == m + 1 and indices.size == data.size
+            and indptr[0] == 0 and indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0)
+            and (not indices.size or 0 <= indices.min() and indices.max() < m)):
+        raise InvalidParamsError(f"{what} is not a CSR matrix of {m} rows and columns")
+    return bool(sparsetools().csr_has_canonical_format(m, indptr, indices))
+
+
+def _csr(G, what: str) -> CSR:
+    """A canonical float64 CSR record of sparse G, which is kept as is
+    when it is such a record already, frozen by its maker.  Any other
+    record is copied, and put in canonical order through scipy.sparse if
+    it is not in it; a scipy.sparse input, which has loaded scipy.sparse
+    already, is copied and put in canonical order the same way."""
+    shape = None
+    if isinstance(G, CSR):
+        if not (all(map(_frozen, G[:3])) and G.data.dtype == np.float64):
+            try:
+                G = CSR(np.array(G.data, dtype=float), np.array(G.indices), np.array(G.indptr), G.m)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParamsError(f"{what} is not a CSR matrix: {exc}") from exc
+        if _in_canonical_order(G, what):
+            return G
+        G, shape = tuple(G[:3]), G.shape
+    from scipy.sparse import csr_array
+
+    G = csr_array(G, shape=shape, dtype=float, copy=True)
+    G.sum_duplicates()
+    if len(G.shape) != 2 or G.shape[0] != G.shape[1]:
+        raise InvalidParamsError(f"{what} is not row stochastic")
+    G = CSR(G.data, G.indices, G.indptr, G.shape[0])
+    _in_canonical_order(G, what)
+    return G
+
+
+def _validated(G, what: str = "matrix"):
+    """G checked row stochastic and frozen: a float64 ndarray or, for
+    sparse input, a canonical float64 CSR record.  Arrays their maker
+    has frozen are taken as is (see _frozen and _csr); any other input
+    is copied, so the caller's arrays are never frozen or reordered."""
+    if issparse(G):
+        G = _csr(G, what)
+        arrays = (G.data, G.indices, G.indptr)
     else:
-        G = frozen = np.array(G, dtype=float)
+        if not (_frozen(G) and G.dtype == np.float64):
+            G = np.array(G, dtype=float)
+        arrays = (G,)
     if not is_stochastic(G):
         raise InvalidParamsError(f"{what} is not row stochastic")
-    frozen.flags.writeable = False
+    for a in arrays:
+        a.flags.writeable = False
     return G
 
 
@@ -208,8 +258,8 @@ class DrivenSource(MatrixSource):
     for its own time; a later time steps the process forward, and an
     earlier one raises, since the process cannot go back.  A failed
     emission fails every later query the same way: stepping past it
-    would shift every later emission by one time.  A frozen canonical
-    CSR emission is held without a copy.
+    would shift every later emission by one time.  An emission its
+    process has frozen is held without a copy.
     """
 
     def __init__(self, process):

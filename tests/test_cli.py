@@ -605,6 +605,32 @@ def test_check_windows_read_sparse_supports_without_densifying():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("m, avg_degree", [(60, 6), (12, 8)])
+def test_check_tables_read_a_blinking_record_as_its_csr_array_twin(m, avg_degree):
+    # the second base is dense enough that some tables close dense
+    from scipy.sparse import csr_array
+
+    proc = BlinkingProcess.from_params(m=m, avg_degree=avg_degree, p=0.05, t_rec=3, seed=2)
+    records = [proc.step() for _ in range(24)]
+    twins = [csr_array((G.data, G.indices, G.indptr), shape=G.shape) for G in records]
+
+    class Stored:
+        def __init__(self, matrices):
+            self.m, self.at = m, matrices.__getitem__
+
+    starts = [0, 5, 10, 16]
+    got, expected = _union_tables(Stored(records), starts, 8), _union_tables(Stored(twins), starts, 8)
+    for t0 in starts:
+        (table, tree_T), (twin_table, twin_tree_T) = got[t0], expected[t0]
+        assert tree_T == twin_tree_T and type(table) is type(twin_table)
+        assert table.dtype == twin_table.dtype
+        if issparse(table):
+            assert np.array_equal(table.indptr, twin_table.indptr)
+            assert np.array_equal(table.indices, twin_table.indices)
+            table, twin_table = table.data, twin_table.data
+        assert np.array_equal(table, twin_table)
+
+
 def test_check_dense_union_is_held_dense():
     # a stored CSR entry costs an int32 index besides its uint8 value
     table, tree_T = _union_tables(StaticSource(np.full((50, 50), 0.02)), [0], 8)[0]

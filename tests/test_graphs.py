@@ -11,6 +11,7 @@ from graph_oracles import (
     window_has_spanning_tree,
 )
 from netsync.hajnal import POSITIVITY_THRESHOLD, has_spanning_tree, is_scrambling
+from netsync.processes import BlinkingProcess
 from netsync.sources import PeriodicSource, StaticSource
 from oracles import eta, make_stochastic
 
@@ -239,3 +240,15 @@ def test_scrambling_product_randomized_lemma_check():
         m = int(rng.integers(2, 7))
         mats = [rand_precondition_instance(rng, m) for _ in range(m - 1)]
         assert scrambling_product_check(mats) is True
+
+
+def test_predicates_read_a_blinking_record_as_its_csr_array_twin():
+    proc = BlinkingProcess.from_params(m=12, avg_degree=8, p=0.02, t_rec=2, seed=3)
+    answers = set()
+    for _ in range(40):
+        G = proc.step()
+        twin = csr_array((G.data, G.indices, G.indptr), shape=G.shape)
+        answer = (is_scrambling(G), has_spanning_tree(G))
+        assert answer == (is_scrambling(twin), has_spanning_tree(twin))
+        answers.add(answer[0])
+    assert answers == {True, False}

@@ -1,12 +1,14 @@
 """Import boundaries: the package and its common commands load no scipy,
 and the package loads no dataclasses.
 
-scipy is imported inside the few functions that need it (sparse blinking
-emission and `check`, the `jsr` command's polytope above 2x2 and its
-search fallback, the `one`/`two` diameter norms), so short runs on dense
-inputs, and `jsr` on a 2x2 set its invariant polytope certifies, start
-with numpy alone.  Each boundary test runs in a fresh interpreter, since
-this test process has long since imported scipy.
+scipy is imported inside the few functions that need it (`check`, the
+`jsr` command's polytope above 2x2 and its search fallback), so runs on
+dense inputs, and `jsr` on a 2x2 set its invariant polytope certifies,
+start with numpy alone.  Blinking runs multiply their CSR emissions with
+scipy's compiled kernels, which load after a plain `import scipy` from
+the extension file beside scipy, without `scipy.sparse` and the
+array-API shim it imports.  Each boundary test runs in a fresh
+interpreter, since this test process has long since imported scipy.
 
 A command also leaves its heap to the OS at exit: `main` registers
 `gc.freeze` with atexit, so the interpreter's shutdown collections skip
@@ -22,6 +24,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from netsync.cli import main
 from netsync.jsr import _balanced
@@ -121,6 +124,63 @@ def test_simulate_on_static_loads_no_scipy(tmp_path):
     }
     assert run_cli(tmp_path, "simulate", doc) == []
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+BLINKING = {
+    "seed": 3,
+    "source": {"variant": "blinking", "m": 40, "avg_degree": 6, "p": 0.05, "t_rec": 3},
+    "map": {"name": "logistic", "alpha": 3.9, "mu": 0.5},
+    "estimator": {"horizon": 100},
+    "simulation": {"steps": 100},
+}
+NOT_LOADED = ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py")
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_blinking_loads_the_csr_kernels_but_not_scipy_sparse(tmp_path, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BLINKING))
+    args = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    loaded = fresh_stdout(
+        "import sys, netsync.cli\n"
+        f"rc = netsync.cli.main({args!r})\n"
+        "assert rc == 0, rc\n"
+        f"print(*(m in sys.modules for m in {('scipy.sparse._sparsetools',) + NOT_LOADED!r}))"
+    )
+    assert loaded[-1] == "True False False False"
+
+
+def test_kernels_loaded_first_are_the_ones_scipy_sparse_imports():
+    # a CSR product, then scipy.sparse: one extension module, one product
+    lines = fresh_stdout(
+        "import sys\n"
+        "import numpy as np\n"
+        "from netsync.linalg import CSR, sparsetools\n"
+        "G = CSR(np.array([0.25, 0.75, 1.0]), np.array([0, 2, 1], dtype=np.int32),\n"
+        "        np.array([0, 2, 2, 3], dtype=np.int32), 3)\n"
+        "X = np.random.default_rng(0).random((3, 4))\n"
+        "Y = G @ X\n"
+        "kernels = sparsetools()\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "import scipy.sparse\n"
+        "from scipy.sparse import _compressed, _sparsetools\n"
+        "S = scipy.sparse.csr_array(G[:3], shape=G.shape)\n"
+        "print(_sparsetools is kernels, _compressed._sparsetools is kernels,\n"
+        "      np.array_equal(S @ X, Y), np.array_equal(S @ X[:, 0], G @ X[:, 0]))"
+    )
+    assert lines == ["False", "True True True True"]
+
+
+def test_kernels_come_through_scipy_sparse_where_the_file_is_not_found(tmp_path):
+    # scipy's __file__ moved to an empty directory: no extension file beside it
+    lines = fresh_stdout(
+        "import sys, scipy\n"
+        f"scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
+        "from netsync.linalg import SPARSETOOLS, sparsetools\n"
+        "kernels = sparsetools()\n"
+        "print('scipy.sparse' in sys.modules, kernels is sys.modules[SPARSETOOLS])"
+    )
+    assert lines == ["True True"]
 
 
 def test_jsr_certified_by_polytope_loads_no_scipy(tmp_path):

@@ -7,11 +7,14 @@ independent route (numpy SVD / eigvals) inside the test itself.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
 
 from netsync.linalg import (
+    CSR,
     compress,
     difference,
     is_stochastic,
+    issparse,
     lift,
     matrix_norm,
     spectral_radius,
@@ -72,6 +75,77 @@ def test_is_stochastic_tolerance():
     assert is_stochastic(G)
     assert not is_stochastic(np.array([[0.5, 0.6], [0.25, 0.75]]))
     assert not is_stochastic(np.array([[1.1, -0.1], [0.5, 0.5]]))
+
+
+def test_is_stochastic_rejects_an_empty_matrix():
+    empty = CSR(np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), 0)
+    assert is_stochastic(np.zeros((0, 0))) is False
+    assert is_stochastic(empty) is False
+    assert is_stochastic(csr_array((0, 0))) is False
+
+
+def test_is_stochastic_sums_a_record_as_scipy_sums_its_twin():
+    # the largest deviation of a row sum from 1 is the least tolerance that
+    # passes, so any other summation order would move some verdict below
+    for seed in range(20):
+        G, twin = csr_twins(np.random.default_rng(seed), 60, np.int32, density=0.4)
+        worst = np.max(np.abs(twin.sum(axis=1) - 1.0))
+        assert is_stochastic(G, worst) and not is_stochastic(G, np.nextafter(worst, 0))
+
+
+# ---------------------------------------------------------------- CSR record
+
+
+def csr_twins(rng, m, index_dtype, density=0.2, empty_row=None):
+    """A random row-stochastic CSR record with index_dtype indices, and
+    the scipy csr_array over copies of the same arrays."""
+    A = rng.random((m, m)) * (rng.random((m, m)) < density)
+    A[np.arange(m), np.arange(m)] += 0.1
+    A /= A.sum(axis=1, keepdims=True)
+    if empty_row is not None:
+        A[empty_row] = 0.0
+    S = csr_array(A)
+    G = CSR(S.data.copy(), S.indices.astype(index_dtype), S.indptr.astype(index_dtype), m)
+    return G, csr_array((G.data.copy(), G.indices.copy(), G.indptr.copy()), shape=(m, m))
+
+
+OPERANDS = {
+    "vector": lambda rng, m: rng.standard_normal(m),
+    "column": lambda rng, m: rng.standard_normal((m, 1)),
+    "block": lambda rng, m: rng.standard_normal((m, 8)),
+    # a slot of the walk's (m, L, n * w) buffer: rows L * n * w floats apart
+    "slot-view": lambda rng, m: rng.standard_normal((m, 3, 8))[:, 1],
+    "strided-vector": lambda rng, m: rng.standard_normal((m, 3))[:, 2],
+}
+
+
+@pytest.mark.parametrize("operand", OPERANDS)
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("empty_row", [None, 7])
+def test_record_product_is_scipys_bit_for_bit(operand, index_dtype, empty_row):
+    rng = np.random.default_rng(5)
+    G, twin = csr_twins(rng, 200, index_dtype, empty_row=empty_row)
+    X = OPERANDS[operand](rng, 200)
+    Y = G @ X
+    expected = twin @ X
+    assert type(Y) is np.ndarray and Y.dtype == np.float64 and Y.shape == expected.shape
+    assert np.array_equal(Y, expected)
+    if empty_row is not None:
+        assert not Y[empty_row].any()
+    assert np.array_equal(G.toarray(), twin.toarray())
+
+
+def test_record_product_rejects_a_mismatched_operand():
+    G, _ = csr_twins(np.random.default_rng(0), 5, np.int32)
+    for X in (np.ones(4), np.ones((6, 2)), np.ones((5, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            G @ X
+
+
+def test_issparse_recognises_the_record():
+    G, twin = csr_twins(np.random.default_rng(0), 5, np.int32)
+    assert issparse(G) and issparse(twin) and not issparse(G.toarray())
+    assert G.shape == (5, 5)
 
 
 # ---------------------------------------------------------------- projection

@@ -8,7 +8,7 @@ from scipy.sparse import csr_array
 
 from netsync.errors import InvalidParamsError
 from netsync.hajnal import has_spanning_tree
-from netsync.linalg import is_stochastic
+from netsync.linalg import CSR, is_stochastic
 from netsync.processes import BlinkingProcess, BlurringProcess, scale_free_graph
 from netsync.sources import DrivenSource
 from oracles import make_stochastic
@@ -98,10 +98,10 @@ def test_blinking_csr_emission_matches_dense_reference(p):
     dense = DenseBlinkingReference.from_params(m=60, avg_degree=6, p=p, t_rec=3, seed=4)
     for _ in range(60):
         G = csr.step()
-        assert isinstance(G, csr_array) and G.has_canonical_format
+        assert isinstance(G, CSR) and csr_array(G[:3], shape=G.shape).has_canonical_format
         # bit for bit, and no stored zeros
         assert np.array_equal(G.toarray(), dense.step())
-        assert G.nnz == np.count_nonzero(G.data)
+        assert G.data.size == np.count_nonzero(G.data)
 
 
 def test_blinking_p_zero_is_constant_normalized_base():
@@ -351,6 +351,14 @@ def test_blurring_two_node_fallback_row():
             np.array_equal(G, np.array([[0.0, 1.0], [0.0, 1.0]]))
             or np.array_equal(G, np.array([[1.0, 0.0], [1.0, 0.0]]))
         )
+
+
+def test_blurring_emission_is_fresh_and_frozen():
+    proc = BlurringProcess(m=6, r=0.3, seed=2)
+    G = proc.step()
+    assert G.dtype == np.float64 and G.flags.c_contiguous and G.flags.owndata
+    assert not G.flags.writeable
+    assert not np.shares_memory(G, proc._W)
 
 
 def test_blurring_deterministic_by_seed():

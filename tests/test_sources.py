@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
+from netsync.linalg import CSR, is_stochastic
 from netsync.errors import EmptySetError, InvalidParamsError, ProcessExhaustedError
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
@@ -276,7 +277,7 @@ def test_driven_exhausted_process():
 
 def test_driven_holds_one_emission():
     # the process's own 300 x 300 weights are allocated before tracing;
-    # the source holds the checked copy of one 8 m^2-byte emission
+    # the source holds one 8 m^2-byte emission, the process's own
     m = 300
     proc = BlurringProcess(m=m, r=0.05, seed=1)
     tracemalloc.start()
@@ -290,13 +291,47 @@ def test_driven_holds_one_emission():
     assert held < 1.5 * 8 * m * m
 
 
-def test_driven_validates_sparse_output():
-    G = csr_array(A2)
-    out = DrivenSource(ListProcess([G])).at(0)
-    assert isinstance(out, csr_array) and np.array_equal(out.toarray(), A2)
-    # a frozen copy: the process's own matrix is left writeable
-    assert not out.data.flags.writeable
-    assert G.data.flags.writeable
+def test_driven_blurring_step_copies_no_emission():
+    # one step holds the last emission and makes the next: the process
+    # divides its weights' copy in place and freezes it, and the source
+    # keeps that array, where it used to copy both (3.65 emissions)
+    m = 300
+    src = DrivenSource(BlurringProcess(m=m, r=0.05, seed=1))
+    src.at(0)
+    tracemalloc.start()
+    try:
+        src.at(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * m * m
+
+
+def test_static_takes_a_frozen_owned_array_as_is():
+    A = A2.copy()
+    A.flags.writeable = False
+    assert StaticSource(A).G is A
+
+
+@pytest.mark.parametrize("maker", [
+    pytest.param(lambda A: A, id="writeable"),
+    pytest.param(lambda A: frozen_array(A[:]), id="frozen-view"),
+    pytest.param(lambda A: frozen_array(np.asfortranarray(A)), id="frozen-fortran"),
+    pytest.param(lambda A: frozen_array(A.astype(np.float32)), id="frozen-float32"),
+])
+def test_static_copies_an_array_its_maker_did_not_freeze(maker):
+    # a view's base, or the caller's writeable array, could change it later
+    A = A2.copy()
+    given = maker(A)
+    G = StaticSource(given).G
+    assert G is not given and not np.shares_memory(G, A)
+    assert G.dtype == np.float64 and not G.flags.writeable
+    assert np.array_equal(G, A2) and A.flags.writeable
+
+
+def frozen_array(A):
+    A.flags.writeable = False
+    return A
 
 
 def frozen(G):
@@ -305,29 +340,98 @@ def frozen(G):
     return G
 
 
+def record(A, index_dtype=np.int32):
+    """The canonical CSR record of dense A, over arrays of its own."""
+    S = csr_array(A)
+    return CSR(S.data.copy(), S.indices.astype(index_dtype), S.indptr.astype(index_dtype), len(A))
+
+
+def test_driven_validates_sparse_output():
+    G = csr_array(A2)
+    out = DrivenSource(ListProcess([G])).at(0)
+    assert isinstance(out, CSR) and np.array_equal(out.toarray(), A2)
+    # a frozen copy: the process's own matrix is left writeable
+    assert not out.data.flags.writeable
+    assert G.data.flags.writeable
+
+
 def test_driven_takes_a_frozen_canonical_emission_as_is():
-    G = frozen(csr_array(A2))
-    assert DrivenSource(ListProcess([G])).at(0) is G
+    for index_dtype in (np.int32, np.int64):
+        G = frozen(record(A2, index_dtype))
+        assert DrivenSource(ListProcess([G])).at(0) is G
 
 
 def test_driven_copies_a_frozen_emission_out_of_canonical_form():
     # row 0 lists column 1 before column 0, and column 1 twice
-    G = frozen(csr_array(
-        (np.array([0.25, 0.5, 0.25, 0.5, 0.5]), np.array([1, 0, 1, 0, 1]), np.array([0, 3, 5])),
-        shape=(2, 2),
-    ))
-    before = [a.copy() for a in (G.data, G.indices, G.indptr)]
-    out = DrivenSource(ListProcess([G])).at(0)
-    assert out is not G and out.has_canonical_format and out.nnz == 4
-    assert np.array_equal(out.toarray(), [[0.5, 0.5], [0.5, 0.5]])
-    for a, b in zip((G.data, G.indices, G.indptr), before):
-        assert np.array_equal(a, b)
+    arrays = (np.array([0.25, 0.5, 0.25, 0.5, 0.5]), np.array([1, 0, 1, 0, 1]), np.array([0, 3, 5]))
+    for G in (csr_array(arrays, shape=(2, 2)), CSR(*arrays, 2)):
+        G = frozen(G)
+        before = [a.copy() for a in (G.data, G.indices, G.indptr)]
+        out = DrivenSource(ListProcess([G])).at(0)
+        assert out is not G and isinstance(out, CSR) and out.data.size == 4
+        assert csr_array(out[:3], shape=out.shape).has_canonical_format
+        assert np.array_equal(out.toarray(), [[0.5, 0.5], [0.5, 0.5]])
+        for a, b in zip((G.data, G.indices, G.indptr), before):
+            assert np.array_equal(a, b)
 
 
 def test_driven_checks_a_frozen_emission():
     bad = frozen(csr_array(np.array([[0.5, 0.5], [0.0, 0.9]])))
     with pytest.raises(InvalidParamsError, match="t=0"):
         DrivenSource(ListProcess([bad])).at(0)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda G: G, id="writeable"),
+    pytest.param(lambda G: frozen(G._replace(data=np.concatenate((G.data, [9.0]))[:-1])),
+                 id="frozen-view"),
+    pytest.param(lambda G: frozen(G._replace(data=G.data.astype(np.float32))), id="float32"),
+    pytest.param(lambda G: frozen(G)._replace(indices=list(G.indices)), id="list"),
+])
+def test_driven_copies_a_record_its_maker_did_not_freeze(change):
+    G = change(record(A2))
+    out = DrivenSource(ListProcess([G])).at(0)
+    assert out is not G and out.data.dtype == np.float64
+    assert not any(np.shares_memory(a, b) for a in out[:3] for b in G[:3])
+    assert np.array_equal(out.toarray(), A2)
+
+
+@pytest.mark.parametrize("arrays", [
+    pytest.param(([1.0, 1.0], [0, 1], [0, 1]), id="indptr-short"),
+    pytest.param(([1.0, 1.0], [0, 1], [1, 1, 2]), id="indptr-from-1"),
+    pytest.param(([1.0, 1.0], [0, 1], [0, 2, 1]), id="indptr-falls"),
+    pytest.param(([1.0, 1.0], [0, 1], [0, 1, 1]), id="indptr-ends-early"),
+    pytest.param(([1.0, 1.0], [0, 2], [0, 1, 2]), id="index-too-large"),
+    pytest.param(([1.0, 1.0], [-1, 1], [0, 1, 2]), id="index-negative"),
+    pytest.param(([1.0, 1.0, 1.0], [0, 1], [0, 1, 2]), id="data-longer"),
+    pytest.param(([[1.0, 1.0]], [0, 1], [0, 1, 2]), id="data-2d"),
+])
+def test_malformed_record_rejected_typed(arrays):
+    data, indices, indptr = arrays
+    G = CSR(np.array(data), np.array(indices), np.array(indptr), 2)
+    with pytest.raises(InvalidParamsError, match="matrix 0 is not a CSR matrix"):
+        PeriodicSource([G])
+    with pytest.raises(InvalidParamsError, match="not a CSR matrix"):
+        StaticSource(frozen(G))
+
+
+@pytest.mark.parametrize("indices, indptr", [
+    pytest.param(np.int64, np.int32, id="apart"),
+    pytest.param(np.int16, np.int16, id="int16"),
+    pytest.param(np.uint64, np.uint64, id="uint64"),
+])
+def test_record_index_dtypes_other_than_the_kernels_rejected_typed(indices, indptr):
+    G = record(A2)
+    G = G._replace(indices=G.indices.astype(indices), indptr=G.indptr.astype(indptr))
+    with pytest.raises(InvalidParamsError, match="not a CSR matrix"):
+        StaticSource(G)
+
+
+def test_scipy_input_with_index_out_of_range_rejected_typed():
+    # scipy's constructor checks no index range; the kernels would read past the state
+    G = csr_array((np.array([1.0, 1.0]), np.array([0, 5]), np.array([0, 1, 2])), shape=(2, 2))
+    with pytest.raises(InvalidParamsError, match="not a CSR matrix"):
+        StaticSource(G)
 
 
 @pytest.mark.parametrize(
@@ -338,6 +442,7 @@ def test_driven_checks_a_frozen_emission():
         csr_array(np.array([[np.nan, 1.0], [0.0, 1.0]])),  # not finite
         csr_array(np.array([[0.5, 0.5], [0.0, 0.9]])),  # row sum off
         csr_array((2, 2)),  # empty rows
+        csr_array((0, 0)),  # no rows
     ],
 )
 def test_sparse_output_checked_like_dense(bad):
@@ -345,6 +450,11 @@ def test_sparse_output_checked_like_dense(bad):
         StaticSource(bad)
     with pytest.raises(InvalidParamsError):
         StaticSource(bad.toarray())
+    if bad.shape[0] == bad.shape[1]:
+        G = frozen(record(bad.toarray()))
+        assert not is_stochastic(G)
+        with pytest.raises(InvalidParamsError, match="not row stochastic"):
+            StaticSource(G)
 
 
 def test_negative_time_rejected():
