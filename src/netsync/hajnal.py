@@ -10,7 +10,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParamsError
-from .linalg import CSR, issparse
 
 # entries at or below this count as zero when testing scramblingness,
 # matching the row-normalization tolerance
@@ -20,13 +19,14 @@ SCRAMBLING_BLOCK = 2**18
 
 
 def _matrix(G):
-    """G as an ndarray or a scipy.sparse matrix; a CSR record becomes a
-    csr_array over its own arrays."""
-    if isinstance(G, CSR):
-        from scipy.sparse import csr_array
+    """G as is when it is a scipy.sparse matrix, else as an ndarray;
+    raises InvalidParamsError where numpy cannot read G as an array."""
+    from scipy.sparse import issparse
 
-        return csr_array(G[:3], shape=G.shape)
-    return G if issparse(G) else np.asarray(G)
+    try:
+        return G if issparse(G) else np.asarray(G)
+    except ValueError as exc:
+        raise InvalidParamsError(f"expected an array or a scipy.sparse matrix: {exc}") from exc
 
 
 def _rows(L) -> np.ndarray:
@@ -63,10 +63,10 @@ def is_scrambling(G) -> bool:
 
     With S = G > POSITIVITY_THRESHOLD, every off-diagonal entry of
     S S^T is nonzero, exactly when the scrambling coefficient eta(G) is
-    positive.  G is an ndarray, a CSR record or a scipy.sparse matrix.
-    A bool support is read as is: its True entries, self-loops included,
-    are the edges.  S S^T is formed sparse, SCRAMBLING_BLOCK entries at
-    a time, up to the first pair that shares no column.
+    positive.  G is an ndarray or a scipy.sparse matrix.  A bool
+    support is read as is: its True entries, self-loops included, are
+    the edges.  S S^T is formed sparse, SCRAMBLING_BLOCK entries at a
+    time, up to the first pair that shares no column.
     """
     G = _matrix(G)
     if G.ndim != 2:
@@ -92,9 +92,9 @@ def is_scrambling(G) -> bool:
 def has_spanning_tree(S) -> Optional[int]:
     """Smallest vertex from which every vertex is reachable, or None.
 
-    S is a square support: a bool or float ndarray, a CSR record or a
-    scipy.sparse matrix, where a nonzero S[i, j] is the edge j -> i and
-    explicitly stored zeros are not edges.  A root exists iff the strongly
+    S is a square support: a bool or float ndarray or a scipy.sparse
+    matrix, where a nonzero S[i, j] is the edge j -> i and explicitly
+    stored zeros are not edges.  A root exists iff the strongly
     connected condensation has exactly one source component; the valid
     roots are exactly that component.
     """

@@ -2,12 +2,11 @@
 frame, the norm.
 
 Everything operates on plain numpy float arrays.  A "stochastic matrix"
-is an ndarray, a CSR record or a scipy.sparse matrix validated by
-is_stochastic (nonnegative, unit row sums within 1e-12).  The CSR record
-multiplies with scipy's compiled CSR kernels, loaded without
-scipy.sparse.  The transverse frame, off the all-ones direction, is the
-difference frame, applied in closed form without forming P or its
-right inverse.
+is an ndarray or a CSR record validated by is_stochastic (nonnegative,
+unit row sums within 1e-12).  The CSR record multiplies with scipy's
+compiled CSR kernels, loaded without scipy.sparse.  The transverse
+frame, off the all-ones direction, is the difference frame, applied in
+closed form without forming P or its right inverse.
 """
 
 import importlib.machinery
@@ -53,12 +52,12 @@ class CSR(NamedTuple):
     data[indptr[i]:indptr[i+1]] in the columns indices[indptr[i]:indptr[i+1]].
 
     `G @ X` for a real X of m rows runs scipy's own csr_matvec (X of one
-    column) or csr_matvecs (any wider X) exactly as scipy.sparse's
-    csr_array dispatches them, so the products are its products bit for
-    bit.  The kernels trust the structure: index arrays of one integer
-    dtype, a nondecreasing indptr of m + 1 entries from 0 to len(data),
-    and every index in [0, m), which sources._validated checks before a
-    record is used.
+    column) or csr_matvecs (any wider X) exactly as scipy's csr_array
+    dispatches them, so the products are its products bit for bit.  The
+    kernels trust the structure: index arrays of one integer dtype, a
+    nondecreasing indptr of m + 1 entries from 0 to len(data), and every
+    index in [0, m), which sources._validated checks before a record is
+    used.
     """
 
     data: np.ndarray
@@ -92,32 +91,20 @@ class CSR(NamedTuple):
         return out
 
 
-def issparse(G) -> bool:
-    """True for a CSR record or a scipy.sparse matrix, without importing
-    scipy: a scipy.sparse matrix can only exist once scipy.sparse has
-    been imported."""
-    if isinstance(G, CSR):
-        return True
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(G)
-
-
 def is_stochastic(G, tol: float = ROW_SUM_TOL) -> bool:
     """Square and nonempty, finite, entries >= -tol and row sums within
     tol of 1.
 
-    A sparse matrix is checked on its stored entries, in O(nnz).  Its
+    A CSR record is checked on its stored entries, in O(nnz).  Its
     nonempty rows are summed by np.add.reduceat over the stored entries,
-    the reduction scipy.sparse runs for a CSR array's row sums, so a
-    verdict does not depend on which of the two holds the matrix.
+    the reduction scipy runs for a csr_array's row sums, so a verdict
+    does not depend on which of the two holds the matrix.
     """
-    sparse = issparse(G)
+    sparse = isinstance(G, CSR)
     if not sparse:
         G = np.asarray(G, dtype=float)
     if len(G.shape) != 2 or G.shape[0] != G.shape[1] or not G.shape[0]:
         return False
-    if sparse and not isinstance(G, CSR):
-        G = G.tocsr()
     entries = G.data if sparse else G
     if entries.size and (not np.all(np.isfinite(entries)) or np.min(entries) < -tol):
         return False

@@ -8,8 +8,9 @@ emission, so memory does not grow with the horizon.  A caller that
 reads a time twice builds a second source from the same seeded config,
 as spectrum's diameter pass does; simulate and check read each once.
 
-A matrix is a float ndarray or a CSR record (linalg.CSR), validated as
-row stochastic and frozen; a scipy.sparse input becomes a CSR record.
+A matrix is a float ndarray or a canonical CSR record (linalg.CSR),
+validated as row stochastic and frozen; any other input, another
+library's sparse matrix among them, is rejected with InvalidParamsError.
 Input is copied first, except arrays already frozen by their maker, as
 process emissions are: a float64 ndarray, or a canonical float64 record,
 that owns its C-contiguous, read-only arrays is checked and kept as is.
@@ -24,7 +25,7 @@ from .errors import (
     InvalidParamsError,
     ProcessExhaustedError,
 )
-from .linalg import CSR, is_stochastic, issparse, sparsetools
+from .linalg import CSR, is_stochastic, sparsetools
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
 # 1, 2, 3", SC 2011): round multipliers and key increments.  Every
@@ -78,62 +79,47 @@ def _frozen(a) -> bool:
             and not a.flags.writeable)
 
 
-def _in_canonical_order(G: CSR, what: str) -> bool:
-    """Whether G's indices rise strictly within each row, by scipy's own
-    compiled check.  First checks that G holds an m x m CSR structure,
-    as scipy's constructor does, with int32 or int64 indices, the index
-    types the kernels are compiled for, and that every index lies in
-    [0, m), so that they read within bounds; raises InvalidParamsError
-    where it does not."""
+def _csr(G: CSR, what: str) -> CSR:
+    """G as a canonical float64 CSR record, kept as is when its maker has
+    frozen it and copied otherwise.  Raises InvalidParamsError unless G
+    holds an m x m CSR structure, as scipy's constructor checks it, with
+    int32 or int64 indices, the index types the kernels are compiled
+    for, every index in [0, m), so that they read within bounds, and
+    indices rising strictly within each row, by scipy's own compiled
+    check."""
+    if not (all(map(_frozen, G[:3])) and G.data.dtype == np.float64):
+        try:
+            G = CSR(np.array(G.data, dtype=float), np.array(G.indices), np.array(G.indptr), G.m)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError(f"{what} is not a CSR matrix: {exc}") from exc
     data, indices, indptr, m = G
     if not (isinstance(m, (int, np.integer))
             and all(isinstance(a, np.ndarray) and a.ndim == 1 for a in (data, indices, indptr))
             and indptr.dtype in (np.int32, np.int64) and indices.dtype == indptr.dtype
             and indptr.size == m + 1 and indices.size == data.size
             and indptr[0] == 0 and indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0)
-            and (not indices.size or 0 <= indices.min() and indices.max() < m)):
+            and (not indices.size or 0 <= indices.min() and indices.max() < m)
+            and sparsetools().csr_has_canonical_format(m, indptr, indices)):
         raise InvalidParamsError(f"{what} is not a CSR matrix of {m} rows and columns")
-    return bool(sparsetools().csr_has_canonical_format(m, indptr, indices))
-
-
-def _csr(G, what: str) -> CSR:
-    """A canonical float64 CSR record of sparse G, which is kept as is
-    when it is such a record already, frozen by its maker.  Any other
-    record is copied, and put in canonical order through scipy.sparse if
-    it is not in it; a scipy.sparse input, which has loaded scipy.sparse
-    already, is copied and put in canonical order the same way."""
-    shape = None
-    if isinstance(G, CSR):
-        if not (all(map(_frozen, G[:3])) and G.data.dtype == np.float64):
-            try:
-                G = CSR(np.array(G.data, dtype=float), np.array(G.indices), np.array(G.indptr), G.m)
-            except (TypeError, ValueError) as exc:
-                raise InvalidParamsError(f"{what} is not a CSR matrix: {exc}") from exc
-        if _in_canonical_order(G, what):
-            return G
-        G, shape = tuple(G[:3]), G.shape
-    from scipy.sparse import csr_array
-
-    G = csr_array(G, shape=shape, dtype=float, copy=True)
-    G.sum_duplicates()
-    if len(G.shape) != 2 or G.shape[0] != G.shape[1]:
-        raise InvalidParamsError(f"{what} is not row stochastic")
-    G = CSR(G.data, G.indices, G.indptr, G.shape[0])
-    _in_canonical_order(G, what)
     return G
 
 
 def _validated(G, what: str = "matrix"):
-    """G checked row stochastic and frozen: a float64 ndarray or, for
-    sparse input, a canonical float64 CSR record.  Arrays their maker
-    has frozen are taken as is (see _frozen and _csr); any other input
-    is copied, so the caller's arrays are never frozen or reordered."""
-    if issparse(G):
+    """G checked row stochastic and frozen: a float64 ndarray or a
+    canonical float64 CSR record.  Arrays their maker has frozen are
+    taken as is (see _frozen and _csr); any other input is copied, so
+    the caller's arrays are never frozen."""
+    if isinstance(G, CSR):
         G = _csr(G, what)
         arrays = (G.data, G.indices, G.indptr)
     else:
         if not (_frozen(G) and G.dtype == np.float64):
-            G = np.array(G, dtype=float)
+            try:
+                G = np.array(G, dtype=float)
+            except (TypeError, ValueError) as exc:
+                why = ("a sparse S is a record as CSR(S.data, S.indices, S.indptr, S.shape[0])"
+                       " after S = S.tocsr(); S.sum_duplicates()") if hasattr(G, "tocsr") else exc
+                raise InvalidParamsError(f"{what} is not a float matrix: {why}") from exc
         arrays = (G,)
     if not is_stochastic(G):
         raise InvalidParamsError(f"{what} is not row stochastic")

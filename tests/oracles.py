@@ -18,7 +18,7 @@ from netsync.errors import (
 )
 from netsync.hajnal import POSITIVITY_THRESHOLD, _rows, diam
 from netsync.jsr import _validated_set
-from netsync.linalg import is_stochastic, issparse, matrix_norm, spectral_radius
+from netsync.linalg import CSR, is_stochastic, matrix_norm, spectral_radius
 
 BOUND_SLACK = 1e-10
 BRUTE_FORCE_BUDGET = 10**7
@@ -47,8 +47,11 @@ class SingularMatrixError(NetsyncError):
 
 
 def as_dense(G) -> np.ndarray:
-    """G as a float ndarray; a scipy.sparse matrix is densified."""
-    return np.asarray(G.toarray() if issparse(G) else G, dtype=float)
+    """G as a float ndarray; a CSR record or a scipy.sparse matrix is
+    densified."""
+    from scipy.sparse import issparse
+
+    return np.asarray(G.toarray() if isinstance(G, CSR) or issparse(G) else G, dtype=float)
 
 
 # the norms besides the package's infinity norm: the scipy.spatial.distance

@@ -35,7 +35,7 @@ from netsync.estimators import (
     window_schedule,
 )
 from netsync.hajnal import diam
-from netsync.linalg import compress, difference, lift
+from netsync.linalg import CSR, compress, difference, lift
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DrivenSource,
@@ -550,7 +550,9 @@ def sparse_ring(m):
 
     rows = np.repeat(np.arange(m), 3)
     cols = (rows + np.tile([-1, 0, 1], m)) % m
-    return StaticSource(csr_array((np.full(3 * m, 1.0 / 3.0), (rows, cols)), shape=(m, m)))
+    S = csr_array((np.full(3 * m, 1.0 / 3.0), (rows, cols)), shape=(m, m))
+    S.sum_duplicates()
+    return StaticSource(CSR(S.data, S.indices, S.indptr, m))
 
 
 def collapsing_periodic_source():

@@ -183,6 +183,28 @@ def test_kernels_come_through_scipy_sparse_where_the_file_is_not_found(tmp_path)
     assert lines == ["True True"]
 
 
+def test_sources_check_a_record_without_scipy_sparse():
+    # row 0 of the second record lists column 2 before column 0
+    lines = fresh_stdout(
+        "import sys\n"
+        "import numpy as np\n"
+        "from netsync.errors import InvalidParamsError\n"
+        "from netsync.linalg import CSR\n"
+        "from netsync.sources import StaticSource\n"
+        "indices = np.array([0, 2, 1, 2], dtype=np.int32)\n"
+        "indptr = np.array([0, 2, 3, 4], dtype=np.int32)\n"
+        "G = CSR(np.array([0.25, 0.75, 1.0, 1.0]), indices, indptr, 3)\n"
+        "print(StaticSource(G).m)\n"
+        "swapped = CSR(G.data[[1, 0, 2, 3]], G.indices[[1, 0, 2, 3]], indptr, 3)\n"
+        "try:\n"
+        "    StaticSource(swapped)\n"
+        "except InvalidParamsError as exc:\n"
+        "    print(exc)\n"
+        "print('scipy.sparse' in sys.modules)"
+    )
+    assert lines == ["3", "matrix is not a CSR matrix of 3 rows and columns", "False"]
+
+
 def test_jsr_certified_by_polytope_loads_no_scipy(tmp_path):
     loaded = loaded_scipy_modules(jsr_main(tmp_path))
     bounds = json.loads((tmp_path / "out" / "jsr_bounds.json").read_text())

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array, csr_matrix
 
 from netsync.linalg import CSR, is_stochastic
 from netsync.errors import EmptySetError, InvalidParamsError, ProcessExhaustedError
@@ -347,10 +347,10 @@ def record(A, index_dtype=np.int32):
 
 
 def test_driven_validates_sparse_output():
-    G = csr_array(A2)
+    G = record(A2)
     out = DrivenSource(ListProcess([G])).at(0)
     assert isinstance(out, CSR) and np.array_equal(out.toarray(), A2)
-    # a frozen copy: the process's own matrix is left writeable
+    # a frozen copy: the process's own record is left writeable
     assert not out.data.flags.writeable
     assert G.data.flags.writeable
 
@@ -361,22 +361,24 @@ def test_driven_takes_a_frozen_canonical_emission_as_is():
         assert DrivenSource(ListProcess([G])).at(0) is G
 
 
-def test_driven_copies_a_frozen_emission_out_of_canonical_form():
-    # row 0 lists column 1 before column 0, and column 1 twice
-    arrays = (np.array([0.25, 0.5, 0.25, 0.5, 0.5]), np.array([1, 0, 1, 0, 1]), np.array([0, 3, 5]))
-    for G in (csr_array(arrays, shape=(2, 2)), CSR(*arrays, 2)):
-        G = frozen(G)
-        before = [a.copy() for a in (G.data, G.indices, G.indptr)]
-        out = DrivenSource(ListProcess([G])).at(0)
-        assert out is not G and isinstance(out, CSR) and out.data.size == 4
-        assert csr_array(out[:3], shape=out.shape).has_canonical_format
-        assert np.array_equal(out.toarray(), [[0.5, 0.5], [0.5, 0.5]])
-        for a, b in zip((G.data, G.indices, G.indptr), before):
+@pytest.mark.parametrize("arrays", [
+    pytest.param(([0.5, 0.5, 0.5, 0.5], [1, 0, 0, 1], [0, 2, 4]), id="out-of-order"),
+    pytest.param(([0.25, 0.25, 0.5, 0.5, 0.5], [0, 0, 1, 0, 1], [0, 3, 5]), id="duplicate"),
+])
+def test_record_out_of_canonical_form_rejected_typed(arrays):
+    # both row stochastic: only the layout of row 0 is at fault
+    arrays = [np.array(a, dtype=dtype) for a, dtype in zip(arrays, (float, np.int32, np.int32))]
+    assert is_stochastic(CSR(*arrays, 2))
+    for G in (CSR(*arrays, 2), frozen(CSR(*arrays, 2))):
+        before = [a.copy() for a in G[:3]]
+        with pytest.raises(InvalidParamsError, match="t=0 is not a CSR matrix of 2 rows"):
+            DrivenSource(ListProcess([G])).at(0)
+        for a, b in zip(G[:3], before):
             assert np.array_equal(a, b)
 
 
 def test_driven_checks_a_frozen_emission():
-    bad = frozen(csr_array(np.array([[0.5, 0.5], [0.0, 0.9]])))
+    bad = frozen(record(np.array([[0.5, 0.5], [0.0, 0.9]])))
     with pytest.raises(InvalidParamsError, match="t=0"):
         DrivenSource(ListProcess([bad])).at(0)
 
@@ -427,34 +429,51 @@ def test_record_index_dtypes_other_than_the_kernels_rejected_typed(indices, indp
         StaticSource(G)
 
 
-def test_scipy_input_with_index_out_of_range_rejected_typed():
-    # scipy's constructor checks no index range; the kernels would read past the state
-    G = csr_array((np.array([1.0, 1.0]), np.array([0, 5]), np.array([0, 1, 2])), shape=(2, 2))
-    with pytest.raises(InvalidParamsError, match="not a CSR matrix"):
-        StaticSource(G)
-
-
 @pytest.mark.parametrize(
     "bad",
     [
-        csr_array(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])),  # not square
-        csr_array(np.array([[1.5, -0.5], [0.0, 1.0]])),  # negative entry
-        csr_array(np.array([[np.nan, 1.0], [0.0, 1.0]])),  # not finite
-        csr_array(np.array([[0.5, 0.5], [0.0, 0.9]])),  # row sum off
-        csr_array((2, 2)),  # empty rows
-        csr_array((0, 0)),  # no rows
+        np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]]),  # not square
+        np.array([[1.5, -0.5], [0.0, 1.0]]),  # negative entry
+        np.array([[np.nan, 1.0], [0.0, 1.0]]),  # not finite
+        np.array([[0.5, 0.5], [0.0, 0.9]]),  # row sum off
+        np.zeros((2, 2)),  # empty rows
+        np.zeros((0, 0)),  # no rows
     ],
 )
 def test_sparse_output_checked_like_dense(bad):
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match="not row stochastic"):
         StaticSource(bad)
-    with pytest.raises(InvalidParamsError):
-        StaticSource(bad.toarray())
     if bad.shape[0] == bad.shape[1]:
-        G = frozen(record(bad.toarray()))
-        assert not is_stochastic(G)
-        with pytest.raises(InvalidParamsError, match="not row stochastic"):
-            StaticSource(G)
+        for G in (record(bad), frozen(record(bad))):
+            assert not is_stochastic(G)
+            with pytest.raises(InvalidParamsError, match="not row stochastic"):
+                StaticSource(G)
+
+
+@pytest.mark.parametrize("G", [
+    pytest.param([[1.0], [0.5, 0.5]], id="ragged"),
+    pytest.param([["a", "b"], ["c", "d"]], id="strings"),
+])
+def test_input_numpy_cannot_read_as_floats_rejected_typed(G):
+    with pytest.raises(InvalidParamsError, match="not a float matrix"):
+        StaticSource(G)
+    with pytest.raises(InvalidParamsError, match="matrix 1 is not a float matrix"):
+        PeriodicSource([A2, G])
+
+
+@pytest.mark.parametrize("to_sparse", [csr_array, csr_matrix, coo_array])
+def test_scipy_sparse_input_rejected_typed_naming_the_record(to_sparse):
+    S = to_sparse(A2)
+    named = r"not a float matrix: a sparse S is a record as CSR\(S\.data"
+    with pytest.raises(InvalidParamsError, match=named):
+        StaticSource(S)
+    with pytest.raises(InvalidParamsError, match="t=0 is " + named):
+        DrivenSource(ListProcess([S])).at(0)
+    # the conversion the message names gives a record the source takes
+    S = S.tocsr()
+    S.sum_duplicates()
+    G = StaticSource(CSR(S.data, S.indices, S.indptr, S.shape[0])).at(0)
+    assert np.array_equal(G.toarray(), A2)
 
 
 def test_negative_time_rejected():
