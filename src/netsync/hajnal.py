@@ -20,13 +20,17 @@ SCRAMBLING_BLOCK = 2**18
 
 def _matrix(G):
     """G as is when it is a scipy.sparse matrix, else as an ndarray;
-    raises InvalidParamsError where numpy cannot read G as an array."""
+    raises InvalidParamsError where numpy cannot read G as an array or
+    its entries are not bool, integer or float."""
     from scipy.sparse import issparse
 
     try:
-        return G if issparse(G) else np.asarray(G)
+        G = G if issparse(G) else np.asarray(G)
     except ValueError as exc:
         raise InvalidParamsError(f"expected an array or a scipy.sparse matrix: {exc}") from exc
+    if G.dtype.kind not in "biuf":
+        raise InvalidParamsError(f"expected a bool, integer or float support, got dtype {G.dtype}")
+    return G
 
 
 def _rows(L) -> np.ndarray:

@@ -32,8 +32,10 @@ absorbed into the terminal set.  Norms are 2-norms after conjugating
 the set so the witness product becomes real block diagonal, where its
 2-norm equals its spectral radius, so the witness branch stops propping
 up the bound; a fixed similarity changes no spectral radius.  Without a
-usable witness the search uses the infinity norm of the balanced set.
-Only this fallback and the polytope above 2x2 load scipy.
+usable witness the search uses the infinity norm of the caller's set.
+Only this fallback and the polytope above 2x2 load scipy.  A product
+that is not finite, from an inf or NaN entry or an overflow, in either
+pass, fails with InvalidParamsError.
 """
 
 import heapq
@@ -96,26 +98,6 @@ def _validated_set(matrices: Sequence) -> List[np.ndarray]:
                 f"mixed dimensions in set: {shape} vs {A.shape}"
             )
     return mats
-
-
-def _balanced(mats: List[np.ndarray]) -> List[np.ndarray]:
-    """Apply one diagonal similarity, chosen by balancing the entrywise
-    sum of absolute values, to the whole set.  Similarities preserve
-    every spectral radius and the JSR while often shrinking norms, which
-    tightens pruning."""
-    X = np.zeros(mats[0].shape)
-    for A in mats:
-        X += np.abs(A)
-    from scipy.linalg import matrix_balance
-
-    try:
-        _, T = matrix_balance(X, permute=False)
-        d = np.diag(T)
-    except Exception:
-        return mats
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        return mats
-    return [(A * d[None, :]) / d[:, None] for A in mats]
 
 
 def _word_product(mats: List[np.ndarray], word: Tuple[int, ...]) -> np.ndarray:
@@ -410,42 +392,42 @@ def gripenberg(
         return bounds(max(rates), max(rates))
 
     lower, best = 0.0, (math.inf, {})
-    for budget in sorted({min(max_nodes, b) for b in WITNESS_PASS_NODES}):
-        polytope = None
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for budget in sorted({min(max_nodes, b) for b in WITNESS_PASS_NODES}):
                 lower, witness, _, nodes, depth = _search(
                     mats, tol, max_len, budget, matrix_norm
                 )
                 node_count += nodes
                 depth_reached = max(depth_reached, depth)
-                if lower > 0:
-                    polytope = _invariant_polytope(mats, witness)
-        except np.linalg.LinAlgError:
-            break  # a product overflowed unbalanced; the balanced search may not
-        if polytope is not None:
-            rho, V, factor = polytope
-            certificate = dict(certificate="polytope", vertex_count=V.shape[1])
-            certified = bounds(rho, rho * max(1.0, factor), **certificate)
-            if certified.converged:
-                return certified
-            # keep the tightest polytope bound for the search to improve on
-            best = min(best, (certified.upper, certificate), key=lambda b: b[0])
+                polytope = _invariant_polytope(mats, witness) if lower > 0 else None
+                if polytope is not None:
+                    rho, V, factor = polytope
+                    certificate = dict(certificate="polytope", vertex_count=V.shape[1])
+                    certified = bounds(rho, rho * max(1.0, factor), **certificate)
+                    if certified.converged:
+                        return certified
+                    # keep the tightest polytope bound for the search to improve on
+                    best = min(best, (certified.upper, certificate), key=lambda b: b[0])
 
-    work = _balanced(mats)
-    adapted = _adapted_set(work, witness) if witness else None
-    if adapted is None:
-        norm_fn = matrix_norm
-    else:
-        work, norm_fn = adapted, lambda P: float(np.linalg.norm(P, 2))
-    lower, witness, upper, nodes, depth = _search(
-        work, tol, max_len, max_nodes, norm_fn, lower0=lower, witness0=witness
-    )
-    node_count += nodes
-    depth_reached = max(depth_reached, depth)
-    if witness:
-        # re-certify the witness against the caller's matrices so the lower
-        # bound is reproducible without knowing the internal similarities
-        lower = spectral_radius(_word_product(mats, witness)) ** (1.0 / len(witness))
+            adapted = _adapted_set(mats, witness) if witness else None
+            if adapted is None:
+                work, norm_fn = mats, matrix_norm
+            else:
+                work, norm_fn = adapted, lambda P: float(np.linalg.norm(P, 2))
+            lower, witness, upper, nodes, depth = _search(
+                work, tol, max_len, max_nodes, norm_fn, lower0=lower, witness0=witness
+            )
+            node_count += nodes
+            depth_reached = max(depth_reached, depth)
+            if witness:
+                # re-certify the witness against the caller's matrices so the lower
+                # bound is reproducible without knowing the adapted basis
+                lower = spectral_radius(_word_product(mats, witness)) ** (1.0 / len(witness))
+    except np.linalg.LinAlgError as exc:
+        raise InvalidParamsError(
+            f"a product of the matrix set is not finite (an entry is inf or NaN, "
+            f"or the products overflow): {exc}"
+        ) from exc
     upper, certificate = min((upper, {}), best, key=lambda b: b[0])
     return bounds(lower, max(upper, lower), **certificate)

@@ -98,11 +98,15 @@ def is_stochastic(G, tol: float = ROW_SUM_TOL) -> bool:
     A CSR record is checked on its stored entries, in O(nnz).  Its
     nonempty rows are summed by np.add.reduceat over the stored entries,
     the reduction scipy runs for a csr_array's row sums, so a verdict
-    does not depend on which of the two holds the matrix.
+    does not depend on which of the two holds the matrix.  Input numpy
+    cannot read as a float matrix raises InvalidParamsError.
     """
     sparse = isinstance(G, CSR)
     if not sparse:
-        G = np.asarray(G, dtype=float)
+        try:
+            G = np.asarray(G, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError(f"{type(G).__name__} is not a float matrix: {exc}") from exc
     if len(G.shape) != 2 or G.shape[0] != G.shape[1] or not G.shape[0]:
         return False
     entries = G.data if sparse else G

@@ -267,3 +267,14 @@ def test_predicates_reject_what_numpy_cannot_read_typed(S):
         is_scrambling(S)
     with pytest.raises(InvalidParamsError):
         has_spanning_tree(S)
+
+
+@pytest.mark.parametrize("S", [
+    pytest.param([["a", "b"], ["c", "d"]], id="strings"),
+    pytest.param(np.eye(2).astype(object), id="object"),
+])
+def test_predicates_reject_a_non_numeric_support_typed(S):
+    with pytest.raises(InvalidParamsError, match="dtype"):
+        is_scrambling(S)
+    with pytest.raises(InvalidParamsError, match="dtype"):
+        has_spanning_tree(S)

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from netsync.cli import main
-from netsync.jsr import _balanced
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -236,11 +235,3 @@ def test_main_freezes_nothing_in_process(tmp_path):
     # calls main is never frozen mid-run
     assert main(jsr_args(tmp_path)) == 0
     assert gc.get_freeze_count() == 0
-
-
-def test_balanced_leaves_non_finite_input_unchanged():
-    A = np.array([[0.5, np.nan], [1e6, 0.5]])
-    B = np.array([[0.1, 2.0], [3.0, 0.4]])
-    mats = [A, B]
-    assert _balanced(mats) is mats
-    assert _balanced([np.array([[1.0, np.inf], [0.0, 1.0]]), B])[1] is B

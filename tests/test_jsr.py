@@ -7,6 +7,7 @@ the invariant polytope's gauge independently, through the dual
 programme, which no part of the certificate solves.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,6 @@ from netsync.errors import DimensionMismatchError, EmptySetError, InvalidParamsE
 from netsync import jsr
 from netsync.jsr import (
     JsrBounds,
-    _balanced,
     _invariant_polytope,
     gripenberg,
 )
@@ -135,20 +135,16 @@ def test_gripenberg_validates_inputs():
             gripenberg([np.eye(2)], tol=tol)
 
 
-def test_gripenberg_balancing_changes_nothing_semantically(monkeypatch):
+def test_gripenberg_similar_sets_bracket_the_same_jsr():
     # a 3x3 set whose witness has a complex leading eigenvalue reaches
-    # the search, which balances it; the diagonal similarity gives
-    # balancing something to undo
+    # the search; a diagonal similarity changes no JSR, so the set and
+    # its mis-scaled conjugate bracket the same value
     rng = np.random.default_rng(1)
     mats = projected_set([stochastic_with_tree(rng, 4) for _ in range(3)])
     d = np.array([1.0, 30.0, 0.05])
-    mats = [(M * d[None, :]) / d[:, None] for M in mats]
-    assert any(not np.array_equal(B, M) for B, M in zip(_balanced(mats), mats))
     a = gripenberg(mats, tol=1e-4, max_nodes=2000)
-    monkeypatch.setattr(jsr, "_balanced", lambda mats: mats)
-    b = gripenberg(mats, tol=1e-4, max_nodes=2000)
+    b = gripenberg([(M * d[None, :]) / d[:, None] for M in mats], tol=1e-4, max_nodes=2000)
     assert a.certificate == b.certificate == "search"
-    # both must bracket the same JSR
     assert max(a.lower, b.lower) <= min(a.upper, b.upper) + 1e-9
 
 
@@ -252,17 +248,29 @@ def test_scalar_set_exact():
     assert res.witness == (1,) and res.converged
 
 
-# scipy's matrix_balance warns of overflow on this set by design; raised as
-# an error, the warning would make _balanced fall back to the unbalanced set
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_witness_pass_falls_back_to_balanced_search():
-    # unbalanced, the witness pass overflows on its second product;
-    # balancing makes the set tractable, as it did before the polytope
+def test_overflowing_witness_pass_fails_typed():
+    # the witness pass overflows on its second product
     mats = [np.array([[1e150, 1e-150], [1e-150, 1.0]]),
             np.array([[0.5, 1e200], [0.0, 0.1]])]
-    res = gripenberg(mats, max_nodes=500)
-    assert res.certificate == "search"
-    assert res.witness == (0,) and res.lower == res.upper == 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParamsError, match="overflow") as info:
+            gripenberg(mats, max_nodes=500)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_overflowing_search_fails_typed(monkeypatch):
+    # a witness pass of single letters stays finite; the search then
+    # follows the Jordan blocks' growing norms until a product overflows
+    monkeypatch.setattr(jsr, "WITNESS_PASS_NODES", (2,))
+    mats = [1e30 * np.array([[1.0, 1.0], [0.0, 1.0]]),
+            1e30 * np.array([[1.0, 0.0], [1.0, 1.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParamsError, match="overflow"):
+            gripenberg(mats, max_nodes=500)
+    res = gripenberg(mats, max_len=8)
+    assert res.certificate == "search" and res.depth_reached == 8
 
 
 def test_sample_set_above_two_by_two_certified_by_polytope():

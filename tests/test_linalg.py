@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
+from netsync.errors import InvalidParamsError
 from netsync.linalg import (
     CSR,
     compress,
@@ -80,6 +81,15 @@ def test_is_stochastic_rejects_an_empty_matrix():
     empty = CSR(np.zeros(0), np.zeros(0, dtype=np.int32), np.zeros(1, dtype=np.int32), 0)
     assert is_stochastic(np.zeros((0, 0))) is False
     assert is_stochastic(empty) is False
+
+
+@pytest.mark.parametrize("G", [
+    pytest.param([[1.0], [0.5, 0.5]], id="ragged"),
+    pytest.param(csr_array(np.eye(2)), id="csr_array"),
+])
+def test_is_stochastic_rejects_what_numpy_cannot_read_typed(G):
+    with pytest.raises(InvalidParamsError, match=type(G).__name__):
+        is_stochastic(G)
 
 
 def test_is_stochastic_sums_a_record_as_scipy_sums_its_twin():
