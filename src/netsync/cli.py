@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 # bench/child.py wraps cli.simulate by name, so it stays a module global
-from .cml import Orbit, make_sync_report, simulate  # noqa: F401
+from .cml import INDETERMINATE_BAND, Orbit, criterion, simulate  # noqa: F401
 from .config import (
     ExperimentConfig,
     _as_matrix,
@@ -111,7 +111,8 @@ def _run_sigma1(cfg, source):
 
 
 def run_sync_experiment(cfg):
-    """Estimate sigma1 and mu, simulate; the SyncReport and sigma1 estimate.
+    """Estimate sigma1 and mu, simulate; the run, the sigma1 estimate, mu
+    and whether mu was 'supplied' or 'estimated'.
 
     The single code path behind both `simulate` and each `sweep` row, so
     a one-value sweep reproduces the simulate summary exactly.  sigma1
@@ -132,7 +133,7 @@ def run_sync_experiment(cfg):
     x0 = initial_state(cfg, source.m, fmap)
     orbit = Orbit(source, fmap, x0, cfg.simulation.steps, cfg.simulation.record_every)
     sig = _run_sigma1(cfg, orbit)
-    return make_sync_report(orbit.run(), sig.value, mu, mu_source), sig
+    return orbit.run(), sig, mu, mu_source
 
 
 def cmd_spectrum(args) -> int:
@@ -179,18 +180,19 @@ def cmd_spectrum(args) -> int:
 
 def cmd_simulate(args) -> int:
     raw, cfg, h, out = _load_config(args)
-    report, sig = run_sync_experiment(cfg)
-    run = report.run
+    run, sig, mu, mu_source = run_sync_experiment(cfg)
+    W, predicted = criterion(sig.value, mu)
+    indeterminate = abs(W) < INDETERMINATE_BAND
     # the fields sync_report.csv's metadata line shares with summary.json
     shared = {
         "m": run.m,
         "steps": run.steps,
-        "sigma1": report.sigma1,
-        "mu": report.mu,
-        "W": report.W,
-        "predicted_sync": report.predicted_sync,
+        "sigma1": sig.value,
+        "mu": mu,
+        "W": W,
+        "predicted_sync": predicted,
         "observed_sync": run.observed_sync,
-        "mu_source": report.mu_source,
+        "mu_source": mu_source,
         "config_hash": h,
     }
     _write_csv(
@@ -211,16 +213,16 @@ def cmd_simulate(args) -> int:
             **shared,
             "sigma1_converged": sig.converged,
             "sigma1_collapsed": sig.collapsed,
-            "indeterminate": report.indeterminate,
+            "indeterminate": indeterminate,
             "K_post_transient": run.k_final_quarter,
             "final_diam": run.diam_series[-1],
         },
     )
-    verdict = "indeterminate" if report.indeterminate else (
-        "sync predicted" if report.predicted_sync else "sync not predicted"
+    verdict = "indeterminate" if indeterminate else (
+        "sync predicted" if predicted else "sync not predicted"
     )
     print(
-        f"W={report.W:.6g} ({verdict}; mu {report.mu_source}),"
+        f"W={W:.6g} ({verdict}; mu {mu_source}),"
         f" observed_sync={run.observed_sync},"
         f" K_post_transient={run.k_final_quarter:.6g}"
     )
@@ -230,9 +232,8 @@ def cmd_simulate(args) -> int:
 
 def _sweep_row(cfg):
     """The sweep.csv cells after the parameter; whether sigma1 settled."""
-    report, sig = run_sync_experiment(cfg)
-    run = report.run
-    cells = (run.k_final_quarter, report.W, report.predicted_sync, run.observed_sync)
+    run, sig, mu, _ = run_sync_experiment(cfg)
+    cells = (run.k_final_quarter, *criterion(sig.value, mu), run.observed_sync)
     return cells, sig.converged or sig.collapsed
 
 
@@ -404,8 +405,8 @@ def cmd_jsr(args) -> int:
     )
     if args.mu is not None:
         log_upper = math.log(bounds.upper) if bounds.upper > 0 else -math.inf
-        W_bound = log_upper + args.mu
-        verdict = "synchronized" if W_bound < 0 else "not guaranteed"
+        W_bound, predicted = criterion(log_upper, args.mu)
+        verdict = "synchronized" if predicted else "not guaranteed"
         obj["log_upper_plus_mu"] = W_bound
         obj["verdict"] = verdict
         line += f" | W bound {W_bound:.6g} -> {verdict}"

@@ -65,7 +65,8 @@ def criterion(sigma1, mu):
     """Combine transverse exponent and map exponent into W = sigma1 + mu.
 
     sigma1 = -inf (coupling collapses in finite time) gives W = -inf,
-    which predicts synchronization.
+    which predicts synchronization.  Callers report a |W| below
+    INDETERMINATE_BAND as indeterminate rather than either outcome.
     """
     if not np.isfinite(mu):
         raise InvalidParamsError("mu must be finite")
@@ -85,18 +86,6 @@ class SimRun(NamedTuple):
     final_state: np.ndarray
     observed_sync: bool
     k_final_quarter: float
-
-
-class SyncReport(NamedTuple):
-    """A finished run with the analytic criterion attached."""
-
-    run: SimRun
-    sigma1: float
-    mu: float
-    W: float
-    predicted_sync: bool
-    indeterminate: bool
-    mu_source: str
 
 
 class Orbit:
@@ -175,25 +164,3 @@ class Orbit:
 def simulate(source: MatrixSource, fmap: ScalarMap, x0, steps, record_every=1):
     """Run the lattice for `steps` updates through source.at(0..steps-1)."""
     return Orbit(source, fmap, x0, steps, record_every).run()
-
-
-def make_sync_report(run: SimRun, sigma1, mu, mu_source):
-    """Attach the analytic criterion to a finished run.
-
-    |W| < INDETERMINATE_BAND flags the verdict as indeterminate rather
-    than asserting either outcome.
-    """
-    if mu_source not in ("supplied", "estimated"):
-        raise InvalidParamsError("mu_source must be 'supplied' or 'estimated'")
-    W, predicted = criterion(sigma1, mu)
-    indeterminate = abs(W) < INDETERMINATE_BAND
-    return SyncReport(
-        run=run,
-        sigma1=float(sigma1),
-        mu=float(mu),
-        W=W,
-        predicted_sync=predicted,
-        indeterminate=indeterminate,
-        mu_source=mu_source,
-    )
-

@@ -86,17 +86,19 @@ class JsrBounds(NamedTuple):
 
 
 def _validated_set(matrices: Sequence) -> List[np.ndarray]:
-    mats = [np.asarray(A, dtype=float) for A in matrices]
+    mats = []
+    for k, A in enumerate(matrices):
+        try:
+            mats.append(np.asarray(A, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError(f"matrix {k} is not a float matrix: {exc}") from exc
+        if mats[k].shape != mats[0].shape:
+            raise DimensionMismatchError(f"matrix {k} is {mats[k].shape}, expected {mats[0].shape}")
     if not mats:
         raise EmptySetError("matrix set is empty")
     shape = mats[0].shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionMismatchError(f"matrices must be square, got {shape}")
-    for A in mats[1:]:
-        if A.shape != shape:
-            raise DimensionMismatchError(
-                f"mixed dimensions in set: {shape} vs {A.shape}"
-            )
     return mats
 
 

@@ -158,6 +158,26 @@ def test_simulate_rank_one_writes_negative_infinity(tmp_path):
     assert " W=-inf " in meta
 
 
+@pytest.mark.parametrize("mu, W, indeterminate, predicted", [
+    (0.68, -0.0131, True, True), (0.64, -0.0531, False, True), (0.743, 0.0499, True, False),
+])
+def test_simulate_flags_w_inside_the_band_indeterminate(
+    tmp_path, capsys, mu, W, indeterminate, predicted
+):
+    # the two-node static coupling's sigma1 is log 0.5, so mu places W
+    # inside or outside |W| < INDETERMINATE_BAND = 0.05
+    cfg = write_config(tmp_path, two_node_doc(map={"name": "logistic", "alpha": 3.9, "mu": mu}))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["sigma1"] == pytest.approx(np.log(0.5), abs=1e-12)
+    assert summary["W"] == summary["sigma1"] + mu
+    assert summary["W"] == pytest.approx(W, abs=1e-4)
+    assert summary["indeterminate"] is indeterminate
+    assert summary["predicted_sync"] is predicted
+    verdict = "indeterminate" if indeterminate else "sync predicted"
+    assert f"({verdict}; mu supplied)" in capsys.readouterr().out
+
+
 def test_simulate_estimates_mu_when_absent(tmp_path):
     doc = two_node_doc()
     del doc["map"]["mu"]
@@ -358,9 +378,9 @@ def test_run_sync_experiment_matches_two_passes(
     expected_run, expected_sig = two_passes(cfg)
     two_pass_steps = len(blinking_steps)
     blinking_steps.clear()
-    report, sig = run_sync_experiment(cfg)
+    run, sig, mu, mu_source = run_sync_experiment(cfg)
     assert sig == expected_sig
-    run = report.run
+    assert (mu, mu_source) == (0.5, "supplied")
     for name in ("m", "steps", "record_every", "times", "k_series", "diam_series",
                  "observed_sync", "k_final_quarter"):
         assert repr(getattr(run, name)) == repr(getattr(expected_run, name)), name
@@ -659,6 +679,24 @@ def test_jsr_contracting_singleton_synchronized(tmp_path):
     assert blob["upper"] == pytest.approx(0.5, abs=1e-9)
     assert blob["log_upper_plus_mu"] == pytest.approx(np.log(0.5) + 0.2, abs=1e-9)
     assert blob["verdict"] == "synchronized"
+
+
+def test_jsr_collapsed_set_writes_negative_infinity_verdict(tmp_path, capsys):
+    # two consensus matrices: every projected product is 0, so log upper
+    # is -inf, the same collapsed verdict simulate writes for sigma1
+    mats = tmp_path / "set.json"
+    mats.write_text(json.dumps([[[0.5, 0.5], [0.5, 0.5]], [[0.3, 0.7], [0.3, 0.7]]]))
+    assert main(["jsr", str(mats), "--mu", "0.3", "--out", str(tmp_path / "o")]) == 0
+    assert "W bound -inf -> synchronized" in capsys.readouterr().out
+    text = (tmp_path / "o" / "jsr_bounds.json").read_text()
+    field = '"log_upper_plus_mu": -Infinity'
+    assert text.count(field) == 1
+
+    def reject(constant):
+        raise ValueError(f"{constant} outside log_upper_plus_mu")
+
+    blob = json.loads(text.replace(field, '"log_upper_plus_mu": null'), parse_constant=reject)
+    assert (blob["upper"], blob["mu"], blob["verdict"]) == (0.0, 0.3, "synchronized")
 
 
 def test_jsr_malformed_inputs(tmp_path, capsys):

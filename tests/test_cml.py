@@ -11,7 +11,6 @@ from netsync.cml import (
     ScalarMap,
     criterion,
     logistic,
-    make_sync_report,
     simulate,
 )
 from netsync.errors import (
@@ -316,40 +315,3 @@ def test_convergence_rate_slope_bounded_by_w():
     keep = (ts >= 20) & (ts <= 120) & (ds > 1e-13)
     slope = np.polyfit(ts[keep], np.log(ds[keep]), 1)[0]
     assert slope <= W + 0.1
-
-
-def test_sync_report_assembly():
-    fmap = logistic(3.9)
-    rng = np.random.default_rng(40)
-    s0 = settle_on_attractor(fmap)
-    run = simulate(
-        two_node_coupling(0.25), fmap, near_diagonal_x0(rng, 2, s0), steps=1500
-    )
-    rep = make_sync_report(run, sigma1=np.log(0.5), mu=0.5, mu_source="supplied")
-    assert rep.W == np.log(0.5) + 0.5
-    assert rep.predicted_sync and rep.run.observed_sync
-    assert not rep.indeterminate
-    assert rep.mu_source == "supplied"
-    assert rep.run is run
-
-
-def test_sync_report_neg_inf_collapse():
-    w = np.array([0.5, 0.5])
-    run = simulate(
-        StaticSource(np.tile(w, (2, 1))),
-        logistic(3.9),
-        x0=np.array([0.2, 0.8]),
-        steps=50,
-    )
-    rep = make_sync_report(run, sigma1=NEG_INF, mu=0.5, mu_source="supplied")
-    assert rep.W == NEG_INF
-    assert rep.predicted_sync and rep.run.observed_sync
-
-
-def test_sync_report_indeterminate_band():
-    run = simulate(
-        two_node_coupling(0.25), logistic(3.9), np.array([0.4, 0.41]), steps=100
-    )
-    rep = make_sync_report(run, sigma1=-0.52, mu=0.5, mu_source="estimated")
-    assert rep.indeterminate
-    assert rep.mu_source == "estimated"

@@ -128,11 +128,21 @@ def test_gripenberg_unconverged_still_sound():
 def test_gripenberg_validates_inputs():
     with pytest.raises(EmptySetError):
         gripenberg([])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="matrix 1 "):
         gripenberg([np.eye(2), np.eye(3)])
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidParamsError, match="tol"):
             gripenberg([np.eye(2)], tol=tol)
+
+
+@pytest.mark.parametrize("matrices, k", [
+    ([[["a"]]], 0),
+    ([np.eye(2), [[1.0], [0.5, 0.5]]], 1),
+    ([np.eye(2), {"a": 1.0}], 1),
+], ids=["string", "ragged", "dict"])
+def test_gripenberg_names_a_member_numpy_cannot_read(matrices, k):
+    with pytest.raises(InvalidParamsError, match=f"matrix {k} is not a float matrix"):
+        gripenberg(matrices)
 
 
 def test_gripenberg_similar_sets_bracket_the_same_jsr():
@@ -280,6 +290,18 @@ def test_sample_set_above_two_by_two_certified_by_polytope():
     assert res.certificate == "polytope" and res.converged
     assert res.upper - res.lower <= 1e-12 * res.lower
     assert brute_force_jsr(mats, max_len=8) <= res.upper * (1 + 1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND 28")
+def test_refuting_word_raises_lower():
+    # 5x5, two members: the polytope pass refutes the witness (1,) with
+    # this vertex word, then drops it, and the search stops at max_len 24
+    # below its length, so lower stays at the witness's rate
+    mats = sample_set(7)
+    res = gripenberg(mats)
+    word = (0,) * 4 + (1,) * 28
+    rate = spectral_radius(word_product(mats, word)) ** (1 / len(word))
+    assert res.lower >= rate
 
 
 def test_lp_gauge_never_below_the_gauge_whatever_the_solver_returns(monkeypatch):
