@@ -54,6 +54,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# CSV rows formatted and written at once
+CSV_CHUNK = 4096
+
 
 def _read_json(path, where: str):
     try:
@@ -78,19 +81,23 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, meta: dict, header, rows) -> None:
-    """A '#' line of key=value pairs, the header, then the rows, with
-    floats written by repr and ints by str (bools as true or false),
-    numpy scalars as the Python type they stand for; a cell's format
-    follows its type, so a float column must hold floats."""
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), ",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            str(v).lower() if isinstance(v, (int, np.integer, np.bool_)) else repr(float(v))
-            for v in row
-        ))
+def _write_csv(path: Path, meta: dict, header, columns) -> None:
+    """A '#' line of key=value pairs, the header, then the rows of the
+    columns, equal-length lists or arrays, one per header name.  The rows
+    are written CSV_CHUNK at a time, each chunk of a column read through
+    numpy's tolist, so floats are written by repr and ints by str (bools
+    as true or false); a column's format follows its dtype, so a float
+    column must hold floats."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), CSV_CHUNK):
+            chunk = zip(*(np.asarray(c[i : i + CSV_CHUNK]).tolist() for c in columns))
+            fh.write("".join(
+                ",".join(str(v).lower() if isinstance(v, int) else repr(v) for v in row) + "\n"
+                for row in chunk
+            ))
 
 
 def _exit_code(args, converged: bool, failure: str) -> int:
@@ -159,7 +166,7 @@ def cmd_spectrum(args) -> int:
             "converged": sig.converged,
         },
         ("t", "sigma1_estimate"),
-        [((i + 1) * cfg.estimator.renorm_every, v) for i, v in enumerate(sig.trace)],
+        (np.arange(1, len(sig.trace) + 1) * cfg.estimator.renorm_every, sig.trace),
     )
 
     _write_json(
@@ -205,7 +212,7 @@ def cmd_simulate(args) -> int:
             "x0_policy": cfg.simulation.x0_policy,
         },
         ("t", "K", "diam"),
-        zip(run.times, run.k_series, run.diam_series),
+        (run.times, run.k_series, run.diam_series),
     )
     _write_json(
         out / "summary.json",
@@ -215,7 +222,7 @@ def cmd_simulate(args) -> int:
             "sigma1_collapsed": sig.collapsed,
             "indeterminate": indeterminate,
             "K_post_transient": run.k_final_quarter,
-            "final_diam": run.diam_series[-1],
+            "final_diam": float(run.diam_series[-1]),
         },
     )
     verdict = "indeterminate" if indeterminate else (
@@ -285,7 +292,7 @@ def cmd_sweep(args) -> int:
         out / "sweep.csv",
         {"config_hash": h, "parameter": args.parameter},
         ("parameter", "K", "W", "predicted_sync", "observed_sync"),
-        [(v, *cells) for v, (cells, _) in zip(params, rows)],
+        (params, *zip(*(cells for cells, _ in rows))),
     )
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return _exit_code(args, all(ok for _, ok in rows), "a sigma1 estimate did not converge")

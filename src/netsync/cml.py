@@ -80,9 +80,9 @@ class SimRun(NamedTuple):
     m: int
     steps: int
     record_every: int
-    times: list
-    k_series: list
-    diam_series: list
+    times: np.ndarray  # int64
+    k_series: np.ndarray
+    diam_series: np.ndarray
     final_state: np.ndarray
     observed_sync: bool
     k_final_quarter: float
@@ -97,7 +97,9 @@ class Orbit:
     sum_i (x_i - mean x)^2 / (m - 1), the diameter max_i x_i - min_i x_i.
     A state leaving [-DIVERGE_LIMIT, DIVERGE_LIMIT] (or turning
     non-finite), the initial state included, stops the orbit, and run
-    raises it as StateDivergedError.
+    raises it as StateDivergedError.  The recorded times are 0,
+    record_every, 2 record_every, ... and steps, so time t is row
+    ceil(t / record_every) of arrays sized at construction.
     """
 
     def __init__(self, source: MatrixSource, fmap: ScalarMap, x0, steps, record_every=1):
@@ -113,7 +115,9 @@ class Orbit:
         self.source, self.m, self.fmap = source, source.m, fmap
         self.steps, self.record_every = steps, record_every
         self.t, self.v_sum, self.diverged = 0, 0.0, None
-        self.times, self.k_series, self.diam_series = [], [], []
+        rows = -(-steps // record_every) + 1
+        self.times = np.empty(rows, dtype=np.int64)
+        self.k_series, self.diam_series = np.empty(rows), np.empty(rows)
         # the spreads of the last quarter of times 0..steps, which run averages
         self.quarter = (3 * (steps + 1)) // 4
         self.v_tail = np.empty(steps + 1 - self.quarter)
@@ -132,9 +136,10 @@ class Orbit:
             self.v_tail[t - self.quarter] = v
         self.v_sum += v
         if t % self.record_every == 0 or t == self.steps:
-            self.times.append(t)
-            self.k_series.append(self.v_sum / (t + 1))
-            self.diam_series.append(float(x.max() - x.min()))
+            r = -(-t // self.record_every)
+            self.times[r] = t
+            self.k_series[r] = self.v_sum / (t + 1)
+            self.diam_series[r] = x.max() - x.min()
 
     def at(self, t):
         G = self.source.at(t)

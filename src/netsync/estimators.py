@@ -44,6 +44,10 @@ DEFAULT_N_VECTORS = 8
 DEFAULT_T0_COUNT = 16
 CURVE_TAIL_RTOL = 0.10
 
+# the most scalar-orbit terms held at once: a leaf of the pairwise sum,
+# at least numpy's own pairwise block of 128
+MU_CHUNK = 4096
+
 
 def default_t0_samples(horizon: int, n: int = DEFAULT_T0_COUNT) -> List[int]:
     """Window starts {0, s, 2s, ...} with stride s = horizon/8."""
@@ -305,7 +309,14 @@ def estimate_scalar_lyapunov(
 ) -> float:
     """Lyapunov exponent of a scalar map: average of log|df| along the
     orbit after a transient.  |df| is floored at 1e-300 before the log;
-    orbits leaving |s| <= 1e12 raise."""
+    orbits leaving |s| <= 1e12 raise.
+
+    The orbit is consumed as it is generated, in leaves of at most
+    MU_CHUNK terms, so memory does not grow with the horizon.  The
+    leaves split the horizon as numpy's pairwise summation splits a
+    contiguous float64 array, and each is reduced by numpy itself, so
+    the mean is np.mean of the whole orbit's terms bit for bit.  A
+    scalar df is broadcast over the leaf."""
     if horizon < 1:
         raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
     if burn_in < 0:
@@ -315,11 +326,24 @@ def estimate_scalar_lyapunov(
         s = f(s)
         if not abs(s) <= 1e12:
             raise OrbitDivergedError(t, s)
-    orbit = np.empty(horizon)
-    for k in range(horizon):
-        orbit[k] = s
-        s = f(s)
-        if not abs(s) <= 1e12:
-            raise OrbitDivergedError(burn_in + k, s)
-    derivs = np.abs(np.asarray(df(orbit), dtype=float))
-    return float(np.mean(np.log(np.maximum(derivs, 1e-300))))
+    buf = np.empty(min(horizon, MU_CHUNK))
+    step = burn_in
+
+    def pairwise_sum(n):
+        # numpy's pairwise_sum: a range above its block splits at n2,
+        # a multiple of its 8-way unrolling
+        nonlocal s, step
+        if n > MU_CHUNK:
+            n2 = n // 2 - (n // 2) % 8
+            return pairwise_sum(n2) + pairwise_sum(n - n2)
+        leaf = buf[:n]
+        for k in range(n):
+            leaf[k] = s
+            s = f(s)
+            if not abs(s) <= 1e12:
+                raise OrbitDivergedError(step + k, s)
+        step += n
+        derivs = np.broadcast_to(np.abs(np.asarray(df(leaf), dtype=float)), leaf.shape)
+        return np.add.reduce(np.log(np.maximum(derivs, 1e-300)))
+
+    return float(pairwise_sum(horizon) / horizon)

@@ -4,9 +4,9 @@ frame, the norm.
 Everything operates on plain numpy float arrays.  A "stochastic matrix"
 is an ndarray or a CSR record validated by is_stochastic (nonnegative,
 unit row sums within 1e-12).  The CSR record multiplies with scipy's
-compiled CSR kernels, loaded without scipy.sparse.  The transverse
-frame, off the all-ones direction, is the difference frame, applied in
-closed form without forming P or its right inverse.
+compiled CSR kernels, loaded without scipy.sparse or scipy's __init__.
+The transverse frame, off the all-ones direction, is the difference
+frame, applied in closed form without forming P or its right inverse.
 """
 
 import importlib.machinery
@@ -26,24 +26,29 @@ SPARSETOOLS = "scipy.sparse._sparsetools"
 
 def sparsetools():
     """scipy's compiled CSR kernels, the extension scipy.sparse itself
-    imports.  Loaded on first use from its file beside scipy, after a
-    plain `import scipy`, and registered under its own name, so that a
-    later `import scipy.sparse` reuses the same module; importing
-    scipy.sparse would also load scipy's array-API shim, which costs
-    most of that import.  Where the file is not found beside scipy, it
+    imports.  Loaded on first use from its file in scipy's directory,
+    which importlib finds without running scipy's __init__, and
+    registered under its own name, so that a later `import scipy.sparse`
+    reuses the same module; importing scipy.sparse would also load
+    scipy's array-API shim, which costs most of that import.  Where the
+    file is not found, or loading it raises ImportError (on some
+    platforms scipy's __init__ is what makes its libraries loadable), it
     comes through scipy.sparse."""
     module = sys.modules.get(SPARSETOOLS)
     if module is None:
-        import scipy
-
-        where = os.path.join(os.path.dirname(scipy.__file__), "sparse")
-        spec = importlib.machinery.PathFinder.find_spec(SPARSETOOLS, [where])
-        if spec is None:
-            from scipy.sparse import _sparsetools as module
-        else:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            SPARSETOOLS, [os.path.join(d, "sparse") for d in scipy.submodule_search_locations]
+        )
+        try:
+            if not spec:
+                raise ImportError(f"no {SPARSETOOLS} file in scipy's directory")
             module = importlib.util.module_from_spec(spec)
             sys.modules[SPARSETOOLS] = module
             spec.loader.exec_module(module)
+        except ImportError:
+            sys.modules.pop(SPARSETOOLS, None)
+            from scipy.sparse import _sparsetools as module
     return module
 
 

@@ -3,8 +3,9 @@ errors only they raise: row normalisation (with its matrix check), the
 row-difference diameter and the induced matrix norm in the one and two
 norms besides the package's infinity norm, the scrambling coefficient
 eta and the contraction inequality, brute-force JSR, the full Lyapunov
-spectrum by QR, a scalar map's derivative against central differences,
-and densifying a coupling matrix.  No netsync command runs them."""
+spectrum by QR, a scalar map's exponent from its whole orbit held at
+once, a scalar map's derivative against central differences, and
+densifying a coupling matrix.  No netsync command runs them."""
 
 from typing import List, NamedTuple, Sequence
 
@@ -14,6 +15,7 @@ from netsync.errors import (
     DimensionMismatchError,
     InvalidParamsError,
     NetsyncError,
+    OrbitDivergedError,
     UnknownParameterError,
 )
 from netsync.hajnal import POSITIVITY_THRESHOLD, _rows, diam
@@ -201,6 +203,25 @@ def lyapunov_spectrum_qr(source, horizon: int) -> List[float]:
             raise SingularMatrixError(t)
         logs += np.log(d)
     return sorted((logs / horizon).tolist(), reverse=True)
+
+
+def scalar_lyapunov_held(f, df, s0: float, burn_in: int, horizon: int) -> float:
+    """The mean of log max(|df|, 1e-300) over the orbit after burn_in
+    steps, with the whole orbit held in one array and averaged by
+    np.mean; an orbit leaving |s| <= 1e12 raises OrbitDivergedError."""
+    s = float(s0)
+    for t in range(burn_in):
+        s = f(s)
+        if not abs(s) <= 1e12:
+            raise OrbitDivergedError(t, s)
+    orbit = np.empty(horizon)
+    for k in range(horizon):
+        orbit[k] = s
+        s = f(s)
+        if not abs(s) <= 1e12:
+            raise OrbitDivergedError(burn_in + k, s)
+    derivs = np.abs(np.asarray(df(orbit), dtype=float))
+    return float(np.mean(np.log(np.maximum(derivs, 1e-300))))
 
 
 def check_derivative(fmap, lo=0.0, hi=1.0, n=100, seed=0, h=1e-6):

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,12 @@ import netsync.cli as cli
 from netsync.cli import _run_sigma1, _union_tables, _write_csv, main, run_sync_experiment
 from netsync.cml import ScalarMap, simulate
 from netsync.config import ExperimentConfig, build_source, initial_state
-from netsync.errors import ProcessExhaustedError, StateDivergedError
+from netsync.errors import (
+    ConfigError,
+    OrbitDivergedError,
+    ProcessExhaustedError,
+    StateDivergedError,
+)
 from netsync.estimators import default_t0_samples
 from netsync.hajnal import has_spanning_tree, is_scrambling
 from netsync.processes import BlinkingProcess, BlurringProcess
@@ -293,6 +299,29 @@ def test_sweep_jobs_write_the_serial_sweep(tmp_path):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("error", [
+    OrbitDivergedError(3, 1e13), StateDivergedError(5, 2e13), ConfigError("source.m", "bad"),
+], ids=["orbit", "state", "config"])
+def test_typed_errors_pickle_back_as_themselves(error):
+    # a worker's error reaches the sweep's process through pickle
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert vars(back) == vars(error)
+
+
+def test_sweep_jobs_report_a_workers_divergence_as_the_serial_sweep(tmp_path, capsys):
+    # an x0 spread by up to 1e200 diverges before any update, on every row
+    cfg = write_config(tmp_path, two_node_doc(simulation={"steps": 60, "x0_eps": 1e200}))
+    errs = []
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--config", cfg, "--parameter", "map.alpha", "--values",
+                     "3.9,3.8", "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("numeric failure: node state exceeded 1e12 at step 0 ")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     cfg = write_config(tmp_path, blinking_sweep_doc())
@@ -319,9 +348,19 @@ def test_sweep_dotted_parameter_left_at_its_default(tmp_path):
 
 
 def test_write_csv_reads_numpy_scalars_as_python_ones(tmp_path):
-    rows = [(3, 0.5, True), (np.int64(3), np.float64(0.5), np.bool_(True))]
-    _write_csv(tmp_path / "t.csv", {"k": "v"}, ("n", "x", "ok"), rows)
+    columns = ([3, np.int64(3)], [0.5, np.float64(0.5)], [True, np.bool_(True)])
+    _write_csv(tmp_path / "t.csv", {"k": "v"}, ("n", "x", "ok"), columns)
     assert (tmp_path / "t.csv").read_text() == "# k=v\nn,x,ok\n3,0.5,true\n3,0.5,true\n"
+
+
+def test_write_csv_writes_array_columns_in_chunks(tmp_path, monkeypatch):
+    # rows across three chunks, as the rows' own str and repr spell them
+    monkeypatch.setattr(cli, "CSV_CHUNK", 4)
+    t = np.arange(10, dtype=np.int64) * 3
+    x = np.random.default_rng(0).random(10) ** 9
+    _write_csv(tmp_path / "t.csv", {"k": "v"}, ("t", "x"), (t, x))
+    rows = [f"{int(a)},{float(b)!r}" for a, b in zip(t, x)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["# k=v", "t,x", *rows]) + "\n"
 
 
 # ------------------------------------------------------ one pass over time
@@ -381,10 +420,12 @@ def test_run_sync_experiment_matches_two_passes(
     run, sig, mu, mu_source = run_sync_experiment(cfg)
     assert sig == expected_sig
     assert (mu, mu_source) == (0.5, "supplied")
-    for name in ("m", "steps", "record_every", "times", "k_series", "diam_series",
-                 "observed_sync", "k_final_quarter"):
+    for name in ("m", "steps", "record_every", "observed_sync", "k_final_quarter"):
         assert repr(getattr(run, name)) == repr(getattr(expected_run, name)), name
-    assert run.final_state.tobytes() == expected_run.final_state.tobytes()
+    for name in ("times", "k_series", "diam_series", "final_state"):
+        got, want = getattr(run, name), getattr(expected_run, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
     if source is BLINKING_30:
         # sigma1 and the orbit share one emission per time
         assert len(blinking_steps) == max(horizon, steps)
@@ -427,6 +468,22 @@ def test_diverging_simulate_exits_3_with_no_numpy_warnings(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err == "numeric failure: node state exceeded 1e12 at step 0 (max |x|=7.433e+199)\n"
+
+
+def test_simulate_holds_at_most_64_bytes_a_recorded_row(tmp_path):
+    # the record was held in Python lists, and written from a list of its
+    # lines, at about 250 bytes a row
+    peaks = {}
+    for steps in (10**3, 10**5):
+        doc = two_node_doc(simulation={"steps": steps, "record_every": 1})
+        cfg = write_config(tmp_path, doc, f"{steps}.json")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / str(steps))]) == 0
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10**5] - peaks[10**3] <= 64 * (10**5 - 10**3)
 
 
 def test_simulate_rejects_a_diverged_initial_state_without_steps(tmp_path, capsys):
@@ -849,8 +906,8 @@ def capped_simulate(tmp_path, doc):
 
 
 @pytest.mark.parametrize("doc, asked", [
-    # the scalar orbit estimate_scalar_lyapunov averages
-    (two_node_doc(map={"name": "logistic"}, estimator={"mu_horizon": 10**12}), "7.28 TiB"),
+    # sigma1's curve, one float per age
+    (two_node_doc(estimator={"horizon": 10**12}), "7.28 TiB"),
     # sigma1's probes
     (two_node_doc(estimator={"n_vectors": 10**12}), "7.28 TiB"),
     # the pair mask np.triu_indices forms in BlurringProcess.__init__
@@ -858,7 +915,7 @@ def capped_simulate(tmp_path, doc):
     # the base graph's edges, which scale_free_graph allocates before its loop
     (two_node_doc(source={"variant": "blinking", "m": 10**12, "avg_degree": 12, "p": 0.1,
                           "t_rec": 2}), "87.3 TiB"),
-], ids=["mu_horizon", "n_vectors", "blurring-m", "blinking-m"])
+], ids=["horizon", "n_vectors", "blurring-m", "blinking-m"])
 def test_oversized_allocation_exits_2_with_numpys_message(tmp_path, doc, asked):
     proc = capped_simulate(tmp_path, doc)
     assert proc.returncode == 2, proc.stderr

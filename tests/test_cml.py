@@ -186,9 +186,8 @@ def test_orbit_steps_only_on_a_read_of_its_next_time():
     assert src.reads == [1, 0, 0, 2, 1, 2, 3, 4]  # run had nothing left to read
     expected = simulate(two_node_coupling(0.25), logistic(3.9), x0, steps=3)
     assert run.final_state.tobytes() == expected.final_state.tobytes()
-    assert (run.times, run.k_series, run.diam_series) == (
-        expected.times, expected.k_series, expected.diam_series
-    )
+    for name in ("times", "k_series", "diam_series"):
+        assert np.array_equal(getattr(run, name), getattr(expected, name)), name
 
 
 def test_k_final_quarter_averages_the_last_quarter_of_spreads():
@@ -245,6 +244,16 @@ def test_simulate_records_at_cadence():
     )
     assert run.times[0] == 0 and run.times[-1] == 100
     assert len(run.times) == len(run.k_series) == len(run.diam_series)
+
+
+def test_orbit_records_in_arrays_sized_at_construction():
+    # times 0, 10, ..., 90 and the last time, 95
+    orbit = Orbit(two_node_coupling(0.25), logistic(3.9), np.array([0.3, 0.31]), 95, 10)
+    assert orbit.times.dtype == np.int64 and orbit.times.size == orbit.k_series.size == 11
+    run = orbit.run()
+    assert run.times.tolist() == [*range(0, 95, 10), 95]
+    assert run.k_series.dtype == run.diam_series.dtype == np.float64
+    assert run.diam_series[-1] == float(run.final_state.max() - run.final_state.min())
 
 
 def test_simulate_k_series_nonnegative_and_running_average():

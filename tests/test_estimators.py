@@ -24,6 +24,7 @@ from netsync.errors import (
 from netsync.estimators import (
     DEAD_SIZE,
     DEFAULT_RENORM_EVERY,
+    MU_CHUNK,
     NEG_INF,
     WALK_BUFFER_BYTES,
     _window_walk,
@@ -34,6 +35,7 @@ from netsync.estimators import (
     estimate_sigma1,
     window_schedule,
 )
+from netsync.cml import logistic
 from netsync.hajnal import diam
 from netsync.linalg import CSR, compress, difference, lift
 from netsync.processes import BlinkingProcess, BlurringProcess
@@ -51,6 +53,7 @@ from oracles import (
     lyapunov_spectrum_qr,
     make_stochastic,
     matrix_norm_in,
+    scalar_lyapunov_held,
 )
 
 SYM2 = np.array([[0.75, 0.25], [0.25, 0.75]])  # eigenvalues 1 and 0.5
@@ -319,6 +322,51 @@ def test_scalar_lyapunov_zero_derivative_floored():
         horizon=10,
     )
     assert np.isfinite(val)
+
+
+# horizons at numpy's pairwise boundaries: its 8-way unrolling, its block
+# of 128, one leaf of the stream, and trees of two and more leaves
+MU_HORIZONS = [1, 7, 8, 9, 127, 128, 129, MU_CHUNK - 1, MU_CHUNK, MU_CHUNK + 1,
+               2 * MU_CHUNK + 13, 10**5, 10**6 + 3]
+
+
+@pytest.mark.parametrize("horizon", MU_HORIZONS)
+@pytest.mark.parametrize("burn_in", [0, 1000])
+@pytest.mark.parametrize("alpha", [3.57, 3.9, 4.0])
+def test_scalar_lyapunov_streams_the_held_orbits_mean_bit_for_bit(alpha, burn_in, horizon):
+    fmap = logistic(alpha)
+    args = (fmap.f, fmap.df, 0.3, burn_in, horizon)
+    assert estimate_scalar_lyapunov(*args) == scalar_lyapunov_held(*args)
+
+
+@pytest.mark.parametrize("burn_in, horizon, step", [
+    (100, 10, 50),
+    (10, 3 * MU_CHUNK, 110),
+    (10, 3 * MU_CHUNK, 10 + 2 * MU_CHUNK + 5),
+], ids=["burn-in", "first-leaf", "later-leaf"])
+def test_scalar_lyapunov_divergence_names_the_held_orbits_step(burn_in, horizon, step):
+    # s creeps up by 1 from 1e12 - step, exactly, and passes 1e12 at step
+    args = (lambda s: s + 1.0, lambda s: 1.0, 1e12 - step, burn_in, horizon)
+    with pytest.raises(OrbitDivergedError) as expected:
+        scalar_lyapunov_held(*args)
+    with pytest.raises(OrbitDivergedError) as raised:
+        estimate_scalar_lyapunov(*args)
+    assert raised.value.t == expected.value.t == step
+    assert str(raised.value) == str(expected.value)
+
+
+def test_scalar_lyapunov_memory_does_not_grow_with_the_horizon():
+    # the held orbit and its three temporaries took 32 bytes a term
+    fmap = logistic(3.9)
+    peaks = []
+    for horizon in (10**4, 10**6):
+        tracemalloc.start()
+        try:
+            estimate_scalar_lyapunov(fmap.f, fmap.df, 0.3, 0, horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**20
 
 
 # ------------------------------------------------------------- sentinel

@@ -5,10 +5,13 @@ scipy is imported inside the few functions that need it (`check`, the
 `jsr` command's polytope above 2x2 and its search fallback), so runs on
 dense inputs, and `jsr` on a 2x2 set its invariant polytope certifies,
 start with numpy alone.  Blinking runs multiply their CSR emissions with
-scipy's compiled kernels, which load after a plain `import scipy` from
-the extension file beside scipy, without `scipy.sparse` and the
-array-API shim it imports.  Each boundary test runs in a fresh
-interpreter, since this test process has long since imported scipy.
+scipy's compiled kernels, loaded from the extension file in scipy's
+directory without running scipy's `__init__`, and without `scipy.sparse`
+and the array-API shim it imports; where that file is missing or fails
+to load, the kernels come through `scipy.sparse`.  Nor do blinking runs
+load `numpy.ma`, which `np.unique` imports.  Each boundary test runs in
+a fresh interpreter, since this test process has long since imported
+scipy.
 
 A command also leaves its heap to the OS at exit: `main` registers
 `gc.freeze` with atexit, so the interpreter's shutdown collections skip
@@ -132,7 +135,7 @@ BLINKING = {
     "estimator": {"horizon": 100},
     "simulation": {"steps": 100},
 }
-NOT_LOADED = ("scipy.sparse", "scipy._lib._array_api", "numpy.f2py")
+NOT_LOADED = ("numpy.ma", "numpy.f2py")
 
 
 @pytest.mark.parametrize("command", ["simulate", "spectrum"])
@@ -140,13 +143,16 @@ def test_blinking_loads_the_csr_kernels_but_not_scipy_sparse(tmp_path, command):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(BLINKING))
     args = [command, "--config", str(config), "--out", str(tmp_path / "out")]
-    loaded = fresh_stdout(
+    code = (
         "import sys, netsync.cli\n"
         f"rc = netsync.cli.main({args!r})\n"
         "assert rc == 0, rc\n"
-        f"print(*(m in sys.modules for m in {('scipy.sparse._sparsetools',) + NOT_LOADED!r}))"
+        f"print(*(m in sys.modules for m in {NOT_LOADED!r}))"
     )
-    assert loaded[-1] == "True False False False"
+    loaded = fresh_stdout("import json\n" + code + "\n" + REPORT_SCIPY)
+    # neither the scipy package nor scipy.sparse: the extension alone
+    assert json.loads(loaded[-1]) == ["scipy.sparse._sparsetools"]
+    assert loaded[-2] == "False False"
 
 
 def test_kernels_loaded_first_are_the_ones_scipy_sparse_imports():
@@ -171,15 +177,45 @@ def test_kernels_loaded_first_are_the_ones_scipy_sparse_imports():
 
 
 def test_kernels_come_through_scipy_sparse_where_the_file_is_not_found(tmp_path):
-    # scipy's __file__ moved to an empty directory: no extension file beside it
+    # scipy's spec moved to an empty directory: no extension file in it
     lines = fresh_stdout(
-        "import sys, scipy\n"
-        f"scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
+        "import importlib.util, sys\n"
+        "find_spec = importlib.util.find_spec\n"
+        "def moved(name, package=None):\n"
+        "    if name != 'scipy':\n"
+        "        return find_spec(name, package)\n"
+        "    return importlib.util.spec_from_file_location(\n"
+        f"        name, {str(tmp_path / '__init__.py')!r},\n"
+        f"        submodule_search_locations=[{str(tmp_path)!r}])\n"
+        "importlib.util.find_spec = moved\n"
         "from netsync.linalg import SPARSETOOLS, sparsetools\n"
         "kernels = sparsetools()\n"
         "print('scipy.sparse' in sys.modules, kernels is sys.modules[SPARSETOOLS])"
     )
     assert lines == ["True True"]
+
+
+def test_kernels_come_through_scipy_sparse_where_the_file_fails_to_load():
+    # the first load of the extension raises ImportError, as where only
+    # scipy's __init__ makes its libraries loadable; scipy.sparse's own
+    # import of it then succeeds
+    lines = fresh_stdout(
+        "import importlib.machinery, sys\n"
+        "from netsync.linalg import SPARSETOOLS, sparsetools\n"
+        "loader = importlib.machinery.ExtensionFileLoader\n"
+        "create, failed = loader.create_module, []\n"
+        "def create_once(self, spec):\n"
+        "    if spec.name == SPARSETOOLS and not failed:\n"
+        "        failed.append(spec.origin)\n"
+        "        raise ImportError('DLL load failed')\n"
+        "    return create(self, spec)\n"
+        "loader.create_module = create_once\n"
+        "kernels = sparsetools()\n"
+        "from scipy.sparse import _sparsetools\n"
+        "print(len(failed), 'scipy.sparse' in sys.modules, kernels is _sparsetools,\n"
+        "      kernels is sys.modules[SPARSETOOLS], hasattr(kernels, 'csr_matvecs'))"
+    )
+    assert lines == ["1 True True True True"]
 
 
 def test_sources_check_a_record_without_scipy_sparse():
