@@ -77,8 +77,13 @@ def _load_config(args):
 
 
 def _write_json(path: Path, obj) -> None:
+    """obj as JSON with sorted keys and an indent of 2, then a newline.
+    The document is written to the open file as it is encoded, so neither
+    its chunks nor its whole text are held."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    with path.open("w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _write_csv(path: Path, meta: dict, header, columns) -> None:
@@ -342,8 +347,10 @@ def _union_tables(source, starts, t_max: int):
 
 def cmd_check(args) -> int:
     raw, cfg, h, out = _load_config(args)
-    if args.t_max < 1:
-        raise ConfigError("t_max", "must be >= 1")
+    # estimator.horizon's rule: a window's last time stays in int64, and
+    # the tables' entries in an integer dtype
+    if not 1 <= args.t_max <= 2**62:
+        raise ConfigError("t_max", "must be in [1, 2**62]")
     source = build_source(cfg)
     t0s = cfg.estimator.t0_samples or default_t0_samples(cfg.estimator.horizon)
 

@@ -180,8 +180,9 @@ _ESTIMATOR = {
     ),
     "renorm_every": (_at_least(1), DEFAULT_RENORM_EVERY),
     "n_vectors": (_at_least(1), DEFAULT_N_VECTORS),
-    "mu_burn": (_at_least(0), 1000),
-    "mu_horizon": (_at_least(1), 100_000),
+    # the scalar orbit runs about 0.3 s per 10**6 terms: 10**9 is minutes
+    "mu_burn": (_checked(_as_int, lambda v: 0 <= v <= 10**9, "must be in [0, 10**9]"), 1000),
+    "mu_horizon": (_checked(_as_int, lambda v: 1 <= v <= 10**9, "must be in [1, 10**9]"), 100_000),
 }
 _SIMULATION = {
     "steps": (_at_least(0), 1000),

@@ -212,7 +212,9 @@ def _window_estimate(source, horizon, t0_samples, renorm_every, size) -> DiamEst
     starts = sorted(set(t0_samples))
     eye = np.eye(m)
     X = np.broadcast_to((eye - eye[0])[:, None, :], (m, len(starts), m))
-    curve = np.exp(_window_walk(source, X, starts, horizon, renorm_every, size)).tolist()
+    curve = _window_walk(source, X, starts, horizon, renorm_every, size)
+    # in place, so exp allocates no second horizon-long array
+    curve = np.exp(curve, out=curve).tolist()
     converged = _tail_converged_multiplicative(curve)
     return DiamEstimate(curve[-1], horizon, t0_samples, curve, "inf", converged)
 

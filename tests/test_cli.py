@@ -486,6 +486,23 @@ def test_simulate_holds_at_most_64_bytes_a_recorded_row(tmp_path):
     assert peaks[10**5] - peaks[10**3] <= 64 * (10**5 - 10**3)
 
 
+def test_spectrum_holds_at_most_64_bytes_a_horizon_age(tmp_path):
+    # diam_estimate.json was encoded into a list of chunks, joined into one
+    # string and encoded again, at about 160 bytes an age of the curve
+    def peak(horizon):
+        doc = two_node_doc(estimator={"horizon": horizon, "t0_samples": [0]})
+        cfg = write_config(tmp_path, doc, f"{horizon}.json")
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / str(horizon))]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # imports and first-call caches, outside the growth
+    assert peak(10**4) - peak(10**3) <= 64 * (10**4 - 10**3)
+
+
 def test_simulate_rejects_a_diverged_initial_state_without_steps(tmp_path, capsys):
     # with no update to overflow, K = inf was written into summary.json as
     # Infinity, which is not JSON
@@ -506,6 +523,16 @@ def test_rejected_and_failed_runs_leave_no_output_directory(tmp_path, doc, args,
     out = tmp_path / "o"
     cfg = write_config(tmp_path, doc)
     assert main([*args, "--config", cfg, "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def test_check_rejects_a_t_max_past_2_62_typed(tmp_path, capsys):
+    # 2**64 made the tables' dtype object, which scipy.sparse refused
+    # with an untyped ValueError
+    cfg = write_config(tmp_path, two_node_doc())
+    out = tmp_path / "o"
+    assert main(["check", "--config", cfg, "--t-max", str(2**64), "--out", str(out)]) == 2
+    assert "'t_max': must be in [1, 2**62]" in capsys.readouterr().err
     assert not out.exists()
 
 

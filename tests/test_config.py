@@ -167,6 +167,20 @@ def test_validation_reports_field_paths(mutate, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("field, lo", [("mu_burn", 0), ("mu_horizon", 1)])
+def test_scalar_orbit_lengths_are_capped_at_10_9(field, lo):
+    # unbounded, a mistyped 10**12 was accepted and ran for days; the
+    # document is only read, so no orbit runs
+    for value in (lo, 10**9):
+        cfg = ExperimentConfig.from_json_dict(static_doc(estimator={field: value}))
+        assert getattr(cfg.estimator, field) == value
+    for value in (lo - 1, 10**9 + 1, 10**12):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_json_dict(static_doc(estimator={field: value}))
+        assert err.value.field == f"config.estimator.{field}"
+        assert f"must be in [{lo}, 10**9]" in str(err.value)
+
+
 def test_null_t0_samples_means_the_default_grid():
     cfg = ExperimentConfig.from_json_dict(static_doc(estimator={"t0_samples": None}))
     assert cfg.estimator.t0_samples is None
