@@ -33,12 +33,7 @@ from .config import (
     initial_state,
     probe_seed,
 )
-from .errors import (
-    ConfigError,
-    NetsyncError,
-    OrbitDivergedError,
-    StateDivergedError,
-)
+from .errors import ConfigError, NetsyncError, OrbitDivergedError, StateDivergedError
 from .estimators import (
     default_t0_samples,
     estimate_hajnal_diameter,
@@ -46,9 +41,9 @@ from .estimators import (
     estimate_sigma1,
     window_schedule,
 )
-from .hajnal import has_spanning_tree, is_scrambling
+from .hajnal import has_spanning_tree, is_scrambling, support
 from .jsr import DEFAULT_MAX_LEN, DEFAULT_TOL, gripenberg
-from .linalg import CSR, compress, is_stochastic
+from .linalg import compress, is_stochastic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -285,10 +280,12 @@ def cmd_sweep(args) -> int:
         for v in values
     ]
     params = [_coerce(v, float, "values") for v in values]
-    if args.jobs > 1:
+    # a pool starts all its workers at its first task, so no more than the rows
+    workers = min(args.jobs, len(cfgs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, cfgs))
     else:
         rows = list(map(_sweep_row, cfgs))
@@ -322,19 +319,10 @@ def _union_tables(source, starts, t_max: int):
     tree_T = dict.fromkeys(starts)
     for a, b, lo, hi in window_schedule(starts, t_max):
         for t in range(a, b):
-            G = source.at(t)
-            if isinstance(G, CSR):
-                positive = G.data > 0
-                rows = np.repeat(np.arange(m), np.diff(G.indptr))
-                coords = (rows[positive], G.indices[positive])
-            else:
-                coords = (G > 0).nonzero()
-            # int32 coordinates give int32 indices; scipy keeps int64 ones
-            coords = tuple(ix.astype(np.int32) for ix in coords)
+            S = support(source.at(t))
             for t0 in starts[lo:hi]:
                 T = t - t0 + 1
-                late = np.full(coords[0].size, t_max + 1 - T, dtype=dtype)
-                table = tables[t0] = tables[t0].maximum(csr_array((late, coords), shape=(m, m)))
+                table = tables[t0] = tables[t0].maximum(S * dtype.type(t_max + 1 - T))
                 if tree_T[t0] is None and has_spanning_tree(table) is not None:
                     tree_T[t0] = T
                 # a stored entry costs its value and an int32 index, so past about

@@ -23,11 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParamsError,
-    StateDivergedError,
-)
+from .errors import InvalidParamsError, StateDivergedError
 from .sources import MatrixSource
 
 SYNC_TOL = 1e-8
@@ -109,7 +105,7 @@ class Orbit:
             raise InvalidParamsError("record_every must be positive")
         x = np.array(x0, dtype=float).reshape(-1)
         if x.size == 0 or source.m != x.size:
-            raise DimensionMismatchError(
+            raise InvalidParamsError(
                 f"source emits {source.m}x{source.m}, state has {x.size} components"
             )
         self.source, self.m, self.fmap = source, source.m, fmap

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .cml import ScalarMap, logistic
-from .errors import ConfigError, UnknownParameterError
+from .errors import ConfigError, InvalidParamsError
 from .estimators import DEFAULT_N_VECTORS, DEFAULT_RENORM_EVERY
 from .processes import BlinkingProcess, BlurringProcess
 from .sources import (
@@ -332,10 +332,10 @@ def apply_parameter(config_dict: dict, name: str, value) -> dict:
             if isinstance(d[section], dict):
                 d[section][key] = value
                 return d
-        raise UnknownParameterError(f"no config field at {name!r}")
+        raise InvalidParamsError(f"no config field at {name!r}")
     for section in ("source", *_SECTIONS):
         block = d.get(section)
         if isinstance(block, dict) and name in block:
             block[name] = value
             return d
-    raise UnknownParameterError(f"no config field named {name!r}")
+    raise InvalidParamsError(f"no config field named {name!r}")

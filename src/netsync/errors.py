@@ -12,18 +12,6 @@ class NetsyncError(ValueError):
     """Base class for all library errors."""
 
 
-class DimensionTooSmallError(NetsyncError):
-    pass
-
-
-class DimensionMismatchError(NetsyncError):
-    pass
-
-
-class EmptySetError(NetsyncError):
-    pass
-
-
 class ProcessExhaustedError(NetsyncError):
     pass
 
@@ -49,10 +37,6 @@ class StateDivergedError(NetsyncError):
 
 
 class InvalidParamsError(NetsyncError):
-    pass
-
-
-class UnknownParameterError(NetsyncError):
     pass
 
 

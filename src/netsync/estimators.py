@@ -23,11 +23,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionTooSmallError,
-    InvalidParamsError,
-    OrbitDivergedError,
-)
+from .errors import InvalidParamsError, OrbitDivergedError
 from .hajnal import diam
 from .linalg import compress, difference, lift
 
@@ -99,7 +95,7 @@ def _tail_converged_log(trace: Sequence[float]) -> bool:
 def _nodes(source) -> int:
     m = source.m
     if m < 2:
-        raise DimensionTooSmallError(f"need m >= 2, got {m}")
+        raise InvalidParamsError(f"need m >= 2, got {m}")
     return m
 
 

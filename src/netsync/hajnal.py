@@ -10,27 +10,30 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParamsError
-
-# entries at or below this count as zero when testing scramblingness,
-# matching the row-normalization tolerance
-POSITIVITY_THRESHOLD = 1e-12
+from .linalg import CSR
 
 SCRAMBLING_BLOCK = 2**18
 
 
-def _matrix(G):
-    """G as is when it is a scipy.sparse matrix, else as an ndarray;
-    raises InvalidParamsError where numpy cannot read G as an array or
-    its entries are not bool, integer or float."""
-    from scipy.sparse import issparse
+def support(G):
+    """The edges of G: the bool csr_array of G > 0, so G[i, j] > 0 is
+    the edge j -> i, and stored zeros and negative entries are not
+    edges.  G is a 2-d array, a CSR record or a scipy.sparse matrix;
+    input numpy cannot read as an array, or whose entries are not bool,
+    integer or float, raises InvalidParamsError."""
+    from scipy.sparse import csr_array, issparse
 
+    if isinstance(G, CSR):
+        G = csr_array(G[:3], shape=G.shape)
     try:
         G = G if issparse(G) else np.asarray(G)
     except ValueError as exc:
         raise InvalidParamsError(f"expected an array or a scipy.sparse matrix: {exc}") from exc
     if G.dtype.kind not in "biuf":
         raise InvalidParamsError(f"expected a bool, integer or float support, got dtype {G.dtype}")
-    return G
+    if G.ndim != 2:
+        raise InvalidParamsError(f"expected a 2-d array, got ndim={G.ndim}")
+    return csr_array(G > 0)
 
 
 def _rows(L) -> np.ndarray:
@@ -65,19 +68,13 @@ def _stacked_diam(L: np.ndarray) -> np.ndarray:
 def is_scrambling(G) -> bool:
     """True iff every row pair shares a positively supported column.
 
-    With S = G > POSITIVITY_THRESHOLD, every off-diagonal entry of
-    S S^T is nonzero, exactly when the scrambling coefficient eta(G) is
-    positive.  G is an ndarray or a scipy.sparse matrix.  A bool
-    support is read as is: its True entries, self-loops included, are
-    the edges.  S S^T is formed sparse, SCRAMBLING_BLOCK entries at a
-    time, up to the first pair that shares no column.
+    With S = support(G), every off-diagonal entry of S S^T is nonzero,
+    exactly when the scrambling coefficient eta(G) is positive; a bool
+    support's True entries, self-loops included, are the edges.  S S^T
+    is formed sparse, SCRAMBLING_BLOCK entries at a time, up to the
+    first pair that shares no column.
     """
-    G = _matrix(G)
-    if G.ndim != 2:
-        raise InvalidParamsError(f"expected a 2-d array, got ndim={G.ndim}")
-    from scipy.sparse import csr_array
-
-    S = csr_array(G > POSITIVITY_THRESHOLD)
+    S = support(G)
     m = S.shape[0]
     degree = np.diff(S.indptr)
     # two rows with more supported columns between them than S has share one
@@ -93,31 +90,24 @@ def is_scrambling(G) -> bool:
     return True
 
 
-def has_spanning_tree(S) -> Optional[int]:
-    """Smallest vertex from which every vertex is reachable, or None.
-
-    S is a square support: a bool or float ndarray or a scipy.sparse
-    matrix, where a nonzero S[i, j] is the edge j -> i and explicitly
-    stored zeros are not edges.  A root exists iff the strongly
+def has_spanning_tree(G) -> Optional[int]:
+    """Smallest vertex from which every vertex of support(G), a square
+    graph, is reachable, or None.  A root exists iff the strongly
     connected condensation has exactly one source component; the valid
     roots are exactly that component.
     """
-    S = _matrix(S)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    S = support(G)
+    if S.shape[0] != S.shape[1]:
         raise InvalidParamsError(f"need a square support, got shape {S.shape}")
     m = S.shape[0]
     if m == 1:
         return 0
-    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    influenced, influencer = S.nonzero()
-    graph = csr_array(
-        (np.ones(influenced.size, dtype=bool), (influenced, influencer)), shape=(m, m)
-    )
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    n_comp, labels = connected_components(S, directed=True, connection="strong")
     if n_comp == 1:
         return 0
+    influenced, influencer = S.nonzero()
     cross = labels[influenced] != labels[influencer]
     has_incoming = np.zeros(n_comp, dtype=bool)
     has_incoming[labels[influenced[cross]]] = True

@@ -44,11 +44,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptySetError,
-    InvalidParamsError,
-)
+from .errors import InvalidParamsError
 from .linalg import matrix_norm, spectral_radius
 
 DEFAULT_TOL = 1e-4
@@ -93,12 +89,12 @@ def _validated_set(matrices: Sequence) -> List[np.ndarray]:
         except (TypeError, ValueError) as exc:
             raise InvalidParamsError(f"matrix {k} is not a float matrix: {exc}") from exc
         if mats[k].shape != mats[0].shape:
-            raise DimensionMismatchError(f"matrix {k} is {mats[k].shape}, expected {mats[0].shape}")
+            raise InvalidParamsError(f"matrix {k} is {mats[k].shape}, expected {mats[0].shape}")
     if not mats:
-        raise EmptySetError("matrix set is empty")
+        raise InvalidParamsError("matrix set is empty")
     shape = mats[0].shape
     if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatchError(f"matrices must be square, got {shape}")
+        raise InvalidParamsError(f"matrices must be square, got {shape}")
     return mats
 
 

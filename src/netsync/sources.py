@@ -20,11 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptySetError,
-    InvalidParamsError,
-    ProcessExhaustedError,
-)
+from .errors import InvalidParamsError, ProcessExhaustedError
 from .linalg import CSR, is_stochastic, sparsetools
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
@@ -128,12 +124,12 @@ def _validated(G, what: str = "matrix"):
     return G
 
 
-def _validated_set(matrices: Sequence, empty: Exception) -> list:
-    """The matrices, each validated, all of one dimension; raises empty
-    when there are none."""
+def _validated_set(matrices: Sequence, empty: str) -> list:
+    """The matrices, each validated, all of one dimension; raises the
+    message empty when there are none."""
     mats = [_validated(G, f"matrix {k}") for k, G in enumerate(matrices)]
     if not mats:
-        raise empty
+        raise InvalidParamsError(empty)
     for k, G in enumerate(mats):
         if G.shape[0] != mats[0].shape[0]:
             raise InvalidParamsError(
@@ -170,9 +166,7 @@ class StaticSource(MatrixSource):
 
 class PeriodicSource(MatrixSource):
     def __init__(self, matrices: Sequence):
-        self.matrices = _validated_set(
-            matrices, InvalidParamsError("periodic source needs at least one matrix")
-        )
+        self.matrices = _validated_set(matrices, "periodic source needs at least one matrix")
         self.m = self.matrices[0].shape[0]
 
     def at(self, t: int) -> np.ndarray:
@@ -196,7 +190,7 @@ class FiniteSetIIDSource(MatrixSource):
 
     def __init__(self, matrices: Sequence, weights: Optional[Sequence[float]] = None, seed: int = 0):
         self.matrices = mats = _validated_set(
-            matrices, EmptySetError("finite iid source needs a nonempty matrix set")
+            matrices, "finite iid source needs a nonempty matrix set"
         )
         self.m = mats[0].shape[0]
         if weights is None:

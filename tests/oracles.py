@@ -11,14 +11,8 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from netsync.errors import (
-    DimensionMismatchError,
-    InvalidParamsError,
-    NetsyncError,
-    OrbitDivergedError,
-    UnknownParameterError,
-)
-from netsync.hajnal import POSITIVITY_THRESHOLD, _rows, diam
+from netsync.errors import InvalidParamsError, NetsyncError, OrbitDivergedError
+from netsync.hajnal import _rows, diam
 from netsync.jsr import _validated_set
 from netsync.linalg import CSR, is_stochastic, matrix_norm, spectral_radius
 
@@ -86,7 +80,7 @@ def matrix_norm_in(M, kind: str) -> float:
     if kind == "inf":
         return matrix_norm(M)
     if kind not in NORM_ORD:
-        raise UnknownParameterError(f"unknown norm kind {kind!r}")
+        raise InvalidParamsError(f"unknown norm kind {kind!r}")
     M = np.asarray(M, dtype=float)
     if M.ndim == 1:
         M = M[:, None]
@@ -127,8 +121,8 @@ def make_stochastic(raw) -> np.ndarray:
 def eta(G) -> float:
     """Scramblingness: min over row pairs i,j of sum_k min(G_ik, G_jk).
 
-    Entries at or below POSITIVITY_THRESHOLD are treated as zero so that
-    eta > 0 coincides exactly with the combinatorial scrambling test.
+    Only positive entries count, as in hajnal.support, so that eta > 0
+    coincides exactly with the combinatorial scrambling test.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2:
@@ -136,7 +130,7 @@ def eta(G) -> float:
     m = G.shape[0]
     if m < 2:
         return 1.0
-    X = np.where(G > POSITIVITY_THRESHOLD, G, 0.0)
+    X = np.where(G > 0, G, 0.0)
     best = np.inf
     for i in range(m - 1):
         pair_sums = np.minimum(X[i], X[i + 1 :]).sum(axis=1)
@@ -155,7 +149,7 @@ def hajnal_bound_check(G, H, kind: str = "inf") -> HajnalBound:
     G = np.asarray(G, dtype=float)
     H = np.asarray(H, dtype=float)
     if G.shape != H.shape or G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DimensionMismatchError(
+        raise InvalidParamsError(
             f"need square matrices of equal shape, got {G.shape} and {H.shape}"
         )
     lhs = diam_in(G @ H, kind)

@@ -322,6 +322,35 @@ def test_sweep_jobs_report_a_workers_divergence_as_the_serial_sweep(tmp_path, ca
     assert errs[0].startswith("numeric failure: node state exceeded 1e12 at step 0 ")
 
 
+def test_sweep_jobs_start_no_more_workers_than_rows(tmp_path, monkeypatch):
+    # a pool starts all its workers at its first task; the fake maps in
+    # process and only records how many workers it was asked for
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path, two_node_doc())
+    for values, pools in (("[3.9]", []), ("[3.9, 3.8]", [2])):
+        asked.clear()
+        assert main(["sweep", "--config", cfg, "--parameter", "map.alpha", "--values", values,
+                     "--jobs", "64", "--out", str(tmp_path / values)]) == 0
+        # one row runs serially, in no pool at all
+        assert asked == pools
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     cfg = write_config(tmp_path, blinking_sweep_doc())

@@ -18,7 +18,7 @@ from netsync.config import (
     config_hash,
     initial_state,
 )
-from netsync.errors import ConfigError, UnknownParameterError
+from netsync.errors import ConfigError, InvalidParamsError
 from netsync.sources import DrivenSource, FiniteSetIIDSource, StaticSource
 
 
@@ -319,9 +319,9 @@ def test_apply_parameter_bare_and_dotted():
     assert out2["map"]["alpha"] == 3.5
     out3 = apply_parameter(doc, "steps", 99)
     assert out3["simulation"]["steps"] == 99
-    with pytest.raises(UnknownParameterError):
+    with pytest.raises(InvalidParamsError, match="no config field named 'coupling_phase'"):
         apply_parameter(doc, "coupling_phase", 1.0)
-    with pytest.raises(UnknownParameterError):
+    with pytest.raises(InvalidParamsError, match="no config field at 'source.nope'"):
         apply_parameter(doc, "source.nope", 1.0)
 
 
@@ -389,7 +389,7 @@ def test_apply_parameter_dotted_path_reaches_defaulted_fields():
     # the source fields depend on the variant
     static = {"source": {"variant": "static", "matrix": [[1.0]]}, "map": {"name": "logistic"}}
     for bad in ("source.bogus", "source.p", "map.beta", "estimator.nope", "sim.steps"):
-        with pytest.raises(UnknownParameterError):
+        with pytest.raises(InvalidParamsError, match=f"no config field at {bad!r}"):
             apply_parameter(static if bad == "source.p" else doc, bad, 1.0)
 
 

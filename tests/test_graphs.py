@@ -12,7 +12,8 @@ from graph_oracles import (
     window_has_spanning_tree,
 )
 from netsync.errors import InvalidParamsError
-from netsync.hajnal import POSITIVITY_THRESHOLD, has_spanning_tree, is_scrambling
+from netsync.cli import _union_tables
+from netsync.hajnal import has_spanning_tree, is_scrambling
 from netsync.linalg import CSR
 from netsync.processes import BlinkingProcess
 from netsync.sources import PeriodicSource, StaticSource
@@ -55,6 +56,24 @@ def test_from_matrix_orientation():
     assert has_spanning_tree(G) == 1
     assert has_spanning_tree(G.T) == 0
     assert has_spanning_tree(csr_array(G)) == 1
+
+
+@pytest.mark.parametrize("entry", [-1e-13, 0.0, 5e-13, 0.3])
+def test_predicates_and_check_agree_on_an_edge(entry):
+    # G[1, 0] is the edge 0 -> 1 and nothing enters 0, so that edge is at
+    # once a spanning tree rooted at 0 and a column rows 0 and 1 share
+    G = np.array([[1.0, 0.0], [entry, 1.0 - entry]])
+    edge = entry > 0
+    # every entry stored, the zeros included
+    record = CSR(G.ravel(), np.array([0, 1, 0, 1], dtype=np.int32),
+                 np.array([0, 2, 4], dtype=np.int32), 2)
+    for S in (G, record, csr_array(record[:3], shape=record.shape)):
+        assert has_spanning_tree(S) == (0 if edge else None)
+        assert is_scrambling(S) == edge
+    for source in (StaticSource(G), StaticSource(record)):
+        (table, tree_T), = _union_tables(source, [0], 4).values()
+        assert bool(table[1, 0]) == edge
+        assert (tree_T is not None) == edge
 
 
 def test_spanning_tree_sparse_stored_zeros_are_not_edges():
@@ -168,15 +187,14 @@ def test_scrambling_graph_self_loop_counts():
 )
 @settings(max_examples=150, deadline=None)
 def test_scrambling_graph_matches_eta_route(seed, m, density):
-    # entries on both sides of the positivity threshold, so the support
+    # entries on both sides of 0, negative dust included, so the support
     # product and eta must draw the same line
     rng = np.random.default_rng(seed)
-    levels = np.array([0.0, POSITIVITY_THRESHOLD / 2, POSITIVITY_THRESHOLD,
-                       2 * POSITIVITY_THRESHOLD, 0.3, 1.0])
+    levels = np.array([-1e-13, -1e-16, 0.0, 1e-16, 1e-13, 0.3, 1.0])
     G = levels[rng.integers(0, levels.size, (m, m))] * (rng.random((m, m)) < density)
     assert is_scrambling(G) == (eta(G) > 0.0)
-    assert is_scrambling(G) == is_scrambling(G > POSITIVITY_THRESHOLD)
-    # entries at or below the threshold are stored, and still not edges
+    assert is_scrambling(G) == is_scrambling(G > 0)
+    # negative entries are stored, and still not edges
     assert is_scrambling(G) == is_scrambling(csr_array(G))
 
 
@@ -252,6 +270,7 @@ def test_predicates_read_a_blinking_record_as_its_csr_array_twin():
         G = proc.step()
         twin = csr_array(G[:3], shape=G.shape)
         answer = (is_scrambling(twin), has_spanning_tree(twin))
+        assert answer == (is_scrambling(G), has_spanning_tree(G))
         assert answer == (is_scrambling(G.toarray()), has_spanning_tree(G.toarray()))
         answers.add(answer[0])
     assert answers == {True, False}
@@ -263,6 +282,12 @@ def test_predicates_read_a_blinking_record_as_its_csr_array_twin():
                  id="record"),
 ])
 def test_predicates_reject_what_numpy_cannot_read_typed(S):
+    if isinstance(S, CSR):
+        # a record is not read by numpy but as its dense array: the identity
+        verdicts = (is_scrambling(S), has_spanning_tree(S))
+        assert verdicts == (is_scrambling(S.toarray()), has_spanning_tree(S.toarray()))
+        assert verdicts == (False, None)
+        return
     with pytest.raises(InvalidParamsError):
         is_scrambling(S)
     with pytest.raises(InvalidParamsError):

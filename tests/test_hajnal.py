@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netsync.errors import DimensionMismatchError, InvalidParamsError
+from netsync.errors import InvalidParamsError
 from netsync import hajnal
 from netsync.hajnal import diam, is_scrambling
 from oracles import diam_in, eta, hajnal_bound_check, make_stochastic
@@ -93,9 +93,13 @@ def test_eta_cyclic_example():
 
 
 def test_eta_ignores_dust_entries():
-    G = np.array([[1.0 - 1e-13, 1e-13], [1e-13, 1.0 - 1e-13]])
+    # negative dust is no edge; positive dust is one, however small
+    G = np.array([[1.0 + 1e-13, -1e-13], [-1e-13, 1.0 + 1e-13]])
     assert eta(G) == 0.0
     assert not is_scrambling(G)
+    G = np.array([[1.0 - 1e-13, 1e-13], [1e-13, 1.0 - 1e-13]])
+    assert eta(G) == pytest.approx(2e-13, rel=1e-12)
+    assert is_scrambling(G)
 
 
 # ---------------------------------------------------------------- scrambling
@@ -172,7 +176,7 @@ def test_bound_check_identity_equality():
 
 
 def test_bound_check_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InvalidParamsError, match="need square matrices of equal shape"):
         hajnal_bound_check(np.eye(2), np.eye(3), "inf")
 
 

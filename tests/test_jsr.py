@@ -16,7 +16,7 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from netsync.errors import DimensionMismatchError, EmptySetError, InvalidParamsError
+from netsync.errors import InvalidParamsError
 from netsync import jsr
 from netsync.jsr import (
     JsrBounds,
@@ -126,9 +126,9 @@ def test_gripenberg_unconverged_still_sound():
 
 
 def test_gripenberg_validates_inputs():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InvalidParamsError, match="matrix set is empty"):
         gripenberg([])
-    with pytest.raises(DimensionMismatchError, match="matrix 1 "):
+    with pytest.raises(InvalidParamsError, match="matrix 1 "):
         gripenberg([np.eye(2), np.eye(3)])
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidParamsError, match="tol"):

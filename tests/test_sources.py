@@ -9,7 +9,7 @@ import pytest
 from scipy.sparse import coo_array, csr_array, csr_matrix
 
 from netsync.linalg import CSR, is_stochastic
-from netsync.errors import EmptySetError, InvalidParamsError, ProcessExhaustedError
+from netsync.errors import InvalidParamsError, ProcessExhaustedError
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import (
     DRAW_BLOCK,
@@ -153,7 +153,7 @@ def test_finite_set_rejects_times_beyond_64_bits():
 
 
 def test_finite_set_rejects_empty():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InvalidParamsError, match="finite iid source needs a nonempty matrix set"):
         FiniteSetIIDSource([], seed=0)
 
 
