@@ -34,6 +34,9 @@ DEAD_SIZE = 1e-300
 
 # cap on the buffer a window walk steps a run of ages into
 WALK_BUFFER_BYTES = 2**20
+# cap on the squared differences sigma1 sizes at once, held to one age
+# where an age of its probes is larger
+_SIZE_GROUP_BYTES = 2**15
 
 DEFAULT_RENORM_EVERY = 8
 DEFAULT_N_VECTORS = 8
@@ -279,15 +282,29 @@ def estimate_sigma1(
     V = rng.standard_normal((n_vectors, m - 1)).T
     V /= np.linalg.norm(V, axis=0, keepdims=True)
 
+    # columns of squared differences size holds at once: whole ages of
+    # the probes, within _SIZE_GROUP_BYTES, or one age where that is larger
+    group = n_vectors * max(1, _SIZE_GROUP_BYTES // (8 * (m - 1) * n_vectors))
+
+    def squares(Y):
+        D = difference(Y)
+        D *= D
+        return D
+
     def size(Y):
         # np.linalg.norm(D, axis=0) of the probes' differences, without
         # its per-call overhead; numpy sums a lone column pairwise, so a
         # lone probe's ages are summed as rows, in that order
-        D = difference(Y[..., 0])
-        D *= D
-        return np.sqrt(D.T.copy().sum(axis=1) if n_vectors == 1 else D.sum(axis=0))
+        Y = Y[..., 0]
+        if n_vectors == 1:
+            return np.sqrt(squares(Y).T.copy().sum(axis=1))
+        # numpy sums two or more columns down axis 0, each in order and on
+        # its own, so a wide run is summed a group of whole ages at a time
+        sums = [squares(Y[:, i : i + group]).sum(axis=0) for i in range(0, Y.shape[1], group)]
+        return np.sqrt(sums[0] if len(sums) == 1 else np.concatenate(sums))
 
     X = lift(V)[:, :, None]
+    del V  # the walk holds only the lifted probes
     curve = _window_walk(source, X, [0] * n_vectors, horizon, renorm_every, size)
     value = float(curve[-1])
     trace = curve[renorm_every - 1 :: renorm_every].tolist()

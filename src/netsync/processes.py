@@ -124,6 +124,8 @@ class BlinkingProcess:
         cols = np.concatenate((b, a, loops))
         order = np.lexsort((cols, rows))
         self._rows, self._cols = rows[order], cols[order]
+        # every row holds its loop, so no row's segment of entries is empty
+        self._row_starts = np.searchsorted(self._rows, loops)
         # emitted int32 while the entry count fits: half the bytes of int64,
         # while the gathers keep numpy's native index type
         self._indices = self._cols.astype(np.int32 if rows.size < 2**31 else np.int64)
@@ -148,10 +150,9 @@ class BlinkingProcess:
         self._timers[fails] = self.t_rec
         up &= ~fails
         keep = self._loop | (up[self._rows] & up[self._cols])
-        rows = self._rows[keep]
-        deg = np.bincount(rows, minlength=self.m)
+        deg = np.add.reduceat(keep, self._row_starts)
         indptr = np.cumsum(np.concatenate(([0], deg)), dtype=self._indices.dtype)
-        G = CSR(1.0 / deg[rows], self._indices[keep], indptr, self.m)
+        G = CSR(np.repeat(1.0 / deg, deg), self._indices[keep], indptr, self.m)
         for a in (G.data, G.indices, G.indptr):
             a.flags.writeable = False
         return G

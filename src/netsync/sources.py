@@ -236,10 +236,11 @@ class DrivenSource(MatrixSource):
 
     Holds the live process and its last emission, which at(t) returns
     for its own time; a later time steps the process forward, and an
-    earlier one raises, since the process cannot go back.  A failed
-    emission fails every later query the same way: stepping past it
-    would shift every later emission by one time.  An emission its
-    process has frozen is held without a copy.
+    earlier one raises, since the process cannot go back.  The held
+    emission is dropped before each step, so the source never holds
+    two.  A failed emission fails every later query the same way:
+    stepping past it would shift every later emission by one time.  An
+    emission its process has frozen is held without a copy.
     """
 
     def __init__(self, process):
@@ -258,6 +259,7 @@ class DrivenSource(MatrixSource):
                                      f" t={t}; build a fresh source to read it again")
         try:
             while self._t < t:
+                self._G = None  # not held while the process builds the next
                 self._G = _validated(self.process.step(), f"process output at t={self._t + 1}")
                 self._t += 1
         except StopIteration as exc:

@@ -892,6 +892,48 @@ def test_sigma1_memory_is_linear_in_m_on_a_sparse_source():
     assert not est.collapsed
 
 
+def test_sigma1_on_a_blinking_source_holds_one_run_and_one_emission():
+    # the walk's run buffer of renorm_every ages, the emission the source
+    # is stepping to and a few probe blocks (the probes, their product and
+    # one age of squared differences among them): 0.47 MiB; a run-sized
+    # difference array, the step's nnz-sized temporaries and the previous
+    # emission held beside them peaked at 0.64 MiB
+    m, n = 500, 8
+    make = lambda: DrivenSource(BlinkingProcess.from_params(m=m, avg_degree=12, p=0.01, t_rec=3, seed=0))
+    estimate_sigma1(make(), horizon=16)  # loads the CSR kernels
+    src = make()
+    emission = sum(a.nbytes for a in src.at(0)[:3])
+    block = 8 * m * n
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        est = estimate_sigma1(src, horizon=400, n_vectors=n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert not est.collapsed
+    bound = DEFAULT_RENORM_EVERY * block + emission + 6 * block
+    assert peak < bound, f"sigma1 peaked {peak} B above its start, bound {bound} B"
+
+
+@pytest.mark.parametrize("n_vectors", [2, 3, 8])
+@pytest.mark.parametrize("cap", [1, 250, 2**62])
+def test_sigma1_norms_do_not_depend_on_their_group_size(n_vectors, cap, monkeypatch):
+    # groups of one age, of a few (a run of 8 ages splits 3 + 3 + 2 for
+    # two probes on 6 nodes), and the whole run: numpy sums each column
+    # on its own and in order, so the bytes agree
+    makes = (
+        lambda: random_finite_source(5),
+        lambda: DrivenSource(BlinkingProcess.from_params(m=40, avg_degree=6, p=0.1, t_rec=3, seed=3)),
+    )
+    runs = [estimate_sigma1(make(), horizon=67, n_vectors=n_vectors, seed=1) for make in makes]
+    monkeypatch.setattr(estimators, "_SIZE_GROUP_BYTES", cap)
+    for make, run in zip(makes, runs):
+        blocked = estimate_sigma1(make(), horizon=67, n_vectors=n_vectors, seed=1)
+        assert np.asarray(blocked.trace).tobytes() == np.asarray(run.trace).tobytes()
+        assert repr(blocked.value) == repr(run.value)
+
+
 # ------------------------------------------------------------- invariance
 
 

@@ -71,20 +71,25 @@ def small_base():
     return scale_free_graph(8, 4, seed=11)
 
 
+def tick(proc):
+    """One step of a blinking process's timers; the mask of up vertices."""
+    proc._timers = np.maximum(proc._timers - 1, 0)
+    up = proc._timers == 0
+    fails = up & (proc._rng.random(proc.m) < proc.p)
+    proc._timers[fails] = proc.t_rec
+    return up & ~fails
+
+
 class DenseBlinkingReference(BlinkingProcess):
     """The dense emission: base with down rows and columns zeroed, unit
     diagonal, rows divided by their sums."""
 
     def __init__(self, m, edges, p, t_rec, seed):
         super().__init__(m, edges, p, t_rec, seed)
-        self.base = adjacency(m, edges)
+        self.base = adjacency(m, np.asarray(edges, dtype=int).reshape(-1, 2))
 
     def step(self):
-        self._timers = np.maximum(self._timers - 1, 0)
-        up = self._timers == 0
-        fails = up & (self._rng.random(self.m) < self.p)
-        self._timers[fails] = self.t_rec
-        down = self._timers > 0
+        down = ~tick(self)
         A = self.base.copy()
         A[down, :] = 0.0
         A[:, down] = 0.0
@@ -92,16 +97,48 @@ class DenseBlinkingReference(BlinkingProcess):
         return A / A.sum(axis=1, keepdims=True)
 
 
+class BincountBlinkingReference(BlinkingProcess):
+    """The CSR emission through the kept entries' rows: degrees by
+    bincount, each entry's value gathered from its row's degree."""
+
+    def step(self):
+        up = tick(self)
+        keep = self._loop | (up[self._rows] & up[self._cols])
+        rows = self._rows[keep]
+        deg = np.bincount(rows, minlength=self.m)
+        indptr = np.cumsum(np.concatenate(([0], deg)), dtype=self._indices.dtype)
+        return CSR(1.0 / deg[rows], self._indices[keep], indptr, self.m)
+
+
+def blinking_cases(p):
+    """Each emission case as one process per maker: the scale-free base
+    of from_params, an edgeless base and a single vertex."""
+    makers = (BlinkingProcess, BincountBlinkingReference, DenseBlinkingReference)
+    yield [maker.from_params(m=60, avg_degree=6, p=p, t_rec=3, seed=4) for maker in makers]
+    for m in (5, 1):
+        yield [maker(m, [], p=p, t_rec=3, seed=4) for maker in makers]
+
+
 @pytest.mark.parametrize("p", [0.0, 0.01, 0.1, 0.5, 1.0])
 def test_blinking_csr_emission_matches_dense_reference(p):
-    csr = BlinkingProcess.from_params(m=60, avg_degree=6, p=p, t_rec=3, seed=4)
-    dense = DenseBlinkingReference.from_params(m=60, avg_degree=6, p=p, t_rec=3, seed=4)
-    for _ in range(60):
-        G = csr.step()
-        assert isinstance(G, CSR) and csr_array(G[:3], shape=G.shape).has_canonical_format
-        # bit for bit, and no stored zeros
-        assert np.array_equal(G.toarray(), dense.step())
-        assert G.data.size == np.count_nonzero(G.data)
+    for procs in blinking_cases(p):
+        for t in range(60):
+            if t == 30:
+                # every vertex down for the next emission, whatever p is
+                for proc in procs:
+                    proc._timers[:] = proc.t_rec
+            G, H, dense = (proc.step() for proc in procs)
+            assert isinstance(G, CSR) and csr_array(G[:3], shape=G.shape).has_canonical_format
+            # the entries, dtypes included, of the emission through the
+            # kept entries' rows
+            assert G.m == H.m
+            for a, b in zip(G[:3], H[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            # bit for bit, and no stored zeros
+            assert np.array_equal(G.toarray(), dense)
+            assert G.data.size == np.count_nonzero(G.data)
+            if t == 30:
+                assert np.array_equal(dense, np.eye(G.m))
 
 
 def test_blinking_p_zero_is_constant_normalized_base():

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -289,6 +290,31 @@ def test_driven_holds_one_emission():
         tracemalloc.stop()
     assert src.at(0).nbytes == 8 * m * m
     assert held < 1.5 * 8 * m * m
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: BlinkingProcess.from_params(m=30, avg_degree=4, p=0.2, t_rec=2, seed=3),
+    lambda: BlurringProcess(m=6, r=0.3, seed=2),
+], ids=["blinking", "blurring"])
+def test_driven_holds_no_earlier_emission_while_its_process_steps(maker):
+    # the process counts, as each step begins, the emissions it made that
+    # are still alive; the caller keeps none of them
+    proc = maker()
+    made, alive = [], []
+    step = proc.step
+
+    def counting_step():
+        alive.append(sum(ref() is not None for ref in made))
+        G = step()
+        made.append(weakref.ref(G.data if isinstance(G, CSR) else G))
+        return G
+
+    proc.step = counting_step
+    src = DrivenSource(proc)
+    for t in range(8):
+        src.at(t)
+    src.at(12)
+    assert alive == [0] * 13
 
 
 def test_driven_blurring_step_copies_no_emission():
