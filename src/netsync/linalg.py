@@ -24,46 +24,31 @@ ROW_SUM_TOL = 1e-12
 SPARSETOOLS = "scipy.sparse._sparsetools"
 
 
-def _load(spec):
-    """The extension spec names, loaded and registered under its name;
-    on ImportError nothing stays registered."""
-    if not spec:
-        raise ImportError(f"no {SPARSETOOLS} file in scipy's directory")
-    try:
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-    except ImportError:
-        sys.modules.pop(spec.name, None)
-        raise
-    return module
-
-
 def sparsetools():
     """scipy's compiled CSR kernels, the extension scipy.sparse itself
     imports.  Loaded on first use from its file in scipy's directory,
     which importlib finds without running scipy's __init__, and
     registered under its own name, so that a later `import scipy.sparse`
     reuses the same module; importing scipy.sparse would also load
-    scipy's array-API shim, which costs most of that import.  Where
-    loading the file raises ImportError (on some platforms scipy's
-    __init__ is what makes its libraries loadable), scipy is imported
-    and the file loaded again; only where the file is not found, or
-    fails again, do the kernels come through scipy.sparse."""
+    scipy's array-API shim, which costs most of that import.  Where the
+    file is not found, or loading it raises ImportError (on some
+    platforms scipy's __init__ is what makes its libraries loadable), it
+    comes through scipy.sparse."""
     module = sys.modules.get(SPARSETOOLS)
     if module is None:
-        package = importlib.util.find_spec("scipy")
-        spec = package and importlib.machinery.PathFinder.find_spec(
-            SPARSETOOLS, [os.path.join(d, "sparse") for d in package.submodule_search_locations]
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            SPARSETOOLS, [os.path.join(d, "sparse") for d in scipy.submodule_search_locations]
         )
         try:
-            module = _load(spec)
+            if not spec:
+                raise ImportError(f"no {SPARSETOOLS} file in scipy's directory")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[SPARSETOOLS] = module
+            spec.loader.exec_module(module)
         except ImportError:
-            try:
-                import scipy  # noqa: F401
-                module = _load(spec)
-            except ImportError:
-                from scipy.sparse import _sparsetools as module
+            sys.modules.pop(SPARSETOOLS, None)
+            from scipy.sparse import _sparsetools as module
     return module
 
 

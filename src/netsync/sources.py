@@ -238,9 +238,9 @@ class DrivenSource(MatrixSource):
     for its own time; a later time steps the process forward, and an
     earlier one raises, since the process cannot go back.  The held
     emission is dropped before each step, so the source never holds
-    two.  A failed emission fails every later query the same way:
-    stepping past it would shift every later emission by one time.  An
-    emission its process has frozen is held without a copy.
+    two.  A failed or interrupted emission fails every later query the
+    same way: stepping past it would shift every later emission by one
+    time.  An emission its process has frozen is held without a copy.
     """
 
     def __init__(self, process):
@@ -265,7 +265,7 @@ class DrivenSource(MatrixSource):
         except StopIteration as exc:
             self._error = ProcessExhaustedError(f"driven process ended before t={self._t + 1}")
             raise self._error from exc
-        except Exception as exc:
+        except BaseException as exc:
             self._error = exc
             raise
         return self._G

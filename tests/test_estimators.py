@@ -893,11 +893,11 @@ def test_sigma1_memory_is_linear_in_m_on_a_sparse_source():
 
 
 def test_sigma1_on_a_blinking_source_holds_one_run_and_one_emission():
-    # the walk's run buffer of renorm_every ages, the emission the source
-    # is stepping to and a few probe blocks (the probes, their product and
-    # one age of squared differences among them): 0.47 MiB; a run-sized
-    # difference array, the step's nnz-sized temporaries and the previous
-    # emission held beside them peaked at 0.64 MiB
+    # beyond the walk's run buffer of renorm_every ages and the emission
+    # the source is stepping to, sigma1 holds a few probe blocks (the
+    # probes, their product and one age of squared differences): about 5
+    # blocks.  Squaring a whole run's differences at once adds a run of
+    # blocks on top (about 10); the bound is that one run.
     m, n = 500, 8
     make = lambda: DrivenSource(BlinkingProcess.from_params(m=m, avg_degree=12, p=0.01, t_rec=3, seed=0))
     estimate_sigma1(make(), horizon=16)  # loads the CSR kernels
@@ -912,8 +912,9 @@ def test_sigma1_on_a_blinking_source_holds_one_run_and_one_emission():
     finally:
         tracemalloc.stop()
     assert not est.collapsed
-    bound = DEFAULT_RENORM_EVERY * block + emission + 6 * block
-    assert peak < bound, f"sigma1 peaked {peak} B above its start, bound {bound} B"
+    run = DEFAULT_RENORM_EVERY * block
+    beyond = peak - run - emission
+    assert beyond < run, f"sigma1 held {beyond} B beyond its run buffer and emission, bound {run} B"
 
 
 @pytest.mark.parametrize("n_vectors", [2, 3, 8])

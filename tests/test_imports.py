@@ -7,12 +7,11 @@ dense inputs, and `jsr` on a 2x2 set its invariant polytope certifies,
 start with numpy alone.  Blinking runs multiply their CSR emissions with
 scipy's compiled kernels, loaded from the extension file in scipy's
 directory without running scipy's `__init__`, and without `scipy.sparse`
-and the array-API shim it imports; where that file fails to load, scipy
-is imported and the file loaded again, and only where it is missing or
-fails again do the kernels come through `scipy.sparse`.  Nor do blinking
-runs load `numpy.ma`, which `np.unique` imports.  Each boundary test
-runs in a fresh interpreter, since this test process has long since
-imported scipy.
+and the array-API shim it imports; where that file is missing or fails
+to load, the kernels come through `scipy.sparse`.  Nor do blinking runs
+load `numpy.ma`, which `np.unique` imports.  Each boundary test runs in
+a fresh interpreter, since this test process has long since imported
+scipy.
 
 A command also leaves its heap to the OS at exit: `main` registers
 `gc.freeze` with atexit, so the interpreter's shutdown collections skip
@@ -196,47 +195,27 @@ def test_kernels_come_through_scipy_sparse_where_the_file_is_not_found(tmp_path)
     assert lines == ["True True"]
 
 
-def failing_loader(times: int) -> str:
-    """Code that makes the first `times` loads of the extension raise
-    ImportError, as where only scipy's __init__ makes its libraries
-    loadable, and counts them in `failed`."""
-    return (
+def test_kernels_come_through_scipy_sparse_where_the_file_fails_to_load():
+    # the first load of the extension raises ImportError, as where only
+    # scipy's __init__ makes its libraries loadable; scipy.sparse's own
+    # import of it then succeeds
+    lines = fresh_stdout(
         "import importlib.machinery, sys\n"
         "from netsync.linalg import SPARSETOOLS, sparsetools\n"
         "loader = importlib.machinery.ExtensionFileLoader\n"
         "create, failed = loader.create_module, []\n"
-        "def create_failing(self, spec):\n"
-        f"    if spec.name == SPARSETOOLS and len(failed) < {times}:\n"
+        "def create_once(self, spec):\n"
+        "    if spec.name == SPARSETOOLS and not failed:\n"
         "        failed.append(spec.origin)\n"
         "        raise ImportError('DLL load failed')\n"
         "    return create(self, spec)\n"
-        "loader.create_module = create_failing\n"
-    )
-
-
-def test_kernels_load_again_after_importing_scipy_where_the_file_fails_once():
-    # scipy's __init__ runs, then the file loads: no scipy.sparse
-    lines = fresh_stdout(
-        failing_loader(1)
-        + "kernels = sparsetools()\n"
-        "print(len(failed), 'scipy' in sys.modules, 'scipy.sparse' in sys.modules,\n"
+        "loader.create_module = create_once\n"
+        "kernels = sparsetools()\n"
+        "from scipy.sparse import _sparsetools\n"
+        "print(len(failed), 'scipy.sparse' in sys.modules, kernels is _sparsetools,\n"
         "      kernels is sys.modules[SPARSETOOLS], hasattr(kernels, 'csr_matvecs'))"
     )
-    assert lines == ["1 True False True True"]
-
-
-def test_kernels_come_through_scipy_sparse_where_the_file_fails_to_load():
-    # the file fails to load before and after scipy's __init__ has run;
-    # scipy.sparse's own import of it then succeeds
-    lines = fresh_stdout(
-        failing_loader(2)
-        + "kernels = sparsetools()\n"
-        "print(len(failed), 'scipy.sparse' in sys.modules)\n"
-        "from scipy.sparse import _sparsetools\n"
-        "print(kernels is _sparsetools, kernels is sys.modules[SPARSETOOLS],\n"
-        "      hasattr(kernels, 'csr_matvecs'))"
-    )
-    assert lines == ["2 True", "True True True"]
+    assert lines == ["1 True True True True"]
 
 
 def test_sources_check_a_record_without_scipy_sparse():

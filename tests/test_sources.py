@@ -264,6 +264,26 @@ def test_driven_failed_emission_is_sticky():
     assert proc.calls == 3
 
 
+def test_driven_interrupted_emission_is_sticky():
+    # an interrupt part-way through a step leaves the process part-way
+    # on, after the source let go of its last emission: that time, every
+    # later one and every earlier one raise the interrupt again
+    class InterruptedProcess(ListProcess):
+        def step(self):
+            if self.calls == 1:
+                self.calls += 1
+                raise KeyboardInterrupt
+            return super().step()
+
+    proc = InterruptedProcess([A2, B2, A2])
+    src = DrivenSource(proc)
+    assert np.array_equal(src.at(0), A2)
+    for t in (1, 0, 2):
+        with pytest.raises(KeyboardInterrupt):
+            src.at(t)
+    assert proc.calls == 2
+
+
 def test_driven_exhausted_process():
     proc = ListProcess([A2, B2])
     src = DrivenSource(proc)
