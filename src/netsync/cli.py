@@ -15,7 +15,6 @@ import gc
 import json
 import math
 import sys
-from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from .config import (
     build_map,
     build_source,
     config_hash,
+    document_hash,
     initial_state,
     probe_seed,
 )
@@ -166,15 +166,15 @@ def cmd_spectrum(args) -> int:
             "converged": sig.converged,
         },
         ("t", "sigma1_estimate"),
-        (np.arange(1, len(sig.trace) + 1) * cfg.estimator.renorm_every, sig.trace),
+        (np.arange(1, len(sig.curve) + 1) * cfg.estimator.renorm_every, sig.curve),
     )
 
     _write_json(
         out / "diam_estimate.json",
         {
             "config_hash": h,
-            "diam": diam_est.to_json_dict(),
-            "sigma1": sig.to_json_dict(),
+            "diam": diam_est._asdict(),
+            "sigma1": sig._asdict(),
         },
     )
     print(
@@ -396,11 +396,11 @@ def cmd_jsr(args) -> int:
             raise ConfigError(where, "not row stochastic")
         mats.append(arr)
 
-    h = sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()[:16]
+    h = document_hash(rows)
     # the stochastic check above is the set's one row-sum check
     bounds = gripenberg([compress(M) for M in mats], tol=args.tol, max_len=args.max_len)
 
-    obj = {"config_hash": h, **bounds.to_json_dict(), "mu": args.mu}
+    obj = {"config_hash": h, **bounds._asdict(), "mu": args.mu}
     line = (
         f"jsr bounds: [{bounds.lower:.8g}, {bounds.upper:.8g}]"
         f" converged={bounds.converged}"

@@ -266,10 +266,15 @@ class ExperimentConfig(NamedTuple):
         return json.loads(json.dumps(self._document()))
 
 
+def document_hash(doc) -> str:
+    """The first 16 hex digits of the sha256 of doc's compact JSON, keys sorted."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     # the document need not be copied to be hashed
-    blob = json.dumps(cfg._document(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return document_hash(cfg._document())
 
 
 def build_source(cfg: ExperimentConfig) -> MatrixSource:

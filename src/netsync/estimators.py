@@ -62,22 +62,14 @@ class DiamEstimate(NamedTuple):
     norm_kind: str  # always "inf", kept as a field of diam_estimate.json
     converged: bool
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 class LyapunovEstimate(NamedTuple):
     value: float
     horizon: int
     renorm_every: int
-    trace: List[float]
+    curve: List[float]
     collapsed: bool
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        d = self._asdict()
-        d["curve"] = d.pop("trace")
-        return d
 
 
 def _tail_converged_multiplicative(curve: Sequence[float]) -> bool:
@@ -90,8 +82,8 @@ def _tail_converged_multiplicative(curve: Sequence[float]) -> bool:
     return (hi - lo) / hi < CURVE_TAIL_RTOL
 
 
-def _tail_converged_log(trace: Sequence[float]) -> bool:
-    tail = np.asarray(trace[3 * len(trace) // 4 :])
+def _tail_converged_log(curve: Sequence[float]) -> bool:
+    tail = np.asarray(curve[3 * len(curve) // 4 :])
     return float(tail.max() - tail.min()) <= math.log(1.0 + CURVE_TAIL_RTOL)
 
 
@@ -268,7 +260,7 @@ def estimate_sigma1(
     node space, X = P+ V, and walked as width-1 windows that all start
     at time 0; P X equals the projected probes at every step, since
     P G = Ghat P and P annihilates consensus rows.  The walk scores the
-    probes at every step; the trace reads the rate at every
+    probes at every step; the curve reads the rate at every
     renorm_every-th step, and the value at the horizon."""
     if not 1 <= renorm_every <= horizon:
         raise InvalidParamsError(
@@ -305,14 +297,14 @@ def estimate_sigma1(
 
     X = lift(V)[:, :, None]
     del V  # the walk holds only the lifted probes
-    curve = _window_walk(source, X, [0] * n_vectors, horizon, renorm_every, size)
-    value = float(curve[-1])
-    trace = curve[renorm_every - 1 :: renorm_every].tolist()
+    rates = _window_walk(source, X, [0] * n_vectors, horizon, renorm_every, size)
+    value = float(rates[-1])
+    curve = rates[renorm_every - 1 :: renorm_every].tolist()
     collapsed = value == NEG_INF
-    # a probe alive at the horizon scored at every age the trace reads,
-    # so only a collapsed trace holds -inf
-    converged = collapsed or _tail_converged_log(trace)
-    return LyapunovEstimate(value, horizon, renorm_every, trace, collapsed, converged)
+    # a probe alive at the horizon scored at every age the curve reads,
+    # so only a collapsed curve holds -inf
+    converged = collapsed or _tail_converged_log(curve)
+    return LyapunovEstimate(value, horizon, renorm_every, curve, collapsed, converged)
 
 
 def estimate_scalar_lyapunov(

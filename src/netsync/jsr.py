@@ -77,9 +77,6 @@ class JsrBounds(NamedTuple):
     certificate: str = "search"
     vertex_count: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "witness": list(self.witness)}
-
 
 def _validated_set(matrices: Sequence) -> List[np.ndarray]:
     mats = []

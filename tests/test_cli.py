@@ -25,8 +25,9 @@ from netsync.errors import (
     ProcessExhaustedError,
     StateDivergedError,
 )
-from netsync.estimators import default_t0_samples
+from netsync.estimators import default_t0_samples, estimate_hajnal_diameter, estimate_sigma1
 from netsync.hajnal import has_spanning_tree, is_scrambling
+from netsync.jsr import gripenberg
 from netsync.processes import BlinkingProcess, BlurringProcess
 from netsync.sources import DrivenSource, StaticSource
 from test_sources import A2, ListProcess
@@ -107,6 +108,25 @@ def test_spectrum_byte_identical_reruns(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     for name in ("sigma1_trace.csv", "diam_estimate.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_records_written_by_write_json_parse_back_with_their_fields(tmp_path):
+    # each JSON output holds its record's _asdict(): sigma1's curve under
+    # the field's own name, and the JSR witness tuple as a list
+    src = StaticSource(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    records = {
+        "diam": estimate_hajnal_diameter(src, horizon=16, t0_samples=[0, 4]),
+        "sigma1": estimate_sigma1(src, horizon=16),
+        "jsr": gripenberg([np.array([[0.5]])]),
+    }
+    back = {}
+    for name, record in records.items():
+        cli._write_json(tmp_path / f"{name}.json", record._asdict())
+        back[name] = json.loads((tmp_path / f"{name}.json").read_text())
+        assert list(back[name]) == sorted(record._fields)
+    assert back["diam"]["curve"] == records["diam"].curve and back["diam"]["norm_kind"] == "inf"
+    assert back["sigma1"]["curve"] == records["sigma1"].curve and len(back["sigma1"]["curve"]) == 2
+    assert back["jsr"]["witness"] == [0] and back["jsr"]["certificate"] == "search"
 
 
 # ----------------------------------------------------------------- simulate

@@ -1,5 +1,6 @@
 """Config document validation, seed derivation, and builders."""
 
+import hashlib
 import json
 import pickle
 
@@ -16,6 +17,7 @@ from netsync.config import (
     build_source,
     child_seed,
     config_hash,
+    document_hash,
     initial_state,
 )
 from netsync.errors import ConfigError, InvalidParamsError
@@ -229,6 +231,13 @@ def test_hash_tracks_content():
     assert a == c
     assert a != b
     assert len(a) == 16
+
+
+def test_document_hash_of_a_matrix_set_is_the_compact_json_sha256():
+    # jsr_bounds.json's config_hash: sort_keys leaves a list of float rows as it is
+    rows = [[[0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]], [[1e-17, 1.0 - 1e-17]]]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    assert document_hash(rows) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 def test_child_seed_is_stable_and_distinct():

@@ -113,7 +113,7 @@ def test_diam_estimate_deep_horizon_survives_underflow():
 
 def test_diam_estimate_json_dict():
     est = estimate_hajnal_diameter(StaticSource(SYM2), horizon=10)
-    d = est.to_json_dict()
+    d = est._asdict()
     assert set(d) >= {"value", "horizon", "curve", "converged"}
     assert d["value"] == est.value and len(d["curve"]) == 10
 
@@ -189,8 +189,8 @@ def test_sigma1_below_log_projection_jsr():
 
 def test_sigma1_trace_records_running_average():
     est = estimate_sigma1(StaticSource(SYM2), horizon=64, renorm_every=8)
-    assert len(est.trace) == 8
-    assert est.trace[-1] == pytest.approx(est.value, abs=1e-12)
+    assert len(est.curve) == 8
+    assert est.curve[-1] == pytest.approx(est.value, abs=1e-12)
 
 
 # ------------------------------------------------------------- qr spectrum
@@ -538,7 +538,7 @@ def test_sigma1_matches_projected_reference(seed, frame_kind, horizon):
     est = estimate_sigma1(src, horizon=horizon, seed=seed)
     value, trace = ref_sigma1(src, frame(src.m, frame_kind), horizon, seed=seed)
     assert est.value == pytest.approx(value, rel=ORACLE_RTOL, abs=0)
-    np.testing.assert_allclose(est.trace, trace, rtol=ORACLE_RTOL, atol=0)
+    np.testing.assert_allclose(est.curve, trace, rtol=ORACLE_RTOL, atol=0)
 
 
 def loop_sigma1(source, horizon, renorm_every=8, n_vectors=8, seed=0):
@@ -627,7 +627,7 @@ def test_sigma1_is_bit_identical_to_the_standalone_loop(case):
     value, trace, collapsed, converged = loop_sigma1(make(), horizon, seed=5)
     assert collapsed == (case == "collapsing-periodic")
     assert est.value == value
-    assert est.trace == trace
+    assert est.curve == trace
     assert est.collapsed == collapsed
     assert est.converged == converged
 
@@ -635,7 +635,7 @@ def test_sigma1_is_bit_identical_to_the_standalone_loop(case):
 @pytest.mark.parametrize("horizon", [200, 203])
 def test_sigma1_scoring_at_read_ages_equals_full_scoring(horizon):
     # the walk scores sigma1's probes at every age; estimate_sigma1 reads
-    # its trace at the renormalisation ages and its value at the horizon
+    # its curve at the renormalisation ages and its value at the horizon
     src = random_finite_source(5)
     rng = np.random.default_rng(2)
     V = rng.standard_normal((8, src.m - 1)).T
@@ -647,7 +647,7 @@ def test_sigma1_scoring_at_read_ages_equals_full_scoring(horizon):
 
     full = _window_walk(src, X, [0] * 8, horizon, 8, size)
     est = estimate_sigma1(src, horizon=horizon, seed=2)
-    assert est.trace == full[7::8].tolist()
+    assert est.curve == full[7::8].tolist()
     assert est.value == full[-1]
     # a live window walk scores every age
     assert np.all(np.isfinite(full))
@@ -739,7 +739,7 @@ def walk_estimates(make, horizon, t0s, renorm_every):
     for estimate in (diameter_in, projection_jsr_in):
         for kind in ("inf", "one", "two"):
             out.append(estimate(make(), horizon, t0s, kind, renorm_every))
-    return [est.to_json_dict() for est in out]
+    return [est._asdict() for est in out]
 
 
 @pytest.mark.parametrize("case", sorted(WALK_ORACLE_CASES))
@@ -931,7 +931,7 @@ def test_sigma1_norms_do_not_depend_on_their_group_size(n_vectors, cap, monkeypa
     monkeypatch.setattr(estimators, "_SIZE_GROUP_BYTES", cap)
     for make, run in zip(makes, runs):
         blocked = estimate_sigma1(make(), horizon=67, n_vectors=n_vectors, seed=1)
-        assert np.asarray(blocked.trace).tobytes() == np.asarray(run.trace).tobytes()
+        assert np.asarray(blocked.curve).tobytes() == np.asarray(run.curve).tobytes()
         assert repr(blocked.value) == repr(run.value)
 
 
@@ -980,7 +980,7 @@ def test_estimates_do_not_depend_on_sparse_or_dense_storage():
 
     sparse, dense = Stored(False), Stored(True)
     a, b = estimate_sigma1(sparse, horizon=200), estimate_sigma1(dense, horizon=200)
-    np.testing.assert_allclose(b.trace, a.trace, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(b.curve, a.curve, rtol=1e-12, atol=0)
     a = estimate_hajnal_diameter(sparse, horizon=160, t0_samples=[0, 40])
     b = estimate_hajnal_diameter(dense, horizon=160, t0_samples=[0, 40])
     np.testing.assert_allclose(b.curve, a.curve, rtol=1e-12, atol=0)
